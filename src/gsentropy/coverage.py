@@ -1,25 +1,27 @@
 """Monte Carlo coverage study for the asymptotic confidence intervals.
 
-For each replicate: draw a sample, build the interval, and test whether the
-exact entropy lands inside (endpoints inclusive; a zero-width degenerate
-interval therefore counts as a hit only on exact containment).  Replicate r
-of an experiment uses the derived seed (seed, r) and a sweep derives each
-grid point's seed from (seed, n), so results are deterministic regardless
-of worker count, and fresh samples are drawn at every n.
+For each replicate: draw a sample, tally it with np.unique, build the interval
+from the counts, and test whether the exact entropy lands inside (endpoints
+inclusive; a zero-width degenerate interval counts as a hit only on exact
+containment).  Replicate r of an experiment uses the derived seed (seed, r)
+and a sweep derives each grid point's seed from (seed, n), so results are
+deterministic regardless of worker count, and fresh samples are drawn at every n.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from .distributions import AnalyticDistribution, derive_seed, distribution_config, sample
-from .entropy import gse_analytic
-from .estimation import confidence_interval
+import numpy as np
+
+from .distributions import AnalyticDistribution, derive_seed, distribution_config, draw
+from .entropy import _check_order, gse_analytic
+from .estimation import _interval, _plugin_h_sigma_sq, _two_sided_z
+from .oracles import _run_blocks
 
 
 @dataclass(frozen=True)
@@ -54,23 +56,18 @@ def coverage_experiment(dist: AnalyticDistribution, m: int, n: int, reps: int,
         raise ValueError("coverage experiments need n >= 2")
     if reps < 1:
         raise ValueError("need at least one replicate")
+    m = _check_order(m)
+    z = _two_sided_z(alpha)
     truth = gse_analytic(dist, m) if true_value is None else true_value
     hit_flags = [False] * reps
 
     def fill(block: range) -> None:
         for r in block:
-            counts = sample(dist, n, derive_seed(seed, r))
-            hit_flags[r] = confidence_interval(counts, m, alpha).contains(truth)
+            _, counts = np.unique(draw(dist, n, derive_seed(seed, r)), return_counts=True)
+            h_hat, sigma_sq = _plugin_h_sigma_sq(counts, n, m)
+            hit_flags[r] = _interval(h_hat, math.sqrt(sigma_sq), n, z, alpha).contains(truth)
 
-    if workers <= 1:
-        fill(range(reps))
-    else:
-        step = -(-reps // workers)
-        blocks = [range(i, min(i + step, reps)) for i in range(0, reps, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(fill, block) for block in blocks]:
-                future.result()
-
+    _run_blocks(fill, reps, workers)
     hits = sum(hit_flags)
     coverage = hits / reps
     return CoveragePoint(

@@ -107,10 +107,6 @@ class SampleCounts:
         cats, cnts = np.unique(arr, return_counts=True)
         return cls({int(c): int(k) for c, k in zip(cats, cnts)}, int(arr.size))
 
-    def sorted_items(self) -> list[tuple[int, int]]:
-        """(category, count) pairs, descending count then ascending label."""
-        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
 
 # ---------------------------------------------------------------------------
 # distribution families
@@ -441,8 +437,8 @@ def _sample_zeta(s: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def sample(dist: AnalyticDistribution, n: int, seed: int) -> SampleCounts:
-    """Draw n iid observations; deterministic function of (dist, n, seed)."""
+def draw(dist: AnalyticDistribution, n: int, seed: int) -> np.ndarray:
+    """n iid observations as an int64 array; deterministic function of (dist, n, seed)."""
     if int(n) != n or n < 1:
         raise ValueError(f"sample size must be a positive integer, got {n!r}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & _MASK64))
@@ -459,7 +455,12 @@ def sample(dist: AnalyticDistribution, n: int, seed: int) -> SampleCounts:
         values = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64) + 1
     else:
         raise TypeError(f"not an analytic distribution: {dist!r}")
-    return SampleCounts.from_observations(values)
+    return values
+
+
+def sample(dist: AnalyticDistribution, n: int, seed: int) -> SampleCounts:
+    """The counts of draw(dist, n, seed)."""
+    return SampleCounts.from_observations(draw(dist, n, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +490,13 @@ def parse_distribution(spec: Union[str, Mapping]) -> AnalyticDistribution:
         if kind == "geometric":
             return Geometric(float(obj["q"]))
         if kind == "uniform":
-            return UniformFinite(int(obj["K"]))
+            return UniformFinite(obj["K"])
         if kind == "custom":
             return CustomFinite(DiscretePmf(np.asarray(obj["probs"], dtype=np.float64)))
     except KeyError as exc:
         raise ValueError(f"distribution config for kind={kind!r} is missing field {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"distribution config for kind={kind!r} has a non-numeric parameter: {exc}") from exc
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 

@@ -15,8 +15,8 @@ as a diagnostic; it fails the classical m=1 cross-check
     sigma_1^2 = sum p_k ln^2 p_k - H^2
 
 while the form above reduces to it exactly.  Summation over observed
-categories runs in descending-count then ascending-label order so results
-are reproducible at the 1e-12 level across platforms.
+categories runs in descending-count order (ties carry equal terms) so
+results are reproducible at the 1e-12 level across platforms.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from typing import Mapping, Union
 import numpy as np
 
 from .distributions import (
-    CustomFinite,
     DiscretePmf,
     Geometric,
     SampleCounts,
-    UniformFinite,
     Zeta,
     finite_pmf,
     is_finite_support,
@@ -48,7 +46,6 @@ from .entropy import (
     _shifted_log_weights,
     _zeta_collision_entropy,
     as_pmf,
-    gse,
 )
 
 
@@ -82,7 +79,7 @@ def empirical_pmf(counts: SampleCounts) -> DiscretePmf:
     The vector is ordered by descending count then ascending category label
     (the fixed summation order); original labels ride along in ``labels``.
     """
-    items = counts.sorted_items()
+    items = sorted(counts.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     if not items:
         raise ValueError("empty sample counts")
     labels = tuple(category for category, _ in items)
@@ -90,21 +87,28 @@ def empirical_pmf(counts: SampleCounts) -> DiscretePmf:
     return DiscretePmf(probs, labels=labels)
 
 
+def _h_sigma_sq(p: np.ndarray, m: int) -> tuple[float, float]:
+    """(H_m, sigma_m^2) of a strictly positive pmf in one shifted log-weight pass."""
+    w = m * np.log(p)
+    w -= w.max()
+    log_norm = float(np.log(np.sum(np.exp(w))))
+    log_q = w - log_norm
+    q = np.exp(log_q)
+    h = float(log_norm - np.dot(q, w))
+    g = -(m * q / p) * (log_q + h)
+    return h, float(np.dot(p, g * g))
+
+
+def _plugin_h_sigma_sq(counts: np.ndarray, n: int, m: int) -> tuple[float, float]:
+    """(H_hat_m, sigma_hat_m^2) from the strictly positive counts of a size-n sample."""
+    return _h_sigma_sq(np.sort(counts)[::-1] / n, m)
+
+
 def gse_plugin(counts: SampleCounts, m: int) -> float:
     """Plug-in estimate: exact order-m entropy of the empirical pmf.
 
     Unobserved categories contribute nothing (0 ln 0 = 0)."""
-    return gse(empirical_pmf(counts), m)
-
-
-def _sigma_sq_finite(pmf: DiscretePmf, m: int) -> float:
-    p = pmf.probs
-    mask, w, log_norm = _shifted_log_weights(p, m)
-    q = np.exp(w - log_norm)
-    log_q = w - log_norm
-    h = float(log_norm - np.dot(q, w))
-    g = -(m * q / p[mask]) * (log_q + h)
-    return float(np.dot(p[mask], g * g))
+    return gse_estimate(counts, m).h_hat
 
 
 def sigma_sq_true(target, m: int, eps: float = DEFAULT_EPS) -> float:
@@ -114,13 +118,12 @@ def sigma_sq_true(target, m: int, eps: float = DEFAULT_EPS) -> float:
     distribution; infinite supports are evaluated to tolerance eps.
     """
     m = _check_order(m)
-    if isinstance(target, (Zeta, Geometric, UniformFinite, CustomFinite)):
-        if is_finite_support(target):
-            return _sigma_sq_finite(finite_pmf(target), m)
-        if isinstance(target, Zeta):
-            return _sigma_sq_zeta(target.s, m, eps)
+    if isinstance(target, Zeta):
+        return _sigma_sq_zeta(target.s, m, eps)
+    if isinstance(target, Geometric):
         return _sigma_sq_geometric(target, m, eps)
-    return _sigma_sq_finite(as_pmf(target), m)
+    p = (finite_pmf(target) if is_finite_support(target) else as_pmf(target)).probs
+    return _h_sigma_sq(p[p > 0.0], m)[1]
 
 
 def _sigma_sq_zeta(s: float, m: int, eps: float) -> float:
@@ -174,20 +177,15 @@ def sigma_hat_sq(counts: SampleCounts, m: int) -> float:
     Zero-count categories vanish in the continuity limit (each term is
     O(p^{2m-1} ln^2 p)), which is the only finite computable reading.
     """
-    return _sigma_sq_finite(empirical_pmf(counts), _check_order(m))
+    return _plugin_h_sigma_sq(np.array([*counts.counts.values()]), counts.n, _check_order(m))[1]
 
 
 def gse_estimate(counts: SampleCounts, m: int) -> GseEstimate:
     """Point estimate plus estimated asymptotic spread for one sample."""
-    pmf = empirical_pmf(counts)
     m = _check_order(m)
-    return GseEstimate(
-        m=m,
-        n=counts.n,
-        h_hat=gse(pmf, m),
-        sigma_hat=math.sqrt(_sigma_sq_finite(pmf, m)),
-        support_observed=pmf.support_size,
-    )
+    h_hat, sigma_sq = _plugin_h_sigma_sq(np.array([*counts.counts.values()]), counts.n, m)
+    return GseEstimate(m=m, n=counts.n, h_hat=h_hat, sigma_hat=math.sqrt(sigma_sq),
+                       support_observed=len(counts.counts))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +231,18 @@ def normal_quantile(p: float) -> float:
     return x - u / (1.0 + 0.5 * x * u)
 
 
+def _two_sided_z(alpha: float) -> float:
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return normal_quantile(1.0 - alpha / 2.0)
+
+
+def _interval(h_hat: float, sigma_hat: float, n: int, z: float, alpha: float) -> ConfidenceInterval:
+    half = z * sigma_hat / math.sqrt(n)
+    return ConfidenceInterval(lower=h_hat - half, upper=h_hat + half, level=1.0 - alpha,
+                              degenerate=(sigma_hat == 0.0))
+
+
 def confidence_interval(counts: SampleCounts, m: int, alpha: float) -> ConfidenceInterval:
     """Asymptotic (1 - alpha) interval h_hat -/+ z_{alpha/2} sigma_hat / sqrt(n).
 
@@ -240,17 +250,9 @@ def confidence_interval(counts: SampleCounts, m: int, alpha: float) -> Confidenc
     category) has sigma_hat = 0; the zero-width interval is reported with
     the degenerate flag set instead of being widened ad hoc.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    z = _two_sided_z(alpha)
     est = gse_estimate(counts, m)
-    z = normal_quantile(1.0 - alpha / 2.0)
-    half = z * est.sigma_hat / math.sqrt(est.n)
-    return ConfidenceInterval(
-        lower=est.h_hat - half,
-        upper=est.h_hat + half,
-        level=1.0 - alpha,
-        degenerate=(est.sigma_hat == 0.0),
-    )
+    return _interval(est.h_hat, est.sigma_hat, est.n, z, alpha)
 
 
 # ---------------------------------------------------------------------------

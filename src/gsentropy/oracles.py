@@ -15,6 +15,7 @@ behind the command-line ``verify`` subcommand.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -117,15 +118,19 @@ def mc_variance_oracle(dist: AnalyticDistribution, m: int, n: int, reps: int,
     return float(np.var(values, ddof=1))
 
 
+def _blocks(total: int, workers: int) -> list[range]:
+    """Contiguous blocks of range(total), one per thread: min(workers, total, CPUs), >= 1."""
+    threads = max(1, min(workers, total, os.cpu_count() or 1))
+    step = -(-total // threads)
+    return [range(i, min(i + step, total)) for i in range(0, total, step)]
+
+
 def _run_blocks(fill, total: int, workers: int) -> None:
-    if workers <= 1:
-        fill(range(total))
-        return
-    step = -(-total // workers)
-    blocks = [range(i, min(i + step, total)) for i in range(0, total, step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(fill, block) for block in blocks]:
-            future.result()
+    blocks = _blocks(total, workers)
+    if len(blocks) == 1:
+        return fill(blocks[0])
+    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+        list(pool.map(fill, blocks))  # re-raises the first block's exception
 
 
 # ---------------------------------------------------------------------------

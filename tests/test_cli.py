@@ -55,6 +55,22 @@ class TestCompute:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("spec", [
+        '{"kind":"zeta","s":[1]}',
+        '{"kind":"geometric","q":{"q":0.5}}',
+        '{"kind":"uniform","K":[4]}',
+        '{"kind":"custom","probs":{"a":1}}',
+    ])
+    def test_non_numeric_parameter_is_usage_error(self, capsys, spec):
+        code, _, err = run(capsys, "compute", "--dist", spec)
+        assert code == 2
+        assert err.startswith("error:") and "non-numeric" in err
+
+    def test_non_integer_uniform_count_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "compute", "--dist", '{"kind":"uniform","K":2.5}')
+        assert code == 2
+        assert "positive integer" in err
+
     def test_non_convergence_exit_code(self, capsys):
         # mathematically finite, but the certified truncation exceeds the
         # term budget: reported distinctly as non-convergence

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -7,12 +8,17 @@ import pytest
 from gsentropy import (
     CustomFinite,
     DiscretePmf,
+    Geometric,
     UniformFinite,
     Zeta,
+    confidence_interval,
     convergence_gap,
     coverage_experiment,
     coverage_sweep,
     default_grid,
+    derive_seed,
+    gse_analytic,
+    sample,
     stable_from,
     write_coverage_csv,
     write_coverage_svg,
@@ -34,6 +40,15 @@ class TestCoverageExperiment:
         point = coverage_experiment(UniformFinite(2), 2, n=2, reps=600, alpha=0.05, seed=11)
         se = math.sqrt(0.5 * 0.5 / 600)
         assert abs(point.coverage - 0.5) <= 4 * se
+
+    @pytest.mark.parametrize("dist, n", [(Zeta(1.5), 60), (UniformFinite(2), 4), (UniformFinite(3), 6)])
+    def test_hits_match_the_public_interval_path(self, dist, n):
+        # small uniform samples are often exactly uniform: zero-width
+        # intervals whose hits depend on the last bit of H_hat
+        truth = gse_analytic(dist, 2)
+        hits = sum(confidence_interval(sample(dist, n, derive_seed(23, r)), 2, 0.05).contains(truth)
+                   for r in range(200))
+        assert coverage_experiment(dist, 2, n, reps=200, alpha=0.05, seed=23).hits == hits
 
     def test_point_bookkeeping(self):
         point = coverage_experiment(UniformFinite(3), 2, n=30, reps=40, alpha=0.10, seed=7)
@@ -98,6 +113,24 @@ class TestCoverageSweep:
                 f"top-quartile gap {top:.4f}); soft diagnostic only",
                 stacklevel=1,
             )
+
+
+# SHA-256 of coverage_csv for m=2, grid 10:50:10, 40 reps, seed 2022; the
+# coverage CSV is the contract of record, so these must never change.
+PINNED_CSV_SHA256 = {
+    "zeta": (Zeta(1.5), "3eaf9973baf0cbff983abc0a8f36b45783b97eb1887e207d564f7ace254236b5"),
+    "geometric": (Geometric(0.3), "6def97895a267369bac92493a1f0641eb91956cb69717af94537a0b8c6b4195e"),
+    "uniform": (UniformFinite(7), "120788ece3c5fda581cc6c681f2f229e56eca9bc0cac0fd0642e1eb7a2d5d3a2"),
+    "custom": (CustomFinite(DiscretePmf(np.array([0.4, 0.25, 0.15, 0.12, 0.08]))),
+               "bc929087ca00365b44adc4545b3ff4fa8b2ff940648760db24a6e6a841374485"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_CSV_SHA256))
+def test_coverage_csv_is_pinned(family):
+    dist, digest = PINNED_CSV_SHA256[family]
+    result = coverage_sweep(dist, 2, [10, 20, 30, 40, 50], reps=40, alpha=0.05, seed=2022)
+    assert hashlib.sha256(coverage_csv(result.points).encode()).hexdigest() == digest
 
 
 class TestArtifacts:

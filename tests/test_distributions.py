@@ -15,6 +15,7 @@ from gsentropy import (
     Zeta,
     derive_seed,
     distribution_config,
+    draw,
     finite_pmf,
     parse_distribution,
     pmf_at,
@@ -22,7 +23,7 @@ from gsentropy import (
     sample,
     truncation_index,
 )
-from gsentropy.distributions import _pmf_array
+from gsentropy.distributions import _pmf_array, power_log_series
 
 from _reference import ZETA15_PMF1, ZETA2_PMF1, brute_zeta
 
@@ -94,6 +95,17 @@ class TestRiemannZeta:
         for bad in (1.0, 0.3, -2.0):
             with pytest.raises(ValueError):
                 riemann_zeta(bad)
+
+
+class TestPowerLogSeries:
+    @pytest.mark.parametrize("a", [1.001, 1.05, 1.5, 2.0, 3.0, 6.0])
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_against_mpmath_zeta_derivatives(self, a, j):
+        # sum k^-a ln^j k = (-1)^j zeta^(j)(a)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = float((-1) ** j * mpmath.zeta(a, derivative=j))
+        assert abs(power_log_series(a, j) - ref) <= 1e-14 * abs(ref)
 
 
 class TestPmfAt:
@@ -232,6 +244,12 @@ class TestSampling:
         critical = stats.chi2.ppf(0.999, df=len(expected) - 1)
         assert statistic <= critical
 
+    @pytest.mark.parametrize("dist", ALL_FAMILIES)
+    def test_sample_tallies_the_draw(self, dist):
+        values = draw(dist, 700, 31)
+        assert values.dtype == np.int64 and values.shape == (700,)
+        assert SampleCounts.from_observations(values) == sample(dist, 700, 31)
+
     def test_zeta_tail_is_actually_heavy(self):
         counts = sample(Zeta(1.5), 50_000, 77)
         assert max(counts.counts) > 10_000  # P(X > 1e4) is ~0.7% per draw
@@ -273,6 +291,24 @@ class TestConfig:
             parse_distribution('{"kind":"zeta"}')
         with pytest.raises(ValueError):
             parse_distribution('{"kind":"zeta","s":0.9}')
+
+    def test_uniform_count_must_be_integral(self):
+        with pytest.raises(ValueError):
+            parse_distribution('{"kind":"uniform","K":2.5}')
+        for text in ('{"kind":"uniform","K":1000000}', '{"kind":"uniform","K":1e6}'):
+            dist = parse_distribution(text)
+            assert dist == UniformFinite(1000000) and type(dist.K) is int
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "zeta", "s": [1]},
+        {"kind": "geometric", "q": {"q": 0.5}},
+        {"kind": "uniform", "K": None},
+        {"kind": "uniform", "K": float("inf")},
+        {"kind": "custom", "probs": {"a": 1.0}},
+    ])
+    def test_non_numeric_parameter_is_value_error(self, spec):
+        with pytest.raises(ValueError, match="non-numeric"):
+            parse_distribution(spec)
 
     def test_finite_pmf_of_uniform(self):
         npt.assert_allclose(finite_pmf(UniformFinite(4)).probs, np.full(4, 0.25))

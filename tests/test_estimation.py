@@ -14,7 +14,9 @@ from gsentropy import (
     UniformFinite,
     Zeta,
     confidence_interval,
+    derive_seed,
     empirical_pmf,
+    gse,
     gse_analytic,
     gse_estimate,
     gse_plugin,
@@ -235,6 +237,45 @@ class TestGseEstimateBundle:
             # 5-sigma envelope around the CLT scale, shrinking like 1/sqrt(n)
             assert abs(gse_plugin(counts, 2) - h_true) <= 5.0 * math.sqrt(s2_true / n)
             assert abs(sigma_hat_sq(counts, 2) - s2_true) <= 20.0 / math.sqrt(n)
+
+
+def label_ordered_estimate(counts, m, alpha):
+    """The count-dictionary route: the empirical pmf in (descending count,
+    ascending label) order, H from entropy.gse, sigma^2 from its own pass."""
+    pmf = empirical_pmf(counts)
+    p = pmf.probs
+    w = m * np.log(p)
+    w -= w.max()
+    log_norm = float(np.log(np.sum(np.exp(w))))
+    log_q = w - log_norm
+    q = np.exp(log_q)
+    h = float(log_norm - np.dot(q, w))
+    g = -(m * q / p) * (log_q + h)
+    h_hat, sigma_sq = gse(pmf, m), float(np.dot(p, g * g))
+    half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(sigma_sq) / math.sqrt(counts.n)
+    return h_hat, sigma_sq, h_hat - half, h_hat + half
+
+
+class TestCountArrayKernel:
+    # the counts-array kernel makes the same float operations in the same
+    # order; tied counts give equal proportions, so label order is immaterial
+    @pytest.mark.parametrize("dist", [Zeta(1.5), Geometric(0.3), UniformFinite(7)])
+    def test_bit_identical_to_label_ordered_route(self, dist):
+        rng = np.random.default_rng(17)
+        for r in range(60):
+            n = int(rng.integers(2, 3000))
+            counts = sample(dist, n, derive_seed(99, r))
+            items = list(counts.counts.items())
+            rng.shuffle(items)
+            shuffled = SampleCounts(dict(items), n)
+            for m in (1, 2, 3):
+                h_hat, sigma_sq, lower, upper = label_ordered_estimate(counts, m, 0.05)
+                est = gse_estimate(shuffled, m)
+                ci = confidence_interval(shuffled, m, 0.05)
+                assert gse_plugin(shuffled, m) == est.h_hat == h_hat
+                assert sigma_hat_sq(shuffled, m) == sigma_sq
+                assert est.sigma_hat == math.sqrt(sigma_sq)
+                assert (ci.lower, ci.upper) == (lower, upper)
 
 
 class TestCountsIO:
