@@ -30,7 +30,8 @@ from .coverage import (
 from .distributions import NonConvergenceError, Zeta, parse_distribution
 from .entropy import gse_analytic_info, shannon_entropy
 from .estimation import (
-    confidence_interval,
+    _interval,
+    _two_sided_z,
     gse_estimate,
     read_counts_csv,
     read_raw_labels,
@@ -128,7 +129,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     reader = read_raw_labels if args.raw else read_counts_csv
     counts, labels = reader(args.data)
     est = gse_estimate(counts, args.m)
-    ci = confidence_interval(counts, args.m, args.alpha)
+    ci = _interval(est.h_hat, est.sigma_hat, est.n, _two_sided_z(args.alpha), args.alpha)
 
     if args.format == "json":
         payload = {

@@ -133,3 +133,28 @@ def classical_entropy_variance(p):
     p = p[p > 0]
     log_p = np.log(p)
     return float(np.dot(p, log_p**2) - np.dot(p, log_p) ** 2)
+
+
+def zeta_draw_whole_batch(s, n, seed):
+    """Zeta(s) rejection draw that runs the accept test on each whole batch.
+
+    Same random stream as the library sampler (batches of 2 * still needed
+    candidates, at least 64, u before v), written as plain expressions with
+    explicit guards, so the library's chunked in-place form can be checked
+    value for value against it.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    am1 = s - 1.0
+    b = 2.0**am1
+    kept = []
+    while len(kept) < n:
+        batch = max(2 * (n - len(kept)), 64)
+        u = 1.0 - rng.random(batch)
+        v = rng.random(batch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.floor(u ** (-1.0 / am1))
+            ok = np.isfinite(x) & (x <= 2.0**62)
+            t = np.where(ok, (1.0 + 1.0 / np.where(ok, x, 1.0)) ** am1, 2.0)
+            accept = ok & (v * x * (t - 1.0) / (b - 1.0) <= t / b)
+        kept.extend(x[accept][: n - len(kept)].astype(np.int64).tolist())
+    return np.array(kept, dtype=np.int64)

@@ -3,7 +3,14 @@ import math
 
 import pytest
 
-from gsentropy import SampleCounts, gse_plugin, sigma_hat_sq, write_counts_csv
+from gsentropy import (
+    SampleCounts,
+    confidence_interval,
+    gse_plugin,
+    read_counts_csv,
+    sigma_hat_sq,
+    write_counts_csv,
+)
 from gsentropy.cli import main
 
 from _reference import H2_ZETA15, SIG2_POINT37
@@ -60,6 +67,9 @@ class TestCompute:
         '{"kind":"geometric","q":{"q":0.5}}',
         '{"kind":"uniform","K":[4]}',
         '{"kind":"custom","probs":{"a":1}}',
+        '{"kind":"uniform","K":true}',
+        '{"kind":"zeta","s":"1.5"}',
+        '{"kind":"custom","probs":[0.5,"0.5"]}',
     ])
     def test_non_numeric_parameter_is_usage_error(self, capsys, spec):
         code, _, err = run(capsys, "compute", "--dist", spec)
@@ -101,6 +111,23 @@ class TestEstimate:
         assert payload["h_hat"] == gse_plugin(counts, 2)
         assert abs(payload["sigma_hat"] ** 2 - sigma_hat_sq(counts, 2)) <= 1e-12
         assert payload["interval"]["degenerate"] is False
+
+    @pytest.mark.parametrize("m,alpha", [(1, 0.05), (2, 0.05), (3, 0.1), (2, 0.01)])
+    def test_json_interval_is_the_library_interval(self, capsys, tmp_path, m, alpha):
+        path = tmp_path / "skewed.csv"
+        path.write_text("category,count\na,41\nb,17\nc,17\nd,6\ne,2\nf,1\n", encoding="utf-8")
+        code, out, _ = run(capsys, "estimate", "--data", str(path), "--m", str(m),
+                           "--alpha", str(alpha), "--format", "json")
+        assert code == 0
+        counts, _ = read_counts_csv(path)
+        ci = confidence_interval(counts, m, alpha)
+        assert json.loads(out)["interval"] == {"lower": ci.lower, "upper": ci.upper,
+                                               "level": ci.level, "degenerate": ci.degenerate}
+
+    def test_bad_alpha_is_usage_error(self, capsys, counts_csv):
+        code, _, err = run(capsys, "estimate", "--data", str(counts_csv), "--alpha", "1.5")
+        assert code == 2
+        assert "alpha" in err
 
     def test_single_category_flags_degenerate(self, capsys, tmp_path):
         path = tmp_path / "one.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from gsentropy import (
 )
 from gsentropy.distributions import _pmf_array, power_log_series
 
-from _reference import ZETA15_PMF1, ZETA2_PMF1, brute_zeta
+from _reference import ZETA15_PMF1, ZETA2_PMF1, brute_zeta, zeta_draw_whole_batch
 
 ALL_FAMILIES = [
     Zeta(1.5),
@@ -259,6 +260,99 @@ class TestSampling:
             sample(Zeta(1.5), 0, 1)
 
 
+# SHA-256 of draw(Zeta(s), n, seed).tobytes(), recorded before the sampler's
+# accept test was restructured.  s = 1.01 keeps about a quarter of its
+# candidates and loses most of them to the 2^62 cut, so it takes several
+# accept-test chunks and more than one RNG batch; n = 31..33 straddle the
+# 64-candidate minimum batch.  One changed kept value changes a digest.
+PINNED_ZETA_DRAW_SHA256 = [
+    (1.01, 1, 0, "fdba0e1d8b1ebc2079d783f3f4abe825d9bcf5b15c60d676ac673d8a09ac60d3"),
+    (1.01, 1, 2022, "34d05d46ee6d39ec6c7b4185cc2b2a431270f66488f76a1a7adbc98e53a48081"),
+    (1.01, 31, 0, "b9a9d966965c00a1530d7a07209aeb0d4449cd1cbd6c8f91d1439d6f0781f900"),
+    (1.01, 31, 2022, "a5dc6386509f4656274a9349325b3523db094d989fb22f1f8b0e9d1c89c5c456"),
+    (1.01, 32, 0, "4727568c4832f8993f22491e704df6dceb12eba212647bf3c1c38593201c2adb"),
+    (1.01, 32, 2022, "7f3313011533cd9aaa562d40ea7b09127ed04fe822dbcee48cae7a3748fa0066"),
+    (1.01, 33, 0, "a6916da73ecef44054de6df33e9a43200d58e0770544a7022ee823be6f21bcbc"),
+    (1.01, 33, 2022, "ea0d0dccf799e5169cbeb821606fff6b61c74405088835fd1e0f5637bed5b4f8"),
+    (1.01, 1000, 0, "3008678e43e79187a5c02197dc332775551bf2abe817835c4874256986011246"),
+    (1.01, 1000, 2022, "9736948b2c1e33e25f61044d6b6dac93c5697219b2d0819971a7b7fdb77b09e1"),
+    (1.01, 100000, 0, "58eee7dd4f98879b4568a901140f327247489c2bc74f6fb0d864bc1adf6ba28b"),
+    (1.01, 100000, 2022, "2493755f10cf6abcca1bc1adb424d673993f887851190a7d4013ff2af24f8a28"),
+    (1.05, 1, 0, "5046643470d3a51b21db9b1c14fd6af3589a880ea54ffecd0610f9c5c04a1aea"),
+    (1.05, 1, 2022, "aae89fc0f03e2959ae4d701a80cc3915918c950b159f6abb6c92c1433b1a8534"),
+    (1.05, 31, 0, "f927d7126f08a954dad90b0188dc89f55d3657b8be28bf5ba4b83d7b1b9e5089"),
+    (1.05, 31, 2022, "36ac56607412ef86dc480fd6139b1e1459aac40e27eaa1ac441b7fd0f164fe52"),
+    (1.05, 32, 0, "2932b87fc137b40362261ce13573b5a2941e824fb3501f1928c378f85a52ce03"),
+    (1.05, 32, 2022, "5b54156d953e188f56e89f34ce94d6ff7ba979aee4f8e4b6df685fd283f4ece8"),
+    (1.05, 33, 0, "1f6714cb8b3c3e58346024c3cd6c9519a91367f94ad6034ce4abd0d89c4acd62"),
+    (1.05, 33, 2022, "908ab3bf406d9f0188e2c4443a9c6c71b9705aca9cfd6fda277b18af6a2f3887"),
+    (1.05, 1000, 0, "2d5f3bf12aa97303df2a617a0b286083764569bddfcdc9a306c51f49bf05ac34"),
+    (1.05, 1000, 2022, "bab8250f3d6c688c832864fb236127c7bb030af59312b40d44adee6128119fdb"),
+    (1.05, 100000, 0, "b1038fbc017b47ba9bbe36a7b6750efd66f0d4dc60ca2d88123bb4591d752add"),
+    (1.05, 100000, 2022, "4b1fbe99b00adf29ead51e6d692f4e3f3befd04d86baa3bdf3476a1e9500d1e8"),
+    (1.2, 1, 0, "17fcbe27dfec463fc4d5cc4b90b6c9ad284109d08aa86e5baa33b86fe8b8ff75"),
+    (1.2, 1, 2022, "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8"),
+    (1.2, 31, 0, "8da73e0e44010c213e9dfc29919dc065a2306914e846bfd9f0a016a814026a4f"),
+    (1.2, 31, 2022, "088fcff1dc0e508cce12d85c9286753af11913b8bf88a0ba7056907826683a19"),
+    (1.2, 32, 0, "7a7bd68d77840e20afe83c32d96a73386bab08961e1dd78917c5a5a6b0570f9e"),
+    (1.2, 32, 2022, "ae2dc6d4fade6e7337cedee59c1503a2a32b667bd72668bc8a13e8355b0be24b"),
+    (1.2, 33, 0, "4b51fdd5bc3b35a496a8542eea7d2028419c7ddb6174d10f4a644416213cc416"),
+    (1.2, 33, 2022, "4f25238842b129b39dd840c969b58fee8ae5c31233f14d1ee5adece9fa998cc3"),
+    (1.2, 1000, 0, "287550a6df7a48cd77830ec15ec1ac7f38a02c6d80a154bd1ee73b6fbcaa12a8"),
+    (1.2, 1000, 2022, "b786fc4c61f6904f65708f68ee2db9eee5d2c714008bb7cc97bb299678b72cd0"),
+    (1.2, 100000, 0, "ee19c4337b10ebe90d4bebb33b86faa9d70426540b8bbc5fde471759319ece98"),
+    (1.2, 100000, 2022, "d6b392c34d297788b7b0fa39746f64a3c4993591912d55b5d58896621ab8d04e"),
+    (1.5, 1, 0, "aae89fc0f03e2959ae4d701a80cc3915918c950b159f6abb6c92c1433b1a8534"),
+    (1.5, 1, 2022, "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8"),
+    (1.5, 31, 0, "6185f9d126daa23e0ede6d6b2fc5d167e8a6ba455654ea2b02f723670b9265d1"),
+    (1.5, 31, 2022, "cc4a2abbd3b1d588664b6910bdcc5cb824639cabeda36be45293d6eb34099848"),
+    (1.5, 32, 0, "c3c18e5fe12c5a29ec602b91690a11b8ff5fd5f265b98a20c91149e354d2a30f"),
+    (1.5, 32, 2022, "857ec3751b1700db0c2dc3c5e398349de1d44f831f6dc637ecbb41d383bf44bc"),
+    (1.5, 33, 0, "b6f8d2e69d4cb1d73763337725169e8b68ceda5b0d91be028d314f0bc9709c15"),
+    (1.5, 33, 2022, "f078db88662b3aed302cc7991062121c2aab0c8862c86a525de4a179b34f4cd9"),
+    (1.5, 1000, 0, "bf51f08ec0cbd7fdfe1524033e54c30f3bb628f8a74e4817b4cc18f78ac7b864"),
+    (1.5, 1000, 2022, "d8a2ceff7ebb69ecdd2c4d46761277187d0e938201c4ad75df612af5b4939e45"),
+    (1.5, 100000, 0, "17f1af3b92ae5f429319d5f83d4585e605a915a733a98f5cff40f2dd9d1c0b25"),
+    (1.5, 100000, 2022, "115a8816d1c5ad65fffc5bc43f140a1e2baaf571f78f814b8dacfb2ae9dfc155"),
+    (3.0, 1, 0, "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8"),
+    (3.0, 1, 2022, "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8"),
+    (3.0, 31, 0, "4e12133195584963b4454a51489b10c5158f26c0c139ba397a14a6bc49518829"),
+    (3.0, 31, 2022, "29bf5a17f79fb84c0fd3f859ac6149c641c1489f220374182d95b46d09c8fd5b"),
+    (3.0, 32, 0, "9d5118eee2c9b084143f64b87e1ab6d1a45c7284c9fa23a1a2cc2b776bf2523a"),
+    (3.0, 32, 2022, "4e622f0d72d5401a21012d52aa2f391bcd427b3509367a239cf0953af7bc469e"),
+    (3.0, 33, 0, "e0313024d4cbbdeb4d0ce28b9036b0377740fe4966f8098e9ef722bb748b2c33"),
+    (3.0, 33, 2022, "9ee836e1476a1431bf641ec6056597e92a431deefc528dc4402e73ea146d5dff"),
+    (3.0, 1000, 0, "2090a4a3137e5d8a1d8ea018a9655e7d865071ae1f042518305c34cbae5925f3"),
+    (3.0, 1000, 2022, "657dfb03f1d95c989b517dd09dd573b2e92513f05f292397c2c5a69d1de7427b"),
+    (3.0, 100000, 0, "6068f4024284b9e37f1fe7fc2e84dd73e8ca322a0a666ff2dd9266260b6576ea"),
+    (3.0, 100000, 2022, "044dfbd28832323d70b187f65aae36d70fc9284fb57719a4f28a57a1d74711a5"),
+    (8.0, 1, 0, "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8"),
+    (8.0, 1, 2022, "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8"),
+    (8.0, 31, 0, "88986881ba52ad36b430e41cd24497b9cf9a64f8e6a979290ebdee36b1b6f85c"),
+    (8.0, 31, 2022, "88986881ba52ad36b430e41cd24497b9cf9a64f8e6a979290ebdee36b1b6f85c"),
+    (8.0, 32, 0, "6ba64591dc5d5fa6ab9e575602829ad02f0fe517616bda69e4fe87b55b9d9836"),
+    (8.0, 32, 2022, "6ba64591dc5d5fa6ab9e575602829ad02f0fe517616bda69e4fe87b55b9d9836"),
+    (8.0, 33, 0, "7ebfed75a20870c94d23df743db01325ce03b495820681f7ffb761c7360515e8"),
+    (8.0, 33, 2022, "aca67cae5a8f29132eb87b6b808a7bf384b9923af72c009206e46e58d1dbcd94"),
+    (8.0, 1000, 0, "58282aa7698ea31996f8347efb01e97227bc975839311125f240571af347a7bb"),
+    (8.0, 1000, 2022, "09822120df6c9be760b5f3249beab3e3321901fc8e45ec5828967ec619c7cfaa"),
+    (8.0, 100000, 0, "e2f40aa27d8b51c2c186492c191a3895c0c5e1f8280dc0b66924328b65407221"),
+    (8.0, 100000, 2022, "f1c907881f4942315106bd8c002a4785b6c396dccb6e4228bcb588f71c58322c"),
+]
+
+
+@pytest.mark.parametrize("s,n,seed,digest", PINNED_ZETA_DRAW_SHA256)
+def test_zeta_draw_is_pinned(s, n, seed, digest):
+    assert hashlib.sha256(draw(Zeta(s), n, seed).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("s", [1.01, 1.1, 1.5, 2.0, 2.5])
+@pytest.mark.parametrize("n", [2, 64, 65, 5000, 30_000])
+def test_zeta_draw_matches_whole_batch_reference(s, n):
+    for seed in np.random.default_rng(int(s * 100) + n).integers(0, 2**63, 3):
+        npt.assert_array_equal(draw(Zeta(s), n, int(seed)), zeta_draw_whole_batch(s, n, int(seed)))
+
+
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
         assert derive_seed(7, 3, 1) == derive_seed(7, 3, 1)
@@ -305,6 +399,15 @@ class TestConfig:
         {"kind": "uniform", "K": None},
         {"kind": "uniform", "K": float("inf")},
         {"kind": "custom", "probs": {"a": 1.0}},
+        {"kind": "zeta", "s": True},
+        {"kind": "zeta", "s": "1.5"},
+        {"kind": "geometric", "q": False},
+        {"kind": "geometric", "q": "0.5"},
+        {"kind": "uniform", "K": True},
+        {"kind": "uniform", "K": "4"},
+        {"kind": "custom", "probs": [True, False]},
+        {"kind": "custom", "probs": ["0.5", 0.5]},
+        {"kind": "custom", "probs": "0.5"},
     ])
     def test_non_numeric_parameter_is_value_error(self, spec):
         with pytest.raises(ValueError, match="non-numeric"):
