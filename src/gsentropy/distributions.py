@@ -288,14 +288,16 @@ def riemann_zeta(s: float, tol: float = 1e-13) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _geometric_index_sums(x: float, start: int) -> tuple[float, float, float]:
-    """Closed forms of sum_{j>=J} j^i x^j for i = 0, 1, 2 (0 < x < 1)."""
+def _geometric_index_sums(log_x: float, start: int) -> tuple[float, float, float]:
+    """Closed forms of sum_{j>=J} j^i x^j for i = 0, 1, 2, given ln x < 0 and J >= 1.
+
+    Written in 1 - x from expm1, which keeps its digits as x -> 1."""
     J = start
-    xj = x**J
-    one = 1.0 - x
+    xj = math.exp(J * log_x)
+    one = -math.expm1(log_x)
     g0 = xj / one
-    g1 = xj * (J - x * (J - 1)) / one**2
-    g2 = xj * (J * J - (2.0 * J * J - 2.0 * J - 1.0) * x + (J - 1.0) ** 2 * x * x) / one**3
+    g1 = xj * (1.0 + (J - 1.0) * one) / one**2
+    g2 = xj * (2.0 + (2.0 * J - 3.0) * one + ((J - 1.0) * one) ** 2) / one**3
     return g0, g1, g2
 
 
@@ -334,13 +336,12 @@ def _geometric_tail_bounds(dist: Geometric, m: int, K: int) -> tuple[float, floa
     beta = -log_rho
     c0 = abs(math.log(h))
 
-    g0, g1, _ = _geometric_index_sums(rho, K)
+    g0, g1, _ = _geometric_index_sums(log_rho, K)
     ent = h * (c0 * g0 + beta * g1)
 
     # ln q_k + H_m = (k-1) ln rho + (rho/h) beta, so |.| <= c1 + (k-1) beta
     c1 = (rho / h) * beta
-    x = math.exp((2 * m - 1) * log_r)
-    e0, e1, e2 = _geometric_index_sums(x, K)
+    e0, e1, e2 = _geometric_index_sums((2 * m - 1) * log_r, K)
     var = (m * m * h * h / q) * (c1 * c1 * e0 + 2.0 * c1 * beta * e1 + beta * beta * e2)
     return ent, var
 

@@ -5,6 +5,10 @@ the distribution q_k = p_k^m / sum_i p_i^m.  Its Shannon entropy (the
 order-m generalized entropy) is finite for every distribution once m >= 2,
 which is the whole point: plain Shannon entropy is not.
 
+Geometric and UniformFinite values are exact closed forms, with no series
+and no vector: the m-collision law of Geometric(q) is Geometric(1 - (1-q)^m),
+and a uniform law stays uniform.
+
 All log-space computations use a shared exponent-shift so that orders up to
 at least m = 10 and probabilities down to 1e-300 neither underflow nor lose
 the exact cancellations that make uniform inputs come out exactly.
@@ -22,20 +26,13 @@ from .distributions import (
     CustomFinite,
     DiscretePmf,
     Geometric,
-    NonConvergenceError,
     UniformFinite,
     Zeta,
-    finite_pmf,
-    is_finite_support,
     power_log_series,
     series_terms_needed,
-    truncation_index,
 )
 
 DEFAULT_EPS = 1e-10
-
-# budget for direct summation in the generic truncated path
-_MAX_DIRECT_TERMS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -119,18 +116,26 @@ def gse_analytic(dist: AnalyticDistribution, m: int, eps: float = DEFAULT_EPS) -
 
 
 def gse_analytic_info(dist: AnalyticDistribution, m: int, eps: float = DEFAULT_EPS) -> tuple[float, int]:
-    """(entropy value within eps, number of series terms summed)."""
+    """(entropy value within eps, number of series terms summed).
+
+    The closed forms report 0 terms for Geometric and K for UniformFinite."""
     m = _check_order(m)
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    if is_finite_support(dist):
-        p = finite_pmf(dist)
-        return gse(p, m), p.size
     if isinstance(dist, Zeta):
         return _zeta_collision_entropy(dist.s, m, eps)
     if isinstance(dist, Geometric):
-        log_q, _ = _geometric_collision_tail(dist, m, eps)
-        return float(-np.sum(np.exp(log_q) * log_q)), log_q.size
+        # H_m = -ln h - rho ln(rho) / h, h = 1 - rho, rho = (1-q)^m, from
+        # log1p and expm1 so that no digit is lost as q -> 0
+        log_rho = m * math.log1p(-dist.q)
+        h = -math.expm1(log_rho)
+        return -math.log(h) - math.exp(log_rho) * (log_rho / h), 0
+    if isinstance(dist, UniformFinite):
+        # np.log, not math.log: the two can differ in the last bit, and a
+        # degenerate interval covers only a truth equal to the kernel's ln K
+        return float(np.log(float(dist.K))), dist.K
+    if isinstance(dist, CustomFinite):
+        return gse(dist.pmf, m), dist.pmf.size
     raise TypeError(f"not an analytic distribution: {dist!r}")
 
 
@@ -145,26 +150,3 @@ def _zeta_collision_entropy(s: float, m: int, eps: float) -> tuple[float, int]:
     s1 = power_log_series(t, 1, tol)
     terms = max(series_terms_needed(t, 0, tol), series_terms_needed(t, 1, tol))
     return math.log(z) + t * s1 / z, terms
-
-
-def _geometric_collision_tail(dist: Geometric, m: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(ln q_k, ln p_k) for k = 1..K_work on a certified truncation of Geometric.
-
-    K_work extends the certified entropy/variance cutoff far enough that the
-    neglected collision mass is below float resolution, so the normalizer is
-    exact to machine precision and the only error left is the certified tail.
-    """
-    k_cut = truncation_index(dist, m, eps / 2.0)
-    log_r = math.log1p(-dist.q)
-    k_mass = int(math.ceil(40.0 / (m * -log_r))) + 1
-    k_work = max(k_cut, k_mass)
-    if k_work > _MAX_DIRECT_TERMS:
-        raise NonConvergenceError(
-            f"direct summation for {dist!r}, m={m} needs {k_work} terms; "
-            f"budget is {_MAX_DIRECT_TERMS}"
-        )
-    ks = np.arange(k_work, dtype=np.float64)  # k - 1
-    log_p = math.log(dist.q) + ks * log_r
-    w = m * log_p
-    log_norm = w[0] + math.log(np.sum(np.exp(w - w[0])))  # weights decrease in k
-    return w - log_norm, log_p

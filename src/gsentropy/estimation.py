@@ -33,6 +33,7 @@ from .distributions import (
     DiscretePmf,
     Geometric,
     SampleCounts,
+    UniformFinite,
     Zeta,
     finite_pmf,
     is_finite_support,
@@ -42,7 +43,6 @@ from .distributions import (
 from .entropy import (
     DEFAULT_EPS,
     _check_order,
-    _geometric_collision_tail,
     _shifted_log_weights,
     _zeta_collision_entropy,
     as_pmf,
@@ -115,13 +115,15 @@ def sigma_sq_true(target, m: int, eps: float = DEFAULT_EPS) -> float:
     """Asymptotic variance of sqrt(n) (H_hat_m - H_m) at the given distribution.
 
     Accepts an explicit pmf (array-like or DiscretePmf) or an analytic
-    distribution; infinite supports are evaluated to tolerance eps.
+    distribution; Zeta is evaluated to tolerance eps, the others exactly.
     """
     m = _check_order(m)
     if isinstance(target, Zeta):
         return _sigma_sq_zeta(target.s, m, eps)
     if isinstance(target, Geometric):
-        return _sigma_sq_geometric(target, m, eps)
+        return _sigma_sq_geometric(target.q, m)
+    if isinstance(target, UniformFinite):
+        return 0.0
     p = (finite_pmf(target) if is_finite_support(target) else as_pmf(target)).probs
     return _h_sigma_sq(p[p > 0.0], m)[1]
 
@@ -146,11 +148,20 @@ def _sigma_sq_zeta(s: float, m: int, eps: float) -> float:
     return (m * m * z_s / z_t**2) * (c * c * s0 - 2.0 * c * t * s1 + t * t * s2)
 
 
-def _sigma_sq_geometric(dist: Geometric, m: int, eps: float) -> float:
-    log_q, log_p = _geometric_collision_tail(dist, m, eps)
-    h = float(-np.sum(np.exp(log_q) * log_q))
-    g = -m * np.exp(log_q - log_p) * (log_q + h)
-    return float(np.dot(np.exp(log_p), g * g))
+def _sigma_sq_geometric(q: float, m: int) -> float:
+    """sum_k p_k g_k^2 summed in closed form over j = k - 1 >= 0 (terms x^j (j - rho/h)^2).
+
+    With rho = (1-q)^m, h = 1 - rho, x = (1-q)^(2m-1) and ratio = h / (1 - x):
+    m^2 (ln rho / q) (ln rho / (1 - x)) [(rho - x ratio)^2 + x ratio^2].  No
+    factor overflows or cancels as q -> 0, and 1 - x comes from expm1."""
+    log_r = math.log1p(-q)
+    log_rho = m * log_r
+    log_x = (2 * m - 1) * log_r
+    one = -math.expm1(log_x)
+    x = math.exp(log_x)
+    ratio = -math.expm1(log_rho) / one
+    bracket = (math.exp(log_rho) - x * ratio) ** 2 + x * ratio * ratio
+    return m * m * (log_rho / q) * (log_rho / one) * bracket
 
 
 def sigma_sq_literal(pmf, m: int) -> float:

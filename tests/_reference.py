@@ -7,7 +7,8 @@ so tests compare two genuinely different routes to each number.
 The frozen constants were computed with mpmath at 40 decimal digits:
 zeta and its derivatives for the Zeta-family values, exact rational
 arithmetic pushed through the definitions for the two-point pmf, and
-nsum for the geometric series.
+nsum for the geometric series.  The mp_* functions recompute H_m and
+sigma_m^2 in mpmath for any parameter; mpmath is imported when they run.
 """
 
 import math
@@ -107,6 +108,51 @@ def geometric_sigma_sq_closed_form(q, m, terms=400):
             break
         total += (m**2 / pk) * (qk * math.log(qk) + qk * big_h) ** 2
     return total
+
+
+def mp_geometric_h_sigma_sq(q, m):
+    """(H_m, sigma_m^2) of Geometric(q) in mpmath at 60 digits.
+
+    (1-q)^m and (1-q)^(2m-1) come from log1p and one minus them from expm1,
+    so q down to 1e-307 keeps its digits.  sigma^2 is expanded over the raw
+    index sums: m^2 (h^2/q) ln^2(rho) sum_{j>=0} x^j (j - rho/h)^2 with
+    sum x^j = 1/(1-x), sum j x^j = x/(1-x)^2, sum j^2 x^j = x(1+x)/(1-x)^3;
+    mpmath's exponent range takes the 1/q^3 sizes that overflow a float.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        q = mpmath.mpf(q)
+        log_r = mpmath.log1p(-q)
+        log_rho = m * log_r
+        rho = mpmath.exp(log_rho)
+        h = -mpmath.expm1(log_rho)
+        x = mpmath.exp((2 * m - 1) * log_r)
+        one = -mpmath.expm1((2 * m - 1) * log_r)
+        big_h = -(h * mpmath.log(h) + rho * log_rho) / h
+        c = rho / h
+        series = c * c / one - 2 * c * x / one**2 + x * (1 + x) / one**3
+        return float(big_h), float(m * m * h * h / q * log_rho**2 * series)
+
+
+def mp_zeta_h_sigma_sq(s, m):
+    """(H_m, sigma_m^2) of Zeta(s) from mpmath's zeta and its derivatives.
+
+    With t = m s, a = 2t - s and S_j(a) = sum k^-a ln^j k = (-1)^j zeta^(j)(a):
+    H_m = ln zeta(t) - t zeta'(t)/zeta(t), and with c = H_m - ln zeta(t),
+    sigma^2 = m^2 zeta(s)/zeta(t)^2 (c^2 S_0 - 2 c t S_1 + t^2 S_2).
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        t = m * s
+        a = 2 * t - s
+        z_t = mpmath.zeta(t)
+        c = -t * mpmath.zeta(t, derivative=1) / z_t
+        series = (c * c * mpmath.zeta(a) + 2 * c * t * mpmath.zeta(a, derivative=1)
+                  + t * t * mpmath.zeta(a, derivative=2))
+        return float(mpmath.log(z_t) + c), float(m * m * mpmath.zeta(s) / z_t**2 * series)
 
 
 def normal_quantile_bisect(p, tol=1e-12):

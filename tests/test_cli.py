@@ -13,7 +13,7 @@ from gsentropy import (
 )
 from gsentropy.cli import main
 
-from _reference import H2_ZETA15, SIG2_POINT37
+from _reference import H2_ZETA15, SIG2_POINT37, mp_geometric_h_sigma_sq
 
 
 def run(capsys, *argv):
@@ -82,11 +82,22 @@ class TestCompute:
         assert "positive integer" in err
 
     def test_non_convergence_exit_code(self, capsys):
-        # mathematically finite, but the certified truncation exceeds the
-        # term budget: reported distinctly as non-convergence
-        code, _, err = run(capsys, "compute", "--dist", '{"kind":"geometric","q":1e-9}')
+        # mathematically finite, but a tolerance this tight needs more series
+        # terms than the budget allows: reported distinctly as non-convergence
+        code, _, err = run(capsys, "compute", "--dist", '{"kind":"zeta","s":1.5}',
+                           "--eps", "1e-300")
         assert code == 3
         assert "non-convergence" in err
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_tiny_geometric_parameter_is_answered(self, capsys, m):
+        pytest.importorskip("mpmath")
+        code, out, _ = run(capsys, "compute", "--dist", '{"kind":"geometric","q":1e-9}',
+                           "--m", str(m), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["h_m"] - mp_geometric_h_sigma_sq(1e-9, m)[0]) <= 1e-10
+        assert payload["truncation_terms"] == 0
 
 
 class TestEstimate:

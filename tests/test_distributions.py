@@ -192,6 +192,22 @@ class TestTruncationIndex:
         ent, var = _geometric_tail_bounds(dist, m, k_max - 1)
         assert max(ent, var) >= eps
 
+    @pytest.mark.parametrize("start", [1, 2, 1000, 10**6])
+    @pytest.mark.parametrize("q", [0.5, 1e-4, 1e-9, 1e-12])
+    def test_geometric_index_sums_keep_precision_for_small_q(self, q, start):
+        # x = (1-q)^3 close to 1, as in the variance bound at m = 2
+        mpmath = pytest.importorskip("mpmath")
+        from gsentropy.distributions import _geometric_index_sums
+
+        with mpmath.workdps(50):
+            x = (1 - mpmath.mpf(q)) ** 3
+            xj, one, j = x**start, 1 - x, start
+            ref = (xj / one, xj * (j - x * (j - 1)) / one**2,
+                   xj * (j * j - (2 * j * j - 2 * j - 1) * x + (j - 1) ** 2 * x * x) / one**3)
+        got = _geometric_index_sums(3 * math.log1p(-q), start)
+        for value, expect in zip(got, ref):
+            assert abs(value - float(expect)) <= 1e-12 * float(expect)
+
     def test_shannon_order_on_heavy_tail_exceeds_budget(self):
         with pytest.raises(NonConvergenceError):
             truncation_index(Zeta(1.5), 1, 1e-10)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,7 @@ from gsentropy import (
     gse_analytic,
     gse_analytic_info,
     shannon_entropy,
+    sigma_sq_true,
 )
 from gsentropy.distributions import _pmf_array
 
@@ -29,6 +31,8 @@ from _reference import (
     SHANNON_POINT37,
     brute_zeta_collision_entropy,
     geometric_gse_closed_form,
+    mp_geometric_h_sigma_sq,
+    mp_zeta_h_sigma_sq,
     naive_gse,
 )
 from conftest import interior_pmfs, pmfs_with_zeros
@@ -170,7 +174,7 @@ class TestGseAnalytic:
                 assert abs(gse_analytic(Geometric(q), m) - geometric_gse_closed_form(q, m)) <= 1e-10
 
     def test_geometric_shannon(self):
-        # m=1 goes down the same generic truncated path
+        # m=1 goes through the same closed form
         expect = geometric_gse_closed_form(0.5, 1)
         assert abs(shannon_entropy(Geometric(0.5)) - expect) <= 1e-10
 
@@ -186,3 +190,54 @@ class TestGseAnalytic:
             gse_analytic(Zeta(1.5), 0)
         with pytest.raises(ValueError):
             gse_analytic(Zeta(1.5), 2, eps=-1.0)
+
+
+class TestClosedFormsAgainstMpmath:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 10, 20])
+    @pytest.mark.parametrize("q", [0.999999, 0.9, 0.5, 0.3, 1e-4, 1e-9, 1e-12, 1e-150, 1e-300, 1e-307])
+    def test_geometric(self, q, m):
+        pytest.importorskip("mpmath")
+        h_ref, sigma_sq_ref = mp_geometric_h_sigma_sq(q, m)
+        h, terms = gse_analytic_info(Geometric(q), m)
+        assert terms == 0
+        assert abs(h - h_ref) <= 1e-12
+        assert abs(sigma_sq_true(Geometric(q), m) - sigma_sq_ref) <= 1e-12 * sigma_sq_ref
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 20])
+    @pytest.mark.parametrize("s", [1.001, 1.01, 1.05])
+    def test_zeta_near_one_and_at_large_order(self, s, m):
+        pytest.importorskip("mpmath")
+        h_ref, sigma_sq_ref = mp_zeta_h_sigma_sq(s, m)
+        assert abs(gse_analytic(Zeta(s), m) - h_ref) <= 1e-12
+        assert abs(sigma_sq_true(Zeta(s), m) - sigma_sq_ref) <= 1e-12 * sigma_sq_ref
+
+
+class TestUniformClosedForm:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_huge_support_allocates_nothing(self, m):
+        k = 10**9  # the K-vector alone would take 8 GB
+        tracemalloc.start()
+        try:
+            info = gse_analytic_info(UniformFinite(k), m)
+            sigma_sq = sigma_sq_true(UniformFinite(k), m)
+            shannon = shannon_entropy(UniformFinite(k))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info == (math.log(k), k)
+        assert sigma_sq == 0.0
+        assert shannon == math.log(k)
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, 9170, 10**6])
+    def test_bit_identical_to_the_k_vector(self, k, m):
+        # the values of the explicit uniform pmf, which coverage runs used
+        # as the truth; at K = 9170 math.log(K) can differ from them in the
+        # last bit (it does under numpy's AVX-512 log)
+        p = np.full(k, 1.0 / k)
+        assert gse_analytic(UniformFinite(k), m) == gse(p, m)
+        assert shannon_entropy(UniformFinite(k)) == gse(p, 1)
+        assert sigma_sq_true(UniformFinite(k), m) == sigma_sq_true(p, m) == 0.0
+        if k != 9170:
+            assert gse_analytic(UniformFinite(k), m) == math.log(k)
