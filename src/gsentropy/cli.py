@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -43,17 +42,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NON_CONVERGENT = 3
-
-THREADS_ENV = "GSENTROPY_THREADS"
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def _load_distribution(spec: str):
     text = spec.strip()
@@ -165,8 +153,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_coverage(args: argparse.Namespace) -> int:
     dist = _load_distribution(args.dist)
     grid = _parse_grid(args.grid) if args.grid else default_grid()
-    result = coverage_sweep(dist, args.m, grid, args.reps, args.alpha,
-                            args.seed, workers=args.workers)
+    result = coverage_sweep(dist, args.m, grid, args.reps, args.alpha, args.seed)
     csv_text = coverage_csv(result.points)
     if args.out:
         write_coverage_csv(result, args.out)
@@ -237,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="start:stop:step sample sizes (default 10:1000:10)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help=f"replicate threads (default ${THREADS_ENV} or 1)")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--svg", default=None, help="optional SVG plot path")
     p.set_defaults(func=_cmd_coverage)

@@ -4,8 +4,10 @@ For each replicate: draw a sample, tally it with np.unique, build the interval
 from the counts, and test whether the exact entropy lands inside (endpoints
 inclusive; a zero-width degenerate interval counts as a hit only on exact
 containment).  Replicate r of an experiment uses the derived seed (seed, r)
-and a sweep derives each grid point's seed from (seed, n), so results are
-deterministic regardless of worker count, and fresh samples are drawn at every n.
+and a sweep derives each grid point's seed from (seed, n), so every point is
+a deterministic function of its own seed, whatever ran before it, and fresh
+samples are drawn at every n.  Replicates run serially: two threads measured
+no faster than one on 2 cores (the replicate loop holds the interpreter lock).
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .distributions import AnalyticDistribution, derive_seed, distribution_config, draw
-from .entropy import _check_order, gse_analytic
+from .distributions import AnalyticDistribution, _check_order, derive_seed, distribution_config, draw
+from .entropy import gse_analytic
 from .estimation import _interval, _plugin_h_sigma_sq, _two_sided_z
-from .oracles import _run_blocks
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,7 @@ class SweepResult:
 
 
 def coverage_experiment(dist: AnalyticDistribution, m: int, n: int, reps: int,
-                        alpha: float, seed: int, workers: int = 1,
-                        true_value: float | None = None) -> CoveragePoint:
+                        alpha: float, seed: int, true_value: float | None = None) -> CoveragePoint:
     """Proportion of reps seeded replicates whose interval covers the truth."""
     if n < 2:
         raise ValueError("coverage experiments need n >= 2")
@@ -59,16 +59,11 @@ def coverage_experiment(dist: AnalyticDistribution, m: int, n: int, reps: int,
     m = _check_order(m)
     z = _two_sided_z(alpha)
     truth = gse_analytic(dist, m) if true_value is None else true_value
-    hit_flags = [False] * reps
-
-    def fill(block: range) -> None:
-        for r in block:
-            _, counts = np.unique(draw(dist, n, derive_seed(seed, r)), return_counts=True)
-            h_hat, sigma_sq = _plugin_h_sigma_sq(counts, n, m)
-            hit_flags[r] = _interval(h_hat, math.sqrt(sigma_sq), n, z, alpha).contains(truth)
-
-    _run_blocks(fill, reps, workers)
-    hits = sum(hit_flags)
+    hits = 0
+    for r in range(reps):
+        _, counts = np.unique(draw(dist, n, derive_seed(seed, r)), return_counts=True)
+        h_hat, sigma_sq = _plugin_h_sigma_sq(counts, n, m)
+        hits += _interval(h_hat, math.sqrt(sigma_sq), n, z, alpha).contains(truth)
     coverage = hits / reps
     return CoveragePoint(
         n=n, m=m, reps=reps, hits=hits, coverage=coverage,
@@ -77,7 +72,7 @@ def coverage_experiment(dist: AnalyticDistribution, m: int, n: int, reps: int,
 
 
 def coverage_sweep(dist: AnalyticDistribution, m: int, n_grid: Sequence[int],
-                   reps: int, alpha: float, seed: int, workers: int = 1) -> SweepResult:
+                   reps: int, alpha: float, seed: int) -> SweepResult:
     """One coverage experiment per grid point, sharing a single exact entropy."""
     grid = [int(n) for n in n_grid]
     if not grid:
@@ -86,8 +81,7 @@ def coverage_sweep(dist: AnalyticDistribution, m: int, n_grid: Sequence[int],
         raise ValueError("sample-size grid must be strictly increasing")
     truth = gse_analytic(dist, m)
     points = tuple(
-        coverage_experiment(dist, m, n, reps, alpha, derive_seed(seed, n),
-                            workers=workers, true_value=truth)
+        coverage_experiment(dist, m, n, reps, alpha, derive_seed(seed, n), true_value=truth)
         for n in grid
     )
     return SweepResult(distribution_config(dist), m, alpha, truth, points)

@@ -5,13 +5,11 @@ the distribution q_k = p_k^m / sum_i p_i^m.  Its Shannon entropy (the
 order-m generalized entropy) is finite for every distribution once m >= 2,
 which is the whole point: plain Shannon entropy is not.
 
-Geometric and UniformFinite values are exact closed forms, with no series
-and no vector: the m-collision law of Geometric(q) is Geometric(1 - (1-q)^m),
-and a uniform law stays uniform.
-
-All log-space computations use a shared exponent-shift so that orders up to
-at least m = 10 and probabilities down to 1e-300 neither underflow nor lose
-the exact cancellations that make uniform inputs come out exactly.
+Explicit pmfs go through the shared log-weight pass in ``distributions``,
+whose exponent shift keeps orders up to at least m = 10 and probabilities
+down to 1e-300 from underflowing and keeps uniform inputs exactly at ln K.
+Analytic distributions supply their own H_m: the functions here validate the
+order and tolerance, then delegate to the family.
 """
 
 from __future__ import annotations
@@ -21,16 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    AnalyticDistribution,
-    CustomFinite,
-    DiscretePmf,
-    Geometric,
-    UniformFinite,
-    Zeta,
-    power_log_series,
-    series_terms_needed,
-)
+from .distributions import AnalyticDistribution, DiscretePmf, _check_order, collision_log_weights
 
 DEFAULT_EPS = 1e-10
 
@@ -56,32 +45,17 @@ def as_pmf(p) -> DiscretePmf:
     return DiscretePmf(np.asarray(p, dtype=np.float64))
 
 
-def _check_order(m: int) -> int:
-    if int(m) != m or m < 1:
-        raise ValueError(f"collision order m must be an integer >= 1, got {m!r}")
-    return int(m)
-
-
-def _shifted_log_weights(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(positive mask, m*ln(p) - max over support, ln of the shifted sum)."""
-    mask = p > 0.0
-    w = m * np.log(p[mask])
-    w -= w.max()
-    log_norm = float(np.log(np.sum(np.exp(w))))
-    return mask, w, log_norm
-
-
 def cdotc(pmf, m: int) -> CdotcPmf:
     """Condition on total collision of m iid draws: q_k = p_k^m / sum p_i^m."""
     pmf = as_pmf(pmf)
     m = _check_order(m)
     if m == 1:
         return CdotcPmf(1, pmf, 1.0)
-    mask, w, log_norm = _shifted_log_weights(pmf.probs, m)
+    mask = pmf.probs > 0.0
+    _, q_support, _, log_mass = collision_log_weights(pmf.probs[mask], m)
     q = np.zeros_like(pmf.probs)
-    q[mask] = np.exp(w - log_norm)
-    shift = float((m * np.log(pmf.probs[mask])).max())
-    return CdotcPmf(m, DiscretePmf(q, labels=pmf.labels), math.exp(shift + log_norm))
+    q[mask] = q_support
+    return CdotcPmf(m, DiscretePmf(q, labels=pmf.labels), math.exp(log_mass))
 
 
 def gse(pmf, m: int) -> float:
@@ -90,11 +64,8 @@ def gse(pmf, m: int) -> float:
     Uses the identity H = ln W - sum q_k w_k with shifted weights w, which
     keeps uniform inputs exactly at ln K and never underflows.
     """
-    pmf = as_pmf(pmf)
-    m = _check_order(m)
-    mask, w, log_norm = _shifted_log_weights(pmf.probs, m)
-    q = np.exp(w - log_norm)
-    return float(log_norm - np.dot(q, w))
+    p = as_pmf(pmf).probs
+    return collision_log_weights(p[p > 0.0], _check_order(m))[2]
 
 
 def shannon_entropy(target, eps: float = DEFAULT_EPS) -> float:
@@ -104,7 +75,7 @@ def shannon_entropy(target, eps: float = DEFAULT_EPS) -> float:
     a tail too heavy to evaluate raises NonConvergenceError rather than
     returning a silently truncated number.
     """
-    if isinstance(target, (Zeta, Geometric, UniformFinite, CustomFinite)):
+    if isinstance(target, AnalyticDistribution):
         return gse_analytic(target, 1, eps)
     return gse(as_pmf(target), 1)
 
@@ -122,31 +93,4 @@ def gse_analytic_info(dist: AnalyticDistribution, m: int, eps: float = DEFAULT_E
     m = _check_order(m)
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    if isinstance(dist, Zeta):
-        return _zeta_collision_entropy(dist.s, m, eps)
-    if isinstance(dist, Geometric):
-        # H_m = -ln h - rho ln(rho) / h, h = 1 - rho, rho = (1-q)^m, from
-        # log1p and expm1 so that no digit is lost as q -> 0
-        log_rho = m * math.log1p(-dist.q)
-        h = -math.expm1(log_rho)
-        return -math.log(h) - math.exp(log_rho) * (log_rho / h), 0
-    if isinstance(dist, UniformFinite):
-        # np.log, not math.log: the two can differ in the last bit, and a
-        # degenerate interval covers only a truth equal to the kernel's ln K
-        return float(np.log(float(dist.K))), dist.K
-    if isinstance(dist, CustomFinite):
-        return gse(dist.pmf, m), dist.pmf.size
-    raise TypeError(f"not an analytic distribution: {dist!r}")
-
-
-def _zeta_collision_entropy(s: float, m: int, eps: float) -> tuple[float, int]:
-    """H_m for Zeta(s) from its closed-form structure q_k = k^{-t}/zeta(t), t = m s.
-
-    H_m = ln zeta(t) + t * (sum k^{-t} ln k) / zeta(t).
-    """
-    t = m * s
-    tol = min(eps * 0.1, 1e-13)
-    z = power_log_series(t, 0, tol)
-    s1 = power_log_series(t, 1, tol)
-    terms = max(series_terms_needed(t, 0, tol), series_terms_needed(t, 1, tol))
-    return math.log(z) + t * s1 / z, terms
+    return dist.h_m(m, eps)

@@ -17,6 +17,10 @@ as a diagnostic; it fails the classical m=1 cross-check
 while the form above reduces to it exactly.  Summation over observed
 categories runs in descending-count order (ties carry equal terms) so
 results are reproducible at the 1e-12 level across platforms.
+
+H_m and sigma_m^2 of an explicit or empirical pmf come from the shared
+log-weight pass in ``distributions``; an analytic distribution supplies its
+own exact sigma_m^2.  Interval quantiles are the stdlib's ``NormalDist``.
 """
 
 from __future__ import annotations
@@ -25,28 +29,20 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 from typing import Mapping, Union
 
 import numpy as np
 
 from .distributions import (
+    AnalyticDistribution,
     DiscretePmf,
-    Geometric,
     SampleCounts,
-    UniformFinite,
-    Zeta,
-    finite_pmf,
-    is_finite_support,
-    power_log_series,
-    riemann_zeta,
-)
-from .entropy import (
-    DEFAULT_EPS,
     _check_order,
-    _shifted_log_weights,
-    _zeta_collision_entropy,
-    as_pmf,
+    collision_log_weights,
+    h_sigma_sq,
 )
+from .entropy import DEFAULT_EPS, as_pmf
 
 
 @dataclass(frozen=True)
@@ -87,21 +83,9 @@ def empirical_pmf(counts: SampleCounts) -> DiscretePmf:
     return DiscretePmf(probs, labels=labels)
 
 
-def _h_sigma_sq(p: np.ndarray, m: int) -> tuple[float, float]:
-    """(H_m, sigma_m^2) of a strictly positive pmf in one shifted log-weight pass."""
-    w = m * np.log(p)
-    w -= w.max()
-    log_norm = float(np.log(np.sum(np.exp(w))))
-    log_q = w - log_norm
-    q = np.exp(log_q)
-    h = float(log_norm - np.dot(q, w))
-    g = -(m * q / p) * (log_q + h)
-    return h, float(np.dot(p, g * g))
-
-
 def _plugin_h_sigma_sq(counts: np.ndarray, n: int, m: int) -> tuple[float, float]:
     """(H_hat_m, sigma_hat_m^2) from the strictly positive counts of a size-n sample."""
-    return _h_sigma_sq(np.sort(counts)[::-1] / n, m)
+    return h_sigma_sq(np.sort(counts)[::-1] / n, m)
 
 
 def gse_plugin(counts: SampleCounts, m: int) -> float:
@@ -118,50 +102,10 @@ def sigma_sq_true(target, m: int, eps: float = DEFAULT_EPS) -> float:
     distribution; Zeta is evaluated to tolerance eps, the others exactly.
     """
     m = _check_order(m)
-    if isinstance(target, Zeta):
-        return _sigma_sq_zeta(target.s, m, eps)
-    if isinstance(target, Geometric):
-        return _sigma_sq_geometric(target.q, m)
-    if isinstance(target, UniformFinite):
-        return 0.0
-    p = (finite_pmf(target) if is_finite_support(target) else as_pmf(target)).probs
-    return _h_sigma_sq(p[p > 0.0], m)[1]
-
-
-def _sigma_sq_zeta(s: float, m: int, eps: float) -> float:
-    """Closed-form expansion over the series S_j(a) = sum k^{-a} ln^j k.
-
-    With t = m s, q_k = k^{-t}/zeta(t) and c = H_m - ln zeta(t):
-    sigma^2 = (m^2 zeta(s)/zeta(t)^2) [c^2 S_0(a) - 2 c t S_1(a) + t^2 S_2(a)],
-    where a = 2t - s > 1.
-    """
-    t = m * s
-    a = 2.0 * t - s
-    tol = min(eps * 1e-3, 1e-13)
-    h, _ = _zeta_collision_entropy(s, m, min(eps * 1e-2, 1e-12))
-    z_s = riemann_zeta(s, tol)
-    z_t = riemann_zeta(t, tol)
-    c = h - math.log(z_t)
-    s0 = power_log_series(a, 0, tol)
-    s1 = power_log_series(a, 1, tol)
-    s2 = power_log_series(a, 2, tol)
-    return (m * m * z_s / z_t**2) * (c * c * s0 - 2.0 * c * t * s1 + t * t * s2)
-
-
-def _sigma_sq_geometric(q: float, m: int) -> float:
-    """sum_k p_k g_k^2 summed in closed form over j = k - 1 >= 0 (terms x^j (j - rho/h)^2).
-
-    With rho = (1-q)^m, h = 1 - rho, x = (1-q)^(2m-1) and ratio = h / (1 - x):
-    m^2 (ln rho / q) (ln rho / (1 - x)) [(rho - x ratio)^2 + x ratio^2].  No
-    factor overflows or cancels as q -> 0, and 1 - x comes from expm1."""
-    log_r = math.log1p(-q)
-    log_rho = m * log_r
-    log_x = (2 * m - 1) * log_r
-    one = -math.expm1(log_x)
-    x = math.exp(log_x)
-    ratio = -math.expm1(log_rho) / one
-    bracket = (math.exp(log_rho) - x * ratio) ** 2 + x * ratio * ratio
-    return m * m * (log_rho / q) * (log_rho / one) * bracket
+    if isinstance(target, AnalyticDistribution):
+        return target.sigma_sq(m, eps)
+    p = as_pmf(target).probs
+    return h_sigma_sq(p[p > 0.0], m)[1]
 
 
 def sigma_sq_literal(pmf, m: int) -> float:
@@ -173,12 +117,9 @@ def sigma_sq_literal(pmf, m: int) -> float:
     """
     pmf = as_pmf(pmf)
     m = _check_order(m)
-    p = pmf.probs
-    mask, w, log_norm = _shifted_log_weights(p, m)
-    q = np.exp(w - log_norm)
-    log_q = w - log_norm
-    h = float(log_norm - np.dot(q, w))
-    inner = (m * m / p[mask]) * q * (log_q + h)
+    p = pmf.probs[pmf.probs > 0.0]
+    log_q, q, h, _ = collision_log_weights(p, m)
+    inner = (m * m / p) * q * (log_q + h)
     return float(np.sum(inner * inner))
 
 
@@ -203,43 +144,12 @@ def gse_estimate(counts: SampleCounts, m: int) -> GseEstimate:
 # standard normal quantile
 # ---------------------------------------------------------------------------
 
-# rational approximation coefficients (central region and tails)
-_Q_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-        1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_Q_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-        6.680131188771972e01, -1.328068155288572e01)
-_Q_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-        -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_Q_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-        3.754408661907416e00)
-_Q_SPLIT = 0.02425
-
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal cdf, absolute error well below 1e-9.
-
-    Rational approximation refined by one Halley step on erfc, so no
-    statistical table is involved.
-    """
+    """Inverse standard normal cdf (the stdlib's NormalDist().inv_cdf)."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"quantile argument must lie in (0, 1), got {p!r}")
-    if p < _Q_SPLIT:
-        u = math.sqrt(-2.0 * math.log(p))
-        x = ((((( _Q_C[0] * u + _Q_C[1]) * u + _Q_C[2]) * u + _Q_C[3]) * u + _Q_C[4]) * u + _Q_C[5]) / \
-            ((((_Q_D[0] * u + _Q_D[1]) * u + _Q_D[2]) * u + _Q_D[3]) * u + 1.0)
-    elif p > 1.0 - _Q_SPLIT:
-        u = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((( _Q_C[0] * u + _Q_C[1]) * u + _Q_C[2]) * u + _Q_C[3]) * u + _Q_C[4]) * u + _Q_C[5]) / \
-             ((((_Q_D[0] * u + _Q_D[1]) * u + _Q_D[2]) * u + _Q_D[3]) * u + 1.0)
-    else:
-        u = p - 0.5
-        r = u * u
-        x = ((((( _Q_A[0] * r + _Q_A[1]) * r + _Q_A[2]) * r + _Q_A[3]) * r + _Q_A[4]) * r + _Q_A[5]) * u / \
-            (((((_Q_B[0] * r + _Q_B[1]) * r + _Q_B[2]) * r + _Q_B[3]) * r + _Q_B[4]) * r + 1.0)
-    # Halley refinement: e = Phi(x) - p, Phi via erfc
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return NormalDist().inv_cdf(p)
 
 
 def _two_sided_z(alpha: float) -> float:

@@ -15,14 +15,12 @@ behind the command-line ``verify`` subcommand.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AnalyticDistribution, DiscretePmf, derive_seed, sample
-from .entropy import _check_order, as_pmf, gse, gse_analytic
+from .distributions import AnalyticDistribution, DiscretePmf, _check_order, derive_seed, sample
+from .entropy import as_pmf, gse, gse_analytic
 from .estimation import gse_plugin, sigma_sq_literal, sigma_sq_true
 
 DEFAULT_CORPUS_SEED = 20260810
@@ -96,41 +94,20 @@ def delta_variance_oracle(pmf, m: int) -> float:
     return float(g @ cov @ g)
 
 
-def mc_variance_oracle(dist: AnalyticDistribution, m: int, n: int, reps: int,
-                       seed: int, workers: int = 1) -> float:
+def mc_variance_oracle(dist: AnalyticDistribution, m: int, n: int, reps: int, seed: int) -> float:
     """Empirical variance of sqrt(n) (plug-in - true) over seeded replicates.
 
-    Replicate r draws with the derived seed (seed, r), so the result is
-    independent of worker count.
+    Replicate r draws with the derived seed (seed, r).
     """
     if reps < 100:
         raise ValueError("need at least 100 replicates for a meaningful variance")
     h_true = gse_analytic(dist, m)
     scale = np.sqrt(float(n))
     values = np.empty(reps)
-
-    def fill(block: range) -> None:
-        for r in block:
-            counts = sample(dist, n, derive_seed(seed, r))
-            values[r] = scale * (gse_plugin(counts, m) - h_true)
-
-    _run_blocks(fill, reps, workers)
+    for r in range(reps):
+        counts = sample(dist, n, derive_seed(seed, r))
+        values[r] = scale * (gse_plugin(counts, m) - h_true)
     return float(np.var(values, ddof=1))
-
-
-def _blocks(total: int, workers: int) -> list[range]:
-    """Contiguous blocks of range(total), one per thread: min(workers, total, CPUs), >= 1."""
-    threads = max(1, min(workers, total, os.cpu_count() or 1))
-    step = -(-total // threads)
-    return [range(i, min(i + step, total)) for i in range(0, total, step)]
-
-
-def _run_blocks(fill, total: int, workers: int) -> None:
-    blocks = _blocks(total, workers)
-    if len(blocks) == 1:
-        return fill(blocks[0])
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        list(pool.map(fill, blocks))  # re-raises the first block's exception
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,13 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--dist", '{"kind":"uniform","K":2.5}')
         assert code == 2
         assert "positive integer" in err
+        for too_many in (str(2**53 + 1), "1" + "0" * 400):
+            code, _, err = run(capsys, "compute", "--dist", '{"kind":"uniform","K":%s}' % too_many)
+            assert code == 2
+            assert err.startswith("error:") and "2**53" in err and "Traceback" not in err
+        code, out, _ = run(capsys, "compute", "--dist", '{"kind":"uniform","K":%d}' % 2**53,
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["h_m"] == math.log(2**53)
 
     def test_non_convergence_exit_code(self, capsys):
         # mathematically finite, but a tolerance this tight needs more series
@@ -203,16 +210,6 @@ class TestCoverage:
         code, _, err = run(capsys, "coverage", "--dist", '{"kind":"uniform","K":2}',
                            "--grid", "10-20-10", "--reps", "5")
         assert code == 2
-
-    def test_worker_default_from_environment(self, monkeypatch):
-        from gsentropy.cli import build_parser
-
-        monkeypatch.setenv("GSENTROPY_THREADS", "6")
-        args = build_parser().parse_args(["coverage", "--dist", "{}"])
-        assert args.workers == 6
-        monkeypatch.setenv("GSENTROPY_THREADS", "junk")
-        args = build_parser().parse_args(["coverage", "--dist", "{}"])
-        assert args.workers == 1
 
     def test_protocol_defaults(self):
         from gsentropy import default_grid

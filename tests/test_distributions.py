@@ -24,7 +24,7 @@ from gsentropy import (
     sample,
     truncation_index,
 )
-from gsentropy.distributions import _pmf_array, power_log_series
+from gsentropy.distributions import power_log_series
 
 from _reference import ZETA15_PMF1, ZETA2_PMF1, brute_zeta, zeta_draw_whole_batch
 
@@ -51,8 +51,11 @@ class TestValidation:
                 Geometric(bad)
 
     def test_uniform_positive_k(self):
-        with pytest.raises(ValueError):
-            UniformFinite(0)
+        # at most 2^53 categories: draws are floor(u K) of 53-bit uniforms u
+        for bad in (0, 2**53 + 1, 10**400):
+            with pytest.raises(ValueError):
+                UniformFinite(bad)
+        assert UniformFinite(2**53).K == 2**53
 
     def test_pmf_must_normalize(self):
         with pytest.raises(ValueError):
@@ -135,7 +138,7 @@ class TestPmfAt:
     @pytest.mark.parametrize("dist", ALL_FAMILIES)
     def test_nonnegative_and_partial_sums_bounded(self, dist):
         ks = np.arange(1, 201, dtype=np.int64)
-        probs = _pmf_array(dist, ks)
+        probs = dist.pmf_array(ks)
         assert np.all(probs >= 0.0)
         assert np.all(np.cumsum(probs) <= 1.0 + 1e-12)
 
@@ -150,7 +153,7 @@ class TestTruncationIndex:
     def _series_terms(dist, m, k_from, k_to, h_m):
         """Exact entropy- and variance-series terms for k in [k_from, k_to]."""
         ks = np.arange(k_from, k_to + 1, dtype=np.int64)
-        p = _pmf_array(dist, ks)
+        p = dist.pmf_array(ks)
         if isinstance(dist, Zeta):
             t = m * dist.s
             z_t = riemann_zeta(t)
@@ -187,9 +190,7 @@ class TestTruncationIndex:
     def test_cutoff_is_minimal_for_geometric(self):
         dist, m, eps = Geometric(0.5), 2, 1e-12
         k_max = truncation_index(dist, m, eps)
-        from gsentropy.distributions import _geometric_tail_bounds
-
-        ent, var = _geometric_tail_bounds(dist, m, k_max - 1)
+        ent, var = dist.tail_bounds(m, k_max - 1)
         assert max(ent, var) >= eps
 
     @pytest.mark.parametrize("start", [1, 2, 1000, 10**6])
@@ -247,7 +248,7 @@ class TestSampling:
         n = 100_000
         counts = sample(dist, n, seed)
         head = np.arange(1, 21, dtype=np.int64)
-        expected_head = _pmf_array(dist, head) * n
+        expected_head = dist.pmf_array(head) * n
         observed_head = np.array([counts.counts.get(int(k), 0) for k in head], dtype=float)
         keep = expected_head >= 5.0
         observed = observed_head[keep]

@@ -19,7 +19,6 @@ from gsentropy import (
     shannon_entropy,
     sigma_sq_true,
 )
-from gsentropy.distributions import _pmf_array
 
 from _reference import (
     H1_ZETA15,
@@ -48,7 +47,7 @@ class TestCdotc:
         # conditioning the inverse-square law on a pairwise collision gives an
         # inverse-fourth-power law; the ratio structure survives truncation
         ks = np.arange(1, 401, dtype=np.int64)
-        head = _pmf_array(Zeta(2.0), ks)
+        head = Zeta(2.0).pmf_array(ks)
         pmf = DiscretePmf(head / head.sum())
         q = cdotc(pmf, 2).pmf.probs
         npt.assert_allclose(q / q[0], ks.astype(float) ** -4.0, rtol=1e-12)

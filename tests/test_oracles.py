@@ -16,7 +16,6 @@ from gsentropy import (
     sigma_sq_literal,
     sigma_sq_true,
 )
-from gsentropy import oracles
 
 from _reference import SIG2_POINT37
 
@@ -109,31 +108,9 @@ class TestMcVarianceOracle:
         var = mc_variance_oracle(Zeta(1.5), 2, n=10_000, reps=2000, seed=314159)
         assert abs(var - target) <= 0.15 * target
 
-    def test_deterministic_across_worker_counts(self):
-        dist = Zeta(1.5)
-        a = mc_variance_oracle(dist, 2, n=300, reps=120, seed=9, workers=1)
-        b = mc_variance_oracle(dist, 2, n=300, reps=120, seed=9, workers=4)
-        assert a == b
-
     def test_needs_enough_replicates(self):
         with pytest.raises(ValueError):
             mc_variance_oracle(UniformFinite(2), 2, n=100, reps=10, seed=1)
-
-
-class TestReplicateBlocks:
-    # the cap arithmetic only; no threads are started here
-    @pytest.mark.parametrize("total, workers, cpus, threads", [
-        (5000, 1000, 2, 2),   # --workers far above the CPU count
-        (3, 16, 64, 3),       # never more threads than replicates
-        (100, 4, 8, 4),
-        (100, 0, 8, 1),       # zero or negative workers run serially
-        (7, 8, None, 1),      # unknown CPU count
-    ])
-    def test_thread_count_is_capped(self, monkeypatch, total, workers, cpus, threads):
-        monkeypatch.setattr(oracles.os, "cpu_count", lambda: cpus)
-        blocks = oracles._blocks(total, workers)
-        assert len(blocks) == threads
-        assert [r for block in blocks for r in block] == list(range(total))
 
 
 class TestVerificationReport:
