@@ -46,7 +46,7 @@ with tempfile.TemporaryDirectory() as tmp:
     again, labels = read_counts_csv(path)
     est_a = gse_estimate(counts, 2)
     est_b = gse_estimate(again, 2)
-    print(f"  wrote {len(counts.counts)} categories to {path.name}; "
+    print(f"  wrote {counts.counts.size} categories to {path.name}; "
           f"re-ingested H_hat matches: {est_a.h_hat == est_b.h_hat}")
 
 print()
@@ -54,7 +54,7 @@ print("degenerate corner: a sample that is empirically uniform has")
 print("sigma_hat = 0, so the interval collapses to a point and is flagged:")
 from gsentropy import SampleCounts  # noqa: E402
 
-flat = SampleCounts({1: 5, 2: 5, 3: 5}, 15)
+flat = SampleCounts([1, 2, 3], [5, 5, 5])
 ci = confidence_interval(flat, 2, alpha=0.05)
 print(f"  counts 5/5/5 -> interval [{ci.lower:.6f}, {ci.upper:.6f}], "
       f"degenerate = {ci.degenerate}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -51,25 +51,21 @@ class DiscretePmf:
     """Explicit probability vector over categories 1..K.
 
     Zero entries are permitted; the support size counts only the positive
-    ones.  ``labels``, when present, carries the original category label of
-    each slot (used by the estimation layer, which re-orders observed
-    categories).
+    ones.
     """
 
     probs: np.ndarray
-    labels: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probability vector must be 1-d and nonempty")
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
-            raise ValueError("probabilities must be finite and >= 0")
+        # NaN fails both bounds; entries of at most 1 cannot sum to inf
+        if not np.all((probs >= 0.0) & (probs <= 1.0 + PMF_ATOL)):
+            raise ValueError("probabilities must lie in [0, 1]")
         total = float(probs.sum())
         if abs(total - 1.0) > PMF_ATOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1 within {PMF_ATOL}")
-        if self.labels is not None and len(self.labels) != probs.size:
-            raise ValueError("labels length does not match probability vector")
         object.__setattr__(self, "probs", probs)
 
     @property
@@ -82,40 +78,64 @@ class DiscretePmf:
         return int(np.count_nonzero(self.probs > 0.0))
 
 
-@dataclass(frozen=True)
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _int64_array(values, what: str) -> np.ndarray:
+    """values as a nonempty 1-d int64 array; non-integers and values beyond int64 raise ValueError."""
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{what} must be a nonempty 1-d sequence")
+    # Python ints beyond 64 bits arrive as an object array, those in [2^63, 2^64) as uint64
+    if arr.dtype.kind not in "iu" or (arr.dtype.kind == "u" and arr.max() > _INT64_MAX):
+        raise ValueError(f"{what} must be integers that fit in int64")
+    return arr.astype(np.int64, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
 class SampleCounts:
-    """Sparse category -> count map for an iid sample of total size n.
+    """Tally of an iid sample: int64 arrays of the observed categories
+    (strictly increasing) and of their counts (all positive); n is their
+    exact total, which must fit in int64 too."""
 
-    Canonical form: no stored zero counts, counts sum to n.
-    """
-
-    counts: Mapping[int, int]
-    n: int
+    categories: np.ndarray
+    counts: np.ndarray
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        counts = dict(self.counts)
-        total = 0
-        for category, count in counts.items():
-            if int(count) != count or count <= 0:
-                raise ValueError(f"count for category {category!r} must be a positive integer")
-            total += int(count)
-        if total != self.n or self.n <= 0:
-            raise ValueError(f"counts sum to {total}, expected n={self.n}")
+        categories = _int64_array(self.categories, "categories")
+        counts = _int64_array(self.counts, "counts")
+        if categories.shape != counts.shape:
+            raise ValueError(f"{categories.size} categories but {counts.size} counts")
+        if np.any(categories[1:] <= categories[:-1]) or np.any(counts <= 0):
+            raise ValueError("categories must be strictly increasing and counts positive")
+        # a sum that might wrap in int64 is taken in Python ints
+        n = int(counts.sum()) if counts.max() <= _INT64_MAX // counts.size else sum(counts.tolist())
+        if n > _INT64_MAX:
+            raise ValueError(f"counts total {n}, which does not fit in int64")
+        object.__setattr__(self, "categories", categories)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, SampleCounts) and np.array_equal(self.categories, other.categories)
+                and np.array_equal(self.counts, other.counts))
 
     @classmethod
     def from_observations(cls, values: Iterable[int]) -> "SampleCounts":
-        arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
-        if arr.size == 0:
-            raise ValueError("empty observation sequence")
-        cats, cnts = np.unique(arr, return_counts=True)
-        return cls({int(c): int(k) for c, k in zip(cats, cnts)}, int(arr.size))
+        return cls(*np.unique(_int64_array(values, "observations"), return_counts=True))
 
 
 def _check_order(m: int) -> int:
     if int(m) != m or m < 1:
         raise ValueError(f"collision order m must be an integer >= 1, got {m!r}")
     return int(m)
+
+
+def _check_eps(eps: float) -> float:
+    if not (eps > 0.0):  # NaN fails too
+        raise ValueError(f"tolerance eps must be positive, got {eps!r}")
+    return eps
 
 
 def collision_log_weights(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -143,12 +163,6 @@ def h_sigma_sq(p: np.ndarray, m: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # zeta-type series: sum_{k>=1} k^{-a} ln^j k
 # ---------------------------------------------------------------------------
-
-
-def _log_power(length_or_values, j: int):
-    if j == 0:
-        return 1.0
-    return np.log(length_or_values) ** j
 
 
 def _tail_integral(a: float, j: int, x: float) -> float:
@@ -207,7 +221,7 @@ def power_log_series(a: float, j: int, tol: float = 1e-13) -> float:
     """
     n = series_terms_needed(a, j, tol)
     ks = np.arange(1, n, dtype=np.float64)
-    head = float(np.sum(ks**-a * _log_power(ks, j)))
+    head = float(np.sum(ks**-a * (np.log(ks) ** j if j else 1.0)))
     x = float(n)
     L = math.log(x)
     f = x**-a * (L**j if j else 1.0)
@@ -576,10 +590,7 @@ def truncation_index(dist: AnalyticDistribution, m: int, eps: float) -> int:
     size.  Raises NonConvergenceError if no cutoff within the term budget
     can be certified.
     """
-    m = _check_order(m)
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
-    return dist.cutoff(m, eps)
+    return dist.cutoff(_check_order(m), _check_eps(eps))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AnalyticDistribution, DiscretePmf, _check_order, collision_log_weights
+from .distributions import AnalyticDistribution, DiscretePmf, _check_eps, _check_order, collision_log_weights
 
 DEFAULT_EPS = 1e-10
 
@@ -55,7 +55,7 @@ def cdotc(pmf, m: int) -> CdotcPmf:
     _, q_support, _, log_mass = collision_log_weights(pmf.probs[mask], m)
     q = np.zeros_like(pmf.probs)
     q[mask] = q_support
-    return CdotcPmf(m, DiscretePmf(q, labels=pmf.labels), math.exp(log_mass))
+    return CdotcPmf(m, DiscretePmf(q), math.exp(log_mass))
 
 
 def gse(pmf, m: int) -> float:
@@ -90,7 +90,4 @@ def gse_analytic_info(dist: AnalyticDistribution, m: int, eps: float = DEFAULT_E
     """(entropy value within eps, number of series terms summed).
 
     The closed forms report 0 terms for Geometric and K for UniformFinite."""
-    m = _check_order(m)
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
-    return dist.h_m(m, eps)
+    return dist.h_m(_check_order(m), _check_eps(eps))

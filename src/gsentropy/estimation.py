@@ -14,9 +14,9 @@ as a diagnostic; it fails the classical m=1 cross-check
 
     sigma_1^2 = sum p_k ln^2 p_k - H^2
 
-while the form above reduces to it exactly.  Summation over observed
-categories runs in descending-count order (ties carry equal terms) so
-results are reproducible at the 1e-12 level across platforms.
+while the form above reduces to it exactly.  A sample enters only through
+its counts, summed in descending-count order (tied counts carry equal terms),
+so which category carries which count never changes a bit of the result.
 
 H_m and sigma_m^2 of an explicit or empirical pmf come from the shared
 log-weight pass in ``distributions``; an analytic distribution supplies its
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
@@ -38,6 +39,7 @@ from .distributions import (
     AnalyticDistribution,
     DiscretePmf,
     SampleCounts,
+    _check_eps,
     _check_order,
     collision_log_weights,
     h_sigma_sq,
@@ -70,17 +72,9 @@ class ConfidenceInterval:
 
 
 def empirical_pmf(counts: SampleCounts) -> DiscretePmf:
-    """Sample proportions Y_k / n over the observed support.
-
-    The vector is ordered by descending count then ascending category label
-    (the fixed summation order); original labels ride along in ``labels``.
-    """
-    items = sorted(counts.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if not items:
-        raise ValueError("empty sample counts")
-    labels = tuple(category for category, _ in items)
-    probs = np.array([count for _, count in items], dtype=np.float64) / counts.n
-    return DiscretePmf(probs, labels=labels)
+    """Sample proportions Y_k / n over the observed support, in descending
+    order (the fixed summation order)."""
+    return DiscretePmf(np.sort(counts.counts)[::-1] / counts.n)
 
 
 def _plugin_h_sigma_sq(counts: np.ndarray, n: int, m: int) -> tuple[float, float]:
@@ -101,7 +95,7 @@ def sigma_sq_true(target, m: int, eps: float = DEFAULT_EPS) -> float:
     Accepts an explicit pmf (array-like or DiscretePmf) or an analytic
     distribution; Zeta is evaluated to tolerance eps, the others exactly.
     """
-    m = _check_order(m)
+    m, eps = _check_order(m), _check_eps(eps)
     if isinstance(target, AnalyticDistribution):
         return target.sigma_sq(m, eps)
     p = as_pmf(target).probs
@@ -129,15 +123,15 @@ def sigma_hat_sq(counts: SampleCounts, m: int) -> float:
     Zero-count categories vanish in the continuity limit (each term is
     O(p^{2m-1} ln^2 p)), which is the only finite computable reading.
     """
-    return _plugin_h_sigma_sq(np.array([*counts.counts.values()]), counts.n, _check_order(m))[1]
+    return _plugin_h_sigma_sq(counts.counts, counts.n, _check_order(m))[1]
 
 
 def gse_estimate(counts: SampleCounts, m: int) -> GseEstimate:
     """Point estimate plus estimated asymptotic spread for one sample."""
     m = _check_order(m)
-    h_hat, sigma_sq = _plugin_h_sigma_sq(np.array([*counts.counts.values()]), counts.n, m)
+    h_hat, sigma_sq = _plugin_h_sigma_sq(counts.counts, counts.n, m)
     return GseEstimate(m=m, n=counts.n, h_hat=h_hat, sigma_hat=math.sqrt(sigma_sq),
-                       support_observed=len(counts.counts))
+                       support_observed=counts.counts.size)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +177,12 @@ def confidence_interval(counts: SampleCounts, m: int, alpha: float) -> Confidenc
 COUNTS_HEADER = ("category", "count")
 
 
-def _encode_labels(label_counts: Mapping[str, int]) -> tuple[SampleCounts, dict[int, str]]:
-    positive = {label: count for label, count in label_counts.items() if count > 0}
-    if not positive:
+def _encode_labels(label_counts: Counter) -> tuple[SampleCounts, dict[int, str]]:
+    labels = sorted(label for label, count in label_counts.items() if count > 0)
+    if not labels:
         raise ValueError("no observations: all counts are zero or the file is empty")
-    labels = sorted(positive)
-    codes = {code: label for code, label in enumerate(labels, start=1)}
-    counts = {code: positive[label] for code, label in codes.items()}
-    return SampleCounts(counts, sum(counts.values())), codes
+    counts = SampleCounts(np.arange(1, len(labels) + 1), [label_counts[label] for label in labels])
+    return counts, dict(enumerate(labels, start=1))
 
 
 def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str]]:
@@ -199,36 +191,35 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str
     Returns the canonical counts plus the code -> original label map.
     Duplicate labels are aggregated; zero-count rows are dropped.
     """
-    label_counts: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    label_counts: Counter = Counter()
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(h.strip().lower() for h in header) != COUNTS_HEADER:
-            raise ValueError(f"expected header 'category,count' in {path}")
-        for row_number, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{row_number}: expected two columns, got {len(row)}")
-            label = row[0].strip()
-            try:
-                count = int(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{row_number}: count {row[1]!r} is not an integer") from exc
-            if count < 0:
-                raise ValueError(f"{path}:{row_number}: negative count {count}")
-            label_counts[label] = label_counts.get(label, 0) + count
+        try:
+            header = next(reader, None)
+            if header is None or tuple(h.strip().lower() for h in header) != COUNTS_HEADER:
+                raise ValueError(f"expected header 'category,count' in {path}")
+            for row_number, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}:{row_number}: expected two columns, got {len(row)}")
+                try:
+                    count = int(row[1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{row_number}: count {row[1]!r} is not an integer") from exc
+                if count < 0:
+                    raise ValueError(f"{path}:{row_number}: negative count {count}")
+                label_counts[row[0].strip()] += count
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return _encode_labels(label_counts)
 
 
 def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str]]:
     """Read one observation label per line (blank lines are skipped)."""
-    label_counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            label = line.strip()
-            if label:
-                label_counts[label] = label_counts.get(label, 0) + 1
+    with open(path, encoding="utf-8-sig") as handle:  # a leading byte-order mark is not part of a label
+        label_counts = Counter(map(str.strip, handle))
+    del label_counts[""]
     return _encode_labels(label_counts)
 
 
@@ -238,6 +229,5 @@ def write_counts_csv(counts: SampleCounts, path: Union[str, Path],
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(COUNTS_HEADER)
-        for category, count in sorted(counts.counts.items()):
-            name = labels[category] if labels is not None else str(category)
-            writer.writerow([name, count])
+        for category, count in zip(counts.categories.tolist(), counts.counts.tolist()):
+            writer.writerow([labels[category] if labels is not None else category, count])

@@ -125,7 +125,7 @@ class TestEstimate:
                            "--m", "2", "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        counts = SampleCounts({1: 3, 2: 7}, 10)
+        counts = SampleCounts([1, 2], [3, 7])
         assert payload["h_hat"] == gse_plugin(counts, 2)
         assert abs(payload["sigma_hat"] ** 2 - sigma_hat_sq(counts, 2)) <= 1e-12
         assert payload["interval"]["degenerate"] is False
@@ -172,8 +172,27 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--data", "/does/not/exist.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("rows", [
+        "a,100000000000000000000\n",  # a count beyond int64
+        "a,4611686018427387904\nb,4611686018427387904\n",  # a total of 2**63
+        "a,4611686018427387904\na,4611686018427387904\n",  # one label's count is 2**63
+    ])
+    def test_counts_beyond_int64_are_usage_errors(self, capsys, tmp_path, rows):
+        path = tmp_path / "huge.csv"
+        path.write_text("category,count\n" + rows, encoding="utf-8")
+        code, out, err = run(capsys, "estimate", "--data", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "int64" in err
+
+    def test_csv_parser_error_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("category,count\n" + "x" * 200_000 + ",1\n", encoding="utf-8")
+        code, out, err = run(capsys, "estimate", "--data", str(path))
+        assert code == 2
+        assert out == "" and err.startswith(f"error: {path}:2: ")
+
     def test_emitted_csv_round_trips_through_cli(self, capsys, tmp_path):
-        counts = SampleCounts({1: 4, 2: 9, 3: 2}, 15)
+        counts = SampleCounts([1, 2, 3], [4, 9, 2])
         path = tmp_path / "emitted.csv"
         write_counts_csv(counts, path)
         code, out, _ = run(capsys, "estimate", "--data", str(path), "--format", "json")

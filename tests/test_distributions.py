@@ -28,6 +28,13 @@ from gsentropy.distributions import power_log_series
 
 from _reference import ZETA15_PMF1, ZETA2_PMF1, brute_zeta, zeta_draw_whole_batch
 
+
+def count_at(counts, k):
+    """The count of category k in a SampleCounts, 0 when k is unobserved."""
+    i = int(np.searchsorted(counts.categories, k))
+    return int(counts.counts[i]) if i < counts.categories.size and counts.categories[i] == k else 0
+
+
 ALL_FAMILIES = [
     Zeta(1.5),
     Zeta(2.0),
@@ -62,6 +69,8 @@ class TestValidation:
             DiscretePmf(np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
             DiscretePmf(np.array([1.1, -0.1]))
+        with pytest.raises(ValueError):
+            DiscretePmf(np.array([1e308, 1e308]))  # finite entries whose sum overflows
 
     def test_pmf_allows_zero_entries(self):
         pmf = DiscretePmf(np.array([0.5, 0.0, 0.5]))
@@ -70,12 +79,34 @@ class TestValidation:
 
     def test_sample_counts_canonical_form(self):
         with pytest.raises(ValueError):
-            SampleCounts({1: 3, 2: 0}, 3)  # stored zero
-        with pytest.raises(ValueError):
-            SampleCounts({1: 3}, 4)  # n mismatch
+            SampleCounts([1, 2], [3, 0])  # stored zero
         counts = SampleCounts.from_observations([5, 5, 2, 9])
-        assert counts.counts == {2: 1, 5: 2, 9: 1}
+        assert counts.categories.tolist() == [2, 5, 9] and counts.counts.tolist() == [1, 2, 1]
         assert counts.n == 4
+
+    @pytest.mark.parametrize("categories,counts", [
+        ([2, 1], [1, 1]),  # not increasing
+        ([1, 1], [1, 1]),  # repeated
+        ([1, 2], [1]),  # lengths differ
+        ([], []),
+        ([1, 2], [1.0, 2.0]),  # float counts
+        ([1], [2**63]),  # count beyond int64
+        ([1], [10**20]),
+        ([1, 2], [2**62, 2**62]),  # total beyond int64
+    ])
+    def test_sample_counts_rejects(self, categories, counts):
+        with pytest.raises(ValueError):
+            SampleCounts(categories, counts)
+
+    def test_sample_counts_total_is_exact(self):
+        counts = SampleCounts([1, 2], [2**62, 2**62 - 1])
+        assert counts.n == 2**63 - 1 and type(counts.n) is int
+        assert counts.categories.dtype == counts.counts.dtype == np.int64
+
+    @pytest.mark.parametrize("values", [[1.5, 2.5], [1.2, 1.7], [1.0, 2.0], ["1", "2"], [2**64], []])
+    def test_from_observations_rejects_non_integers(self, values):
+        with pytest.raises(ValueError):
+            SampleCounts.from_observations(values)
 
 
 class TestRiemannZeta:
@@ -213,17 +244,20 @@ class TestTruncationIndex:
         with pytest.raises(NonConvergenceError):
             truncation_index(Zeta(1.5), 1, 1e-10)
 
-    def test_domain(self):
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_domain(self, eps):
         with pytest.raises(ValueError):
             truncation_index(Zeta(1.5), 0, 1e-10)
         with pytest.raises(ValueError):
-            truncation_index(Zeta(1.5), 2, 0.0)
+            truncation_index(Zeta(1.5), 2, eps)
+        with pytest.raises(ValueError):
+            truncation_index(Geometric(0.3), 2, eps)
 
 
 class TestSampling:
     def test_degenerate_support(self):
         counts = sample(UniformFinite(1), 5, 12345)
-        assert counts.counts == {1: 5}
+        assert counts == SampleCounts([1], [5])
 
     def test_reproducible(self):
         for dist in ALL_FAMILIES:
@@ -236,12 +270,12 @@ class TestSampling:
         counts = sample(Zeta(1.5), 100_000, 424242)
         p1 = ZETA15_PMF1
         se = math.sqrt(p1 * (1.0 - p1) / 100_000)
-        assert abs(counts.counts[1] / counts.n - p1) <= 3.0 * se
+        assert abs(count_at(counts, 1) / counts.n - p1) <= 3.0 * se
 
     def test_geometric_head_frequency(self):
         counts = sample(Geometric(0.5), 100_000, 3)
         se = math.sqrt(0.25 / 100_000)
-        assert abs(counts.counts[1] / counts.n - 0.5) <= 3.0 * se
+        assert abs(count_at(counts, 1) / counts.n - 0.5) <= 3.0 * se
 
     @pytest.mark.parametrize("dist,seed", [(Zeta(1.5), 11), (Geometric(0.5), 12), (UniformFinite(6), 13)])
     def test_chi_square_goodness_of_fit(self, dist, seed):
@@ -249,7 +283,7 @@ class TestSampling:
         counts = sample(dist, n, seed)
         head = np.arange(1, 21, dtype=np.int64)
         expected_head = dist.pmf_array(head) * n
-        observed_head = np.array([counts.counts.get(int(k), 0) for k in head], dtype=float)
+        observed_head = np.array([count_at(counts, k) for k in head], dtype=float)
         keep = expected_head >= 5.0
         observed = observed_head[keep]
         expected = expected_head[keep]
@@ -270,7 +304,7 @@ class TestSampling:
 
     def test_zeta_tail_is_actually_heavy(self):
         counts = sample(Zeta(1.5), 50_000, 77)
-        assert max(counts.counts) > 10_000  # P(X > 1e4) is ~0.7% per draw
+        assert counts.categories.max() > 10_000  # P(X > 1e4) is ~0.7% per draw
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -184,11 +184,15 @@ class TestGseAnalytic:
         _, finite_terms = gse_analytic_info(UniformFinite(9), 2)
         assert finite_terms == 9
 
-    def test_domain(self):
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("dist", [Zeta(1.5), Geometric(0.3), UniformFinite(4)])
+    def test_domain(self, dist, eps):
         with pytest.raises(ValueError):
-            gse_analytic(Zeta(1.5), 0)
+            gse_analytic(dist, 0)
         with pytest.raises(ValueError):
-            gse_analytic(Zeta(1.5), 2, eps=-1.0)
+            gse_analytic(dist, 2, eps=eps)
+        with pytest.raises(ValueError):
+            sigma_sq_true(dist, 2, eps)
 
 
 class TestClosedFormsAgainstMpmath:
