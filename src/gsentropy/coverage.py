@@ -1,18 +1,29 @@
 """Monte Carlo coverage study for the asymptotic confidence intervals.
 
-For each replicate: draw a sample, tally it with np.unique, build the interval
-from the counts, and test whether the exact entropy lands inside (endpoints
-inclusive; a zero-width degenerate interval counts as a hit only on exact
-containment).  Replicate r of an experiment uses the derived seed (seed, r)
-and a sweep derives each grid point's seed from (seed, n), so every point is
-a deterministic function of its own seed, whatever ran before it, and fresh
-samples are drawn at every n.  Replicates run serially: two threads measured
-no faster than one on 2 cores (the replicate loop holds the interpreter lock).
+A replicate draws a sample, tallies it, builds the interval from the counts,
+and tests whether the exact entropy lands inside (endpoints inclusive; a
+zero-width degenerate interval counts as a hit only on exact containment).
+Replicate r of an experiment uses the derived seed (seed, r) and a sweep
+derives each grid point's seed from (seed, n), so every point is a
+deterministic function of its own seed, whatever ran before it, and fresh
+samples are drawn at every n.
+
+Replicates run in blocks of max(1, _BLOCK // n), so memory does not grow
+with reps.  The seeds of up to 1024 replicates, and their PCG64 states, come
+from one vectorised pass of numpy's SeedSequence arithmetic; one Generator
+is re-set to each state in turn and the family draws its sample exactly as
+``draw`` would.  A block's samples are stacked and sorted row by row, and
+one sort of (row, n - count) keys orders each row's counts descending.  The
+rows of each support size L then go through one (R_L, L) call of
+``h_sigma_sq_rows``, which gives every replicate's (H_hat, sigma_hat^2) bit
+for bit as the one-sample kernel does, so the CSV does not depend on the
+blocking.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
@@ -20,9 +31,20 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .distributions import AnalyticDistribution, _check_order, derive_seed, distribution_config, draw
+from .distributions import (
+    AnalyticDistribution,
+    _check_order,
+    _replicate_generators,
+    derive_seed,
+    distribution_config,
+    h_sigma_sq_rows,
+)
 from .entropy import gse_analytic
-from .estimation import _interval, _plugin_h_sigma_sq, _two_sided_z
+from .estimation import _two_sided_z
+
+# Sample elements per block: a block holds max(1, _BLOCK // n) replicates,
+# so an experiment's memory is bounded whatever reps is.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -49,21 +71,71 @@ class SweepResult:
     points: tuple[CoveragePoint, ...]
 
 
+def _count(value, what: str, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _descending_counts(samples: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tally a block of int64 samples of one size n, sorting them in place.
+
+    Returns every sample's counts in descending order, concatenated sample
+    after sample, with the offset and length (the support size) of each
+    sample's run."""
+    # a block of one sample is sorted where it is drawn, not copied: at large
+    # n the copy cost more in page faults than the rest of the tally
+    block = np.stack(samples) if len(samples) > 1 else samples[0][None, :]
+    rows, n = block.shape
+    block.sort()
+    # edges marks the first element of each run, and the end of the block
+    edges = np.empty(block.size + 1, dtype=bool)
+    edges[-1] = True
+    first = edges[:-1].reshape(rows, n)
+    first[:, 0] = True
+    np.not_equal(block[:, 1:], block[:, :-1], out=first[:, 1:])
+    bounds = np.flatnonzero(edges)
+    offsets = bounds.searchsorted(np.arange(0, block.size + 1, n))
+    support = offsets[1:] - offsets[:-1]
+    # one sort of the keys (row, n - count) puts every row's counts in
+    # descending order and leaves each row where it was; tied counts are
+    # equal values, so their order moves no bit of the kernel
+    base = np.repeat(np.arange(n, rows * (n + 1), n + 1), support)
+    key = base - (bounds[1:] - bounds[:-1])
+    key.sort()
+    return base - key, offsets[:-1], support
+
+
+def _hits(counts: np.ndarray, offsets: np.ndarray, support: np.ndarray,
+          n: int, m: int, z: float, truth: float) -> int:
+    """Replicates of a tallied block whose interval covers truth: one row-kernel
+    call per support size L, on the (R_L, L) matrix of their proportions."""
+    hits = 0
+    for size in np.flatnonzero(np.bincount(support)):
+        first = offsets[support == size]
+        h, sigma_sq = h_sigma_sq_rows(counts[first[:, None] + np.arange(size)] / n, m)
+        half = z * np.sqrt(sigma_sq) / math.sqrt(n)
+        hits += int(np.count_nonzero((h - half <= truth) & (truth <= h + half)))
+    return hits
+
+
 def coverage_experiment(dist: AnalyticDistribution, m: int, n: int, reps: int,
                         alpha: float, seed: int, true_value: float | None = None) -> CoveragePoint:
     """Proportion of reps seeded replicates whose interval covers the truth."""
-    if n < 2:
-        raise ValueError("coverage experiments need n >= 2")
-    if reps < 1:
-        raise ValueError("need at least one replicate")
+    n = _count(n, "coverage sample size n", 2)
+    reps = _count(reps, "replicate count reps", 1)
     m = _check_order(m)
     z = _two_sided_z(alpha)
     truth = gse_analytic(dist, m) if true_value is None else true_value
+    rows = max(1, _BLOCK // n)
+    generators = _replicate_generators(seed, reps)
     hits = 0
-    for r in range(reps):
-        _, counts = np.unique(draw(dist, n, derive_seed(seed, r)), return_counts=True)
-        h_hat, sigma_sq = _plugin_h_sigma_sq(counts, n, m)
-        hits += _interval(h_hat, math.sqrt(sigma_sq), n, z, alpha).contains(truth)
+    for start in range(0, reps, rows):
+        block = zip(range(min(rows, reps - start)), generators)
+        # the samples are freed once tallied, before the kernel allocates:
+        # at large n that order saves page faults in the next block's draws
+        tally = _descending_counts([dist.draw(n, rng) for _, rng in block])
+        hits += _hits(*tally, n, m, z, truth)
     coverage = hits / reps
     return CoveragePoint(
         n=n, m=m, reps=reps, hits=hits, coverage=coverage,

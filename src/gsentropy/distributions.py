@@ -6,9 +6,11 @@ UniformFinite, and CustomFinite (an explicit probability vector).  Each
 family class owns its pmf, seeded draws, exact H_m and sigma_m^2, certified
 truncation cutoff and JSON config; the module functions validate, then
 delegate.  The shifted log-weight pass behind H_m and sigma_m^2 of every
-explicit pmf sits beside ``DiscretePmf``.  Everything here is pure: a
-distribution object is an immutable value, and sampling is a deterministic
-function of (distribution, n, seed).
+explicit pmf sits beside ``DiscretePmf``, with a row-wise twin for many
+samples at once.  Everything here is pure: a distribution object is an
+immutable value, and sampling is a deterministic function of (distribution,
+n, seed); the batched seeding beside ``derive_seed`` reproduces, for many
+replicates at once, the streams that ``draw`` seeds one at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -158,6 +160,25 @@ def h_sigma_sq(p: np.ndarray, m: int) -> tuple[float, float]:
     log_q, q, h, _ = collision_log_weights(p, m)
     g = -(m * q / p) * (log_q + h)
     return h, float(np.dot(p, g * g))
+
+
+def h_sigma_sq_rows(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """h_sigma_sq of each row of a strictly positive (R, L) matrix, bit for bit.
+
+    The same operations in the same order, with axis=1 reductions where
+    h_sigma_sq reduces a vector and np.vecdot where it calls np.dot: both
+    call the BLAS dot on each row.  That holds wherever the BLAS dot does not
+    depend on where a row starts in memory; OpenBLAS's SSE2-era kernel
+    (OPENBLAS_CORETYPE=Prescott) does, and there a row at an odd offset can
+    differ in the last bit."""
+    w = m * np.log(p)
+    w -= w.max(axis=1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(w), axis=1))
+    log_q = w - log_norm[:, None]
+    q = np.exp(log_q)
+    h = log_norm - np.vecdot(q, w)
+    g = -(m * q / p) * (log_q + h[:, None])
+    return h, np.vecdot(p, g * g)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +628,117 @@ def derive_seed(master: int, *path: int) -> int:
     """
     ss = np.random.SeedSequence(entropy=master & _MASK64, spawn_key=tuple(int(p) & _MASK64 for p in path))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+# Batched seeding: the arithmetic of numpy's SeedSequence (bit_generator.pyx,
+# after O'Neill's seed_seq_fe) on uint32 arrays, one value per replicate, and
+# PCG64's seeding (two steps of its 128-bit LCG) in Python ints.  derive_seed
+# and draw stay the reference definition; the tests hold these to them.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    consts = [init]
+    while len(consts) < count:
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+# the multiplier before and after each hash call: 16 calls fill and cross-mix
+# the 4-word pool, 4 more per entropy word past the fourth; generate_state
+# hashes 8 words for PCG64's four uint64s
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 25)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+
+
+def _hashmix(value: np.ndarray, k: int) -> np.ndarray:
+    """SeedSequence's hashmix as its k-th call while mixing the entropy."""
+    value = (value ^ _HASH_A[k]) * _HASH_A[k + 1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return value ^ (value >> 16)
+
+
+def _entropy_pool(low: np.ndarray, high: np.ndarray) -> list[np.ndarray]:
+    """The pool of a SeedSequence whose first four entropy words are
+    (low, high, 0, 0).  A 64-bit value of one word (or none) hashes the same,
+    since a missing word is hashed as 0."""
+    pool = [_hashmix(word, k) for k, word in enumerate((low, high, low & 0, low & 0))]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], k))
+                k += 1
+    return pool
+
+
+def _mix_word(pool: list[np.ndarray], word: np.ndarray, k: int) -> list[np.ndarray]:
+    """Mix one more entropy word into every pool word, from hash call k on."""
+    return [_mix(p, _hashmix(word, k + i)) for i, p in enumerate(pool)]
+
+
+def _generate_state(pool: list[np.ndarray], words: int) -> list[np.ndarray]:
+    """SeedSequence.generate_state(words // 2, np.uint64), one uint64 array per state word."""
+    out = []
+    for i in range(words):
+        value = (pool[i % 4] ^ _HASH_B[i]) * _HASH_B[i + 1]
+        out.append(value ^ (value >> 16))
+    return [lo.astype(np.uint64) | hi.astype(np.uint64) << 32 for lo, hi in zip(out[::2], out[1::2])]
+
+
+def _uint32_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return (values & _MASK32).astype(np.uint32), (values >> 32).astype(np.uint32)
+
+
+def _derive_seeds(master: int, path: np.ndarray) -> np.ndarray:
+    """derive_seed(master, r) for each r of a uint64 array."""
+    master &= _MASK64
+    # the master's words are padded to four before a spawn key, so this part
+    # of the pool is the same for every r
+    pool = _entropy_pool(*_uint32_words(np.array([master], dtype=np.uint64)))
+    low, high = _uint32_words(path)
+    pool = _mix_word(pool, low, 16)
+    wide = high != 0  # a key of 2^32 or more is two entropy words
+    if wide.any():
+        pool = [np.where(wide, two, one) for two, one in zip(_mix_word(pool, high, 20), pool)]
+    return _generate_state(pool, 2)[0]
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence(d)) for each d of a uint64 array."""
+    s_hi, s_lo, i_hi, i_lo = (v.tolist() for v in _generate_state(_entropy_pool(*_uint32_words(seeds)), 8))
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        states.append((((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+# Replicates whose seeds and PCG64 states are derived in one pass.  Seeding
+# has its own block: a block of samples at large n is a single row, and a
+# pass of this arithmetic costs about as much as 10 scalar seedings.
+_SEED_BLOCK = 1024
+
+
+def _replicate_generators(master: int, count: int) -> Iterator[np.random.Generator]:
+    """For r = 0, 1, ..., count - 1 in turn, a Generator in the state that
+    draw(.., derive_seed(master, r)) seeds; one Generator object, re-set for
+    each r."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for start in range(0, count, _SEED_BLOCK):
+        path = np.arange(start, min(start + _SEED_BLOCK, count), dtype=np.uint64)
+        for state, inc in _pcg64_states(_derive_seeds(master, path)):
+            rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def draw(dist: AnalyticDistribution, n: int, seed: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,6 +176,7 @@ def confidence_interval(counts: SampleCounts, m: int, alpha: float) -> Confidenc
 # ---------------------------------------------------------------------------
 
 COUNTS_HEADER = ("category", "count")
+_SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
 
 
 def _encode_labels(label_counts: Counter) -> tuple[SampleCounts, dict[int, str]]:
@@ -188,8 +190,9 @@ def _encode_labels(label_counts: Counter) -> tuple[SampleCounts, dict[int, str]]
 def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str]]:
     """Read a `category,count` CSV; labels are mapped to integer codes 1..K.
 
-    Returns the canonical counts plus the code -> original label map.
-    Duplicate labels are aggregated; zero-count rows are dropped.
+    A count is an optional sign and ASCII digits, with surrounding
+    whitespace.  Returns the canonical counts plus the code -> original
+    label map.  Duplicate labels are aggregated; zero-count rows are dropped.
     """
     label_counts: Counter = Counter()
     with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -203,10 +206,12 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str
                     continue
                 if len(row) != 2:
                     raise ValueError(f"{path}:{row_number}: expected two columns, got {len(row)}")
-                try:
-                    count = int(row[1])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{row_number}: count {row[1]!r} is not an integer") from exc
+                # int() alone would also take "1_000" and non-ASCII digits;
+                # plain ASCII digits, the common case, skip the pattern
+                field = row[1]
+                if not (field.isascii() and field.isdigit()) and not _SIGNED_DIGITS.fullmatch(field.strip()):
+                    raise ValueError(f"{path}:{row_number}: count {field!r} is not an integer")
+                count = int(field)
                 if count < 0:
                     raise ValueError(f"{path}:{row_number}: negative count {count}")
                 label_counts[row[0].strip()] += count

@@ -184,6 +184,30 @@ class TestEstimate:
         assert code == 2
         assert out == "" and err.startswith("error:") and "int64" in err
 
+    @pytest.mark.parametrize("rows, line", [
+        ("a,1_000\nb,\u0663\n", 2),  # int() reads these as 1000 and 3
+        ("a,7\nb,\u0663\n", 3),  # an Arabic-Indic digit
+        ("a,7\nb,\uff15\n", 3),  # a full-width digit
+        ("a, +7 \nb,1_0\n", 3),
+        ("a,--7\n", 2),
+        ("a,+\n", 2),
+        ("a,\n", 2),
+    ])
+    def test_count_must_be_ascii_digits(self, capsys, tmp_path, rows, line):
+        path = tmp_path / "odd.csv"
+        path.write_text("category,count\n" + rows, encoding="utf-8")
+        code, out, err = run(capsys, "estimate", "--data", str(path))
+        assert code == 2
+        assert out == "" and err.startswith(f"error: {path}:{line}: count ") and "not an integer" in err
+
+    def test_count_sign_and_whitespace_are_accepted(self, capsys, tmp_path):
+        path = tmp_path / "signed.csv"
+        path.write_text("category,count\na, +7 \nb,\t3\u00a0\nc,-0\n", encoding="utf-8")
+        assert read_counts_csv(path)[0] == SampleCounts([1, 2], [7, 3])
+        path.write_text("category,count\na,7\nb, -2\n", encoding="utf-8")
+        code, out, err = run(capsys, "estimate", "--data", str(path))
+        assert code == 2 and err.startswith(f"error: {path}:3: negative count -2")
+
     def test_csv_parser_error_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("category,count\n" + "x" * 200_000 + ",1\n", encoding="utf-8")

@@ -1,9 +1,15 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__
 
 from gsentropy import (
     CustomFinite,
@@ -23,7 +29,7 @@ from gsentropy import (
     write_coverage_csv,
     write_coverage_svg,
 )
-from gsentropy.coverage import COVERAGE_CSV_HEADER, coverage_csv
+from gsentropy.coverage import _BLOCK, COVERAGE_CSV_HEADER, coverage_csv
 
 
 class TestCoverageExperiment:
@@ -41,14 +47,25 @@ class TestCoverageExperiment:
         se = math.sqrt(0.5 * 0.5 / 600)
         assert abs(point.coverage - 0.5) <= 4 * se
 
-    @pytest.mark.parametrize("dist, n", [(Zeta(1.5), 60), (UniformFinite(2), 4), (UniformFinite(3), 6)])
-    def test_hits_match_the_public_interval_path(self, dist, n):
+    @pytest.mark.parametrize("dist, n, reps", [
+        (Zeta(1.5), 60, 200),
+        (UniformFinite(2), 4, 200),
+        (UniformFinite(3), 6, 200),
+        (Zeta(1.5), 10, _BLOCK // 10 + 7),  # a full block and a short one, over 1024 seeds
+        (Zeta(1.5), 3000, 13),  # five replicates a block: 5 + 5 + 3
+        (Zeta(1.5), _BLOCK + 1, 3),  # one replicate a block
+        (Geometric(0.3), 50, 1),
+        (CustomFinite(DiscretePmf(np.array([0.4, 0.25, 0.15, 0.12, 0.08]))), 40, 97),
+        (UniformFinite(1), 5, 40),  # every interval is degenerate, at ln 1 = 0
+    ])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_hits_match_the_public_interval_path(self, dist, n, reps, m):
         # small uniform samples are often exactly uniform: zero-width
         # intervals whose hits depend on the last bit of H_hat
-        truth = gse_analytic(dist, 2)
-        hits = sum(confidence_interval(sample(dist, n, derive_seed(23, r)), 2, 0.05).contains(truth)
-                   for r in range(200))
-        assert coverage_experiment(dist, 2, n, reps=200, alpha=0.05, seed=23).hits == hits
+        truth = gse_analytic(dist, m)
+        hits = sum(confidence_interval(sample(dist, n, derive_seed(23, r)), m, 0.05).contains(truth)
+                   for r in range(reps))
+        assert coverage_experiment(dist, m, n, reps=reps, alpha=0.05, seed=23).hits == hits
 
     def test_point_bookkeeping(self):
         point = coverage_experiment(UniformFinite(3), 2, n=30, reps=40, alpha=0.10, seed=7)
@@ -64,11 +81,34 @@ class TestCoverageExperiment:
         point = coverage_experiment(Zeta(1.5), 2, n=1000, reps=5000, alpha=0.05, seed=8080)
         assert abs(point.coverage - 0.95) <= 3.0 * math.sqrt(0.95 * 0.05 / 5000)
 
-    def test_domain(self):
+    @pytest.mark.parametrize("n, reps", [
+        (1, 10), (10, 0),
+        (10, 2.5), (10.5, 10), (10.0, 10), (10, 3.0),  # not integers
+        (True, 10), (10, True),  # bools are not counts
+        (10, "3"),
+    ])
+    def test_domain(self, n, reps):
         with pytest.raises(ValueError):
-            coverage_experiment(UniformFinite(2), 2, n=1, reps=10, alpha=0.05, seed=1)
-        with pytest.raises(ValueError):
-            coverage_experiment(UniformFinite(2), 2, n=10, reps=0, alpha=0.05, seed=1)
+            coverage_experiment(UniformFinite(2), 2, n=n, reps=reps, alpha=0.05, seed=1)
+
+    def test_numpy_integers_are_counts(self):
+        point = coverage_experiment(UniformFinite(2), 2, n=np.int64(10), reps=np.int32(5), alpha=0.05, seed=1)
+        assert (point.n, point.reps) == (10, 5) and type(point.n) is int and type(point.reps) is int
+
+    def test_memory_does_not_grow_with_reps(self):
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                coverage_experiment(Geometric(0.3), 2, n=10, reps=reps, alpha=0.05, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the peak moves a little with where a block of derived seeds starts
+        # inside a block of samples; states for all 20000 replicates up front
+        # would add about 3 MB
+        few, many = peak(2_000), peak(20_000)
+        assert many <= 1.5 * few, (few, many)
 
 
 class TestCoverageSweep:
@@ -120,6 +160,21 @@ def test_coverage_csv_is_pinned(family):
     dist, digest = PINNED_CSV_SHA256[family]
     result = coverage_sweep(dist, 2, [10, 20, 30, 40, 50], reps=40, alpha=0.05, seed=2022)
     assert hashlib.sha256(coverage_csv(result.points).encode()).hexdigest() == digest
+
+
+def test_coverage_csv_pins_hold_on_other_cpu_paths():
+    # The pinned sweeps again, in a fresh interpreter where OpenBLAS runs its
+    # Sandy Bridge kernels and numpy has no AVX-512 loops (where it has them
+    # to disable), as on an older CPU: the CSV rests on integer hits.
+    disabled = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if f in __cpu_dispatch__]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge", "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
+    here = Path(__file__).resolve()
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here}::test_coverage_csv_is_pinned"],
+        cwd=here.parents[1], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0 and "4 passed" in run.stdout, run.stdout + run.stderr
 
 
 class TestArtifacts:

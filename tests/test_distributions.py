@@ -4,6 +4,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gsentropy import (
@@ -24,7 +26,15 @@ from gsentropy import (
     sample,
     truncation_index,
 )
-from gsentropy.distributions import power_log_series
+from gsentropy.distributions import (
+    _SEED_BLOCK,
+    _derive_seeds,
+    _pcg64_states,
+    _replicate_generators,
+    h_sigma_sq,
+    h_sigma_sq_rows,
+    power_log_series,
+)
 
 from _reference import ZETA15_PMF1, ZETA2_PMF1, brute_zeta, zeta_draw_whole_batch
 
@@ -412,6 +422,66 @@ class TestSeedDerivation:
 
     def test_negative_master_seed_accepted(self):
         assert derive_seed(-1, 0) == derive_seed(-1, 0)
+
+
+# master seeds of zero, one and two 32-bit words, and beyond 64 bits or
+# negative (both masked to 64 bits); replicate indices of one and two words
+MASTERS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 5, -1, -(2**64)]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**100),
+    st.integers(-(2**100), -1),
+)
+INDICES = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)), min_size=1, max_size=6)
+
+
+class TestBatchedSeeding:
+    @settings(derandomize=True)
+    @given(master=MASTERS, path=INDICES)
+    def test_matches_seed_sequence(self, master, path):
+        seeds = _derive_seeds(master, np.array(path, dtype=np.uint64))
+        assert seeds.tolist() == [derive_seed(master, r) for r in path]
+        for seed, (state, inc) in zip(seeds.tolist(), _pcg64_states(seeds)):
+            assert np.random.PCG64(np.random.SeedSequence(seed)).state["state"] == {"state": state, "inc": inc}
+
+    def test_generators_replay_draw(self):
+        count = _SEED_BLOCK + 5  # past the first block of derived states
+        for r, rng in enumerate(_replicate_generators(2022, count)):
+            expected = np.random.PCG64(np.random.SeedSequence(derive_seed(2022, r))).state
+            assert rng.bit_generator.state == expected
+        assert r == count - 1
+        # draw seeds of no and one 32-bit word are hashed as zero-padded
+        for seed in (0, 7, 2**32 - 1):
+            state, inc = _pcg64_states(np.array([seed], dtype=np.uint64))[0]
+            assert np.random.PCG64(np.random.SeedSequence(seed)).state["state"] == {"state": state, "inc": inc}
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES)
+    def test_family_draws_are_unchanged(self, dist):
+        for r, rng in enumerate(_replicate_generators(5, 12)):
+            npt.assert_array_equal(dist.draw(37, rng), draw(dist, 37, derive_seed(5, r)))
+
+
+ROW_KERNEL_FAMILIES = [Zeta(1.5), Geometric(0.3), UniformFinite(7),
+                       CustomFinite(DiscretePmf(np.array([0.4, 0.25, 0.15, 0.12, 0.08])))]
+
+
+class TestRowKernel:
+    # Holds where the BLAS dot ignores operand alignment (OpenBLAS's Sandy
+    # Bridge and later kernels); its Prescott kernel does not, and fails it.
+    @pytest.mark.parametrize("dist", ROW_KERNEL_FAMILIES, ids=lambda d: d.config()["kind"])
+    @pytest.mark.parametrize("n", [2, 10, 100, 5000])
+    def test_bit_identical_to_one_row_kernel(self, dist, n):
+        by_support = {}
+        for r in range(40):
+            counts = sample(dist, n, derive_seed(n, r)).counts
+            by_support.setdefault(counts.size, []).append(np.sort(counts)[::-1] / n)
+        for m in (1, 2, 3, 4):
+            for rows in by_support.values():
+                h, sigma_sq = h_sigma_sq_rows(np.stack(rows), m)
+                expected = np.array([h_sigma_sq(p, m) for p in rows])
+                assert h.tobytes() == expected[:, 0].tobytes()
+                assert sigma_sq.tobytes() == expected[:, 1].tobytes()
 
 
 class TestConfig:
