@@ -10,11 +10,14 @@ samples are drawn at every n.
 
 Replicates run in blocks of max(1, _BLOCK // n), so memory does not grow
 with reps.  The seeds of up to 1024 replicates, and their PCG64 states, come
-from one vectorised pass of numpy's SeedSequence arithmetic; one Generator
-is re-set to each state in turn and the family draws its sample exactly as
-``draw`` would.  A block's samples are stacked and sorted row by row, and
-one sort of (row, n - count) keys orders each row's counts descending.  The
-rows of each support size L then go through one (R_L, L) call of
+from one vectorised pass of numpy's SeedSequence arithmetic.  The family's
+``draw_rows`` turns a block of states into an (R, n) matrix whose row r is
+exactly the sample ``draw`` takes from state r.  Zeta fills each row's first
+batch of uniforms and runs its rejection test once over the block; a row
+left short of n acceptances goes on from its own stream, re-set to its state
+and advanced past the first batch.  The block is sorted row by row in place,
+and one sort of (row, n - count) keys orders each row's counts descending.
+The rows of each support size L then go through one (R_L, L) call of
 ``h_sigma_sq_rows``, which gives every replicate's (H_hat, sigma_hat^2) bit
 for bit as the one-sample kernel does, so the CSV does not depend on the
 blocking.
@@ -34,7 +37,7 @@ import numpy as np
 from .distributions import (
     AnalyticDistribution,
     _check_order,
-    _replicate_generators,
+    _replicate_states,
     derive_seed,
     distribution_config,
     h_sigma_sq_rows,
@@ -77,15 +80,12 @@ def _count(value, what: str, least: int) -> int:
     return int(value)
 
 
-def _descending_counts(samples: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tally a block of int64 samples of one size n, sorting them in place.
+def _descending_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tally an (R, n) int64 block of samples, one a row, sorting it in place.
 
     Returns every sample's counts in descending order, concatenated sample
     after sample, with the offset and length (the support size) of each
     sample's run."""
-    # a block of one sample is sorted where it is drawn, not copied: at large
-    # n the copy cost more in page faults than the rest of the tally
-    block = np.stack(samples) if len(samples) > 1 else samples[0][None, :]
     rows, n = block.shape
     block.sort()
     # edges marks the first element of each run, and the end of the block
@@ -128,13 +128,14 @@ def coverage_experiment(dist: AnalyticDistribution, m: int, n: int, reps: int,
     z = _two_sided_z(alpha)
     truth = gse_analytic(dist, m) if true_value is None else true_value
     rows = max(1, _BLOCK // n)
-    generators = _replicate_generators(seed, reps)
+    states = _replicate_states(seed, reps)
+    rng = np.random.Generator(np.random.PCG64(0))
     hits = 0
     for start in range(0, reps, rows):
-        block = zip(range(min(rows, reps - start)), generators)
+        block = [next(states) for _ in range(min(rows, reps - start))]
         # the samples are freed once tallied, before the kernel allocates:
         # at large n that order saves page faults in the next block's draws
-        tally = _descending_counts([dist.draw(n, rng) for _, rng in block])
+        tally = _descending_counts(dist.draw_rows(n, rng, block))
         hits += _hits(*tally, n, m, z, truth)
     coverage = hits / reps
     return CoveragePoint(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -268,10 +269,19 @@ class AnalyticDistribution:
     pmf_array(int64 ks), draw(n, rng), h_m(m, eps) -> (H_m, series terms),
     sigma_sq(m, eps) and config().  Finite laws override cutoff and
     finite_pmf; infinite ones feed tail_bounds(m, K) and first_cutoff to the
-    shared cutoff search.
+    shared cutoff search.  draw_rows, a block of seeded draws, stacks draw
+    unless the family has a faster way to the same rows.
     """
 
     first_cutoff = 1
+
+    def draw_rows(self, n: int, rng: np.random.Generator, states: list[tuple[int, int]]) -> np.ndarray:
+        """One sample of n per PCG64 (state, inc) pair, as an (R, n) int64
+        matrix: row r is draw(n, rng) with rng re-set to states[r].  A block
+        of one row is that draw itself, not a copy: at large n the copy cost
+        more in page faults than the rest of the tally."""
+        rows = [self.draw(n, _set_state(rng, state)) for state in states]
+        return rows[0][None, :] if len(rows) == 1 else np.stack(rows)
 
     def finite_pmf(self) -> DiscretePmf:
         raise ValueError(f"{type(self).__name__} does not have finite support")
@@ -309,6 +319,39 @@ class AnalyticDistribution:
 _ZETA_CHUNK = 8192
 
 
+def _zeta_chunk(need: int) -> int:
+    """Candidates to test for need more values: half again as many plus 64,
+    at most _ZETA_CHUNK."""
+    return min(need + need // 2 + 64, _ZETA_CHUNK)
+
+
+def _zeta_accept(x: np.ndarray, w: np.ndarray, am1: float, b: float) -> np.ndarray:
+    """The accept test of Zeta(1 + am1), b = 2^am1, in place on uniforms u (x)
+    and v (w) of one shape: x becomes the candidate floor((1-u)^(-1/am1)),
+    and the mask of the kept candidates is returned.
+
+    t = (1 + 1/x)^am1, and a candidate is kept when ((v x)(t-1))/(b-1) <= t/b
+    and x <= 2^62, in that operation order; `**=` takes the same scalar-power
+    shortcuts as `**` (sqrt for 0.5), so each kept value is the float the
+    plain expressions give.  Each element's result depends on its own u and v
+    alone, whatever the shape or chunking.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(1.0, x, out=x)  # in (0, 1]
+        x **= -1.0 / am1
+        np.floor(x, out=x)
+        t = np.divide(1.0, x)
+        t += 1.0
+        t **= am1
+        w *= x
+        w *= t - 1.0
+        w /= b - 1.0
+        t /= b
+        accept = w <= t
+        accept &= x <= 2.0**62
+    return accept
+
+
 @dataclass(frozen=True)
 class Zeta(AnalyticDistribution):
     """P(X = k) = k^{-s} / zeta(s) on k = 1, 2, ...; requires s > 1."""
@@ -330,49 +373,77 @@ class Zeta(AnalyticDistribution):
         decays too slowly to truncate at machine precision.
 
         Each batch draws uniforms for 2 * (values still needed) candidates, at
-        least 64.  The accept test then runs in place on consecutive chunks of
+        least 64, all its u then all its v.  The accept test (``_zeta_accept``,
+        shared with ``draw_rows``) then runs in place on consecutive chunks of
         the batch, each sized from the remaining need, and stops as soon as n
         values are kept, so the output is the first n acceptances in stream
         order.  Candidates above 2^62 are dropped (inf and nan fail the
         comparisons too): the sampled law is truncated there, losing a tail mass
         of about 2^(62(1-s)) / ((s-1) zeta(s)), which matters only for s near 1.
         """
+        out = np.empty(n, dtype=np.int64)
+        self._fill(out, 0, rng)
+        return out
+
+    def _fill(self, out: np.ndarray, filled: int, rng: np.random.Generator) -> None:
+        """Fill out[filled:] with the acceptances of rng's next batches."""
+        while filled < out.size:
+            batch = max(2 * (out.size - filled), 64)
+            filled = self._accept_into(out, filled, rng.random(batch), rng.random(batch), 0)
+
+    def _accept_into(self, out: np.ndarray, filled: int, u: np.ndarray, v: np.ndarray, start: int) -> int:
+        """Run the accept test in place on u[start:], v[start:], chunk by
+        chunk, until out is full; returns how much of out is filled."""
         am1 = self.s - 1.0
         b = 2.0**am1
-        out = np.empty(n, dtype=np.int64)
-        filled = 0
-        while filled < n:
-            batch = max(2 * (n - filled), 64)
-            u = rng.random(batch)
-            v = rng.random(batch)
-            start = 0
-            while start < batch and filled < n:
-                need = n - filled
-                stop = min(start + need + need // 2 + 64, start + _ZETA_CHUNK, batch)
-                x = u[start:stop]
-                w = v[start:stop]
-                start = stop
-                # x = floor((1-u)^(-1/(s-1))), t = (1 + 1/x)^(s-1), accept when
-                # ((v x)(t-1))/(b-1) <= t/b, in that operation order; `**=` takes
-                # the same scalar-power shortcuts as `**` (sqrt for 0.5), so each
-                # kept value is the float the plain expressions give.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.subtract(1.0, x, out=x)  # in (0, 1]
-                    x **= -1.0 / am1
-                    np.floor(x, out=x)
-                    t = np.divide(1.0, x)
-                    t += 1.0
-                    t **= am1
-                    w *= x
-                    w *= t - 1.0
-                    w /= b - 1.0
-                    t /= b
-                    accept = w <= t
-                    accept &= x <= 2.0**62
-                kept = np.compress(accept, x)
-                take = min(kept.size, need)
-                out[filled : filled + take] = kept[:take]
-                filled += take
+        while start < u.size and filled < out.size:
+            need = out.size - filled
+            stop = min(start + _zeta_chunk(need), u.size)
+            x = u[start:stop]
+            kept = np.compress(_zeta_accept(x, v[start:stop], am1, b), x)
+            start = stop
+            take = min(kept.size, need)
+            out[filled : filled + take] = kept[:take]
+            filled += take
+        return filled
+
+    def draw_rows(self, n: int, rng: np.random.Generator, states: list[tuple[int, int]]) -> np.ndarray:
+        """The rows of ``draw``, with one accept test for the whole block.
+
+        Each row's first batch (2n candidates, at least 64) is drawn into its
+        row of one (R, 2 batch) matrix, u then v, as ``draw`` draws it.  The
+        accept test runs once, on the first chunk ``draw`` would test of every
+        row, and a row with n acceptances there keeps its first n.  A row left
+        short (often near s = 1, where candidates above 2^62 are dropped) goes
+        on as ``draw`` goes on: through the rest of its batch, then with fresh
+        batches from its own stream, re-set to its state and advanced past the
+        first batch.  Rows whose batch is larger than one chunk (few to a
+        block) are drawn one by one: for them, picking rows out of the block
+        cost more than the per-call overhead it saved.
+        """
+        batch = max(2 * n, 64)
+        if batch > _ZETA_CHUNK:
+            return super().draw_rows(n, rng, states)
+        am1 = self.s - 1.0
+        uv = np.empty((len(states), 2 * batch))
+        for row, state in zip(uv, states):
+            _set_state(rng, state).random(out=row)
+        width = min(_zeta_chunk(n), batch)
+        x = uv[:, :width]
+        accept = _zeta_accept(x, uv[:, batch : batch + width], am1, 2.0**am1)
+        pos = np.flatnonzero(accept)  # r * width + column, row after row
+        bounds = pos.searchsorted(np.arange(0, accept.size + 1, width))
+        full = bounds[1:] - bounds[:-1] >= n
+        out = np.empty((len(states), n), dtype=np.int64)
+        out[full] = x.ravel()[pos[bounds[:-1][full, None] + np.arange(n)]]
+        for r in np.flatnonzero(~full):
+            row = out[r]
+            kept = np.compress(accept[r], x[r])
+            row[: kept.size] = kept
+            filled = self._accept_into(row, kept.size, uv[r, :batch], uv[r, batch:], width)
+            if filled < n:
+                _set_state(rng, states[r]).bit_generator.advance(2 * batch)
+                self._fill(row, filled, rng)
         return out
 
     def h_m(self, m: int, eps: float) -> tuple[float, int]:
@@ -626,7 +697,8 @@ def derive_seed(master: int, *path: int) -> int:
     grid points independent streams whose values do not depend on execution
     order.
     """
-    ss = np.random.SeedSequence(entropy=master & _MASK64, spawn_key=tuple(int(p) & _MASK64 for p in path))
+    ss = np.random.SeedSequence(entropy=operator.index(master) & _MASK64,
+                                spawn_key=tuple(int(p) & _MASK64 for p in path))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -700,7 +772,7 @@ def _uint32_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _derive_seeds(master: int, path: np.ndarray) -> np.ndarray:
     """derive_seed(master, r) for each r of a uint64 array."""
-    master &= _MASK64
+    master = operator.index(master) & _MASK64
     # the master's words are padded to four before a spawn key, so this part
     # of the pool is the same for every r
     pool = _entropy_pool(*_uint32_words(np.array([master], dtype=np.uint64)))
@@ -728,17 +800,28 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
 _SEED_BLOCK = 1024
 
 
+def _replicate_states(master: int, count: int) -> Iterator[tuple[int, int]]:
+    """For r = 0, 1, ..., count - 1 in turn, the PCG64 (state, inc) that
+    draw(.., derive_seed(master, r)) seeds."""
+    for start in range(0, count, _SEED_BLOCK):
+        path = np.arange(start, min(start + _SEED_BLOCK, count), dtype=np.uint64)
+        yield from _pcg64_states(_derive_seeds(master, path))
+
+
+def _set_state(rng: np.random.Generator, state: tuple[int, int]) -> np.random.Generator:
+    """rng, its PCG64 re-set to a (state, inc) pair."""
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
 def _replicate_generators(master: int, count: int) -> Iterator[np.random.Generator]:
     """For r = 0, 1, ..., count - 1 in turn, a Generator in the state that
     draw(.., derive_seed(master, r)) seeds; one Generator object, re-set for
     each r."""
     rng = np.random.Generator(np.random.PCG64(0))
-    for start in range(0, count, _SEED_BLOCK):
-        path = np.arange(start, min(start + _SEED_BLOCK, count), dtype=np.uint64)
-        for state, inc in _pcg64_states(_derive_seeds(master, path)):
-            rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
-            yield rng
+    for state in _replicate_states(master, count):
+        yield _set_state(rng, state)
 
 
 def draw(dist: AnalyticDistribution, n: int, seed: int) -> np.ndarray:

@@ -57,6 +57,8 @@ class TestCoverageExperiment:
         (Geometric(0.3), 50, 1),
         (CustomFinite(DiscretePmf(np.array([0.4, 0.25, 0.15, 0.12, 0.08]))), 40, 97),
         (UniformFinite(1), 5, 40),  # every interval is degenerate, at ln 1 = 0
+        (Zeta(1.01), 10, 300),  # every row of the block draw goes on past its first batch
+        (Zeta(1.05), 100, 200),  # some rows go on past their first chunk
     ])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_hits_match_the_public_interval_path(self, dist, n, reps, m):
@@ -94,6 +96,12 @@ class TestCoverageExperiment:
     def test_numpy_integers_are_counts(self):
         point = coverage_experiment(UniformFinite(2), 2, n=np.int64(10), reps=np.int32(5), alpha=0.05, seed=1)
         assert (point.n, point.reps) == (10, 5) and type(point.n) is int and type(point.reps) is int
+
+    def test_numpy_integer_seeds(self):
+        points = [coverage_experiment(UniformFinite(3), 2, 10, 5, 0.05, seed)
+                  for seed in (5, np.int64(5), np.uint64(5))]
+        assert points[0] == points[1] == points[2]
+        assert coverage_csv(points[:1]) == coverage_csv(points[1:2]) == coverage_csv(points[2:])
 
     def test_memory_does_not_grow_with_reps(self):
         def peak(reps):

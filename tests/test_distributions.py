@@ -26,11 +26,16 @@ from gsentropy import (
     sample,
     truncation_index,
 )
+from gsentropy.coverage import _BLOCK
 from gsentropy.distributions import (
     _SEED_BLOCK,
     _derive_seeds,
     _pcg64_states,
     _replicate_generators,
+    _replicate_states,
+    _set_state,
+    _zeta_accept,
+    _zeta_chunk,
     h_sigma_sq,
     h_sigma_sq_rows,
     power_log_series,
@@ -423,6 +428,21 @@ class TestSeedDerivation:
     def test_negative_master_seed_accepted(self):
         assert derive_seed(-1, 0) == derive_seed(-1, 0)
 
+    @pytest.mark.parametrize("master, plain", [
+        (np.int64(5), 5), (np.uint64(5), 5), (np.int32(5), 5),
+        (np.int64(-1), -1), (np.uint64(2**64 - 1), 2**64 - 1),
+    ])
+    def test_numpy_integer_masters(self, master, plain):
+        assert derive_seed(master, 3) == derive_seed(plain, 3)
+        path = np.arange(4, dtype=np.uint64)
+        assert _derive_seeds(master, path).tolist() == _derive_seeds(plain, path).tolist()
+
+    def test_non_integer_master_is_rejected(self):
+        with pytest.raises(TypeError):
+            derive_seed(2.5, 0)
+        with pytest.raises(TypeError):
+            _derive_seeds(2.5, np.arange(2, dtype=np.uint64))
+
 
 # master seeds of zero, one and two 32-bit words, and beyond 64 bits or
 # negative (both masked to 64 bits); replicate indices of one and two words
@@ -460,6 +480,61 @@ class TestBatchedSeeding:
     def test_family_draws_are_unchanged(self, dist):
         for r, rng in enumerate(_replicate_generators(5, 12)):
             npt.assert_array_equal(dist.draw(37, rng), draw(dist, 37, derive_seed(5, r)))
+
+
+def block_draw(dist, n, master, rows):
+    """dist.draw_rows for replicates 0 .. rows - 1 of a master seed."""
+    return dist.draw_rows(n, np.random.Generator(np.random.PCG64(0)), list(_replicate_states(master, rows)))
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("s", [1.001, 1.01, 1.05, 1.2, 1.5, 3.0])
+    @pytest.mark.parametrize("n", [2, 10, 64, 100, 1000, 8192])
+    def test_zeta_rows_are_the_draws(self, s, n):
+        # blocks of one row, of two, and of as many as the coverage engine takes
+        for rows in sorted({1, 2, _BLOCK // n}):
+            master = 7919 * rows + n
+            block = block_draw(Zeta(s), n, master, rows)
+            assert block.dtype == np.int64
+            npt.assert_array_equal(block, [draw(Zeta(s), n, derive_seed(master, r)) for r in range(rows)])
+
+    @pytest.mark.parametrize("s, n, rows", [(1.01, 100, 163), (1.05, 1000, 16)])
+    def test_short_rows_go_on_with_their_own_streams(self, s, n, rows):
+        # How far into its stream each row's n acceptances reach: the first
+        # chunk, the rest of the first batch, or later batches.  Every kind
+        # must occur somewhere below, so every path of the block draw runs.
+        batch = max(2 * n, 64)
+        width = min(_zeta_chunk(n), batch)
+        reach = set()
+        for state in _replicate_states(5, rows):
+            rng = _set_state(np.random.Generator(np.random.PCG64(0)), state)
+            kept = np.cumsum(_zeta_accept(rng.random(batch), rng.random(batch), s - 1.0, 2.0 ** (s - 1.0)))
+            reach.add("chunk" if kept[width - 1] >= n else "batch" if kept[-1] >= n else "later")
+        assert reach == ({"later"} if s == 1.01 else {"chunk", "batch"})
+        npt.assert_array_equal(block_draw(Zeta(s), n, 5, rows),
+                               [draw(Zeta(s), n, derive_seed(5, r)) for r in range(rows)])
+
+    @pytest.mark.parametrize("batch", [64, 200, 4096])
+    def test_random_into_a_row_is_two_batches(self, batch):
+        # the block draw fills u and v with one call a row, and a short row
+        # skips them with advance
+        block, seq, skip = (np.random.Generator(np.random.PCG64(3)) for _ in range(3))
+        rows = np.empty((3, 2 * batch))
+        block.random(out=rows[1])
+        npt.assert_array_equal(rows[1, :batch], seq.random(batch))
+        npt.assert_array_equal(rows[1, batch:], seq.random(batch))
+        skip.bit_generator.advance(2 * batch)
+        assert block.bit_generator.state == seq.bit_generator.state == skip.bit_generator.state
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_family_rows_are_the_draws(self, dist, rows):
+        npt.assert_array_equal(block_draw(dist, 37, 5, rows), [draw(dist, 37, derive_seed(5, r)) for r in range(rows)])
+
+    @pytest.mark.parametrize("dist, n", [(Geometric(0.3), 37), (Zeta(1.5), 5000)])
+    def test_one_row_is_not_copied(self, dist, n):
+        # at large n a copy of the sample costs more in page faults than the tally
+        assert not block_draw(dist, n, 5, 1).flags.owndata
 
 
 ROW_KERNEL_FAMILIES = [Zeta(1.5), Geometric(0.3), UniformFinite(7),
