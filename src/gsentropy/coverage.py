@@ -16,17 +16,17 @@ exactly the sample ``draw`` takes from state r.  Zeta fills each row's first
 batch of uniforms and runs its rejection test once over the block; a row
 left short of n acceptances goes on from its own stream, re-set to its state
 and advanced past the first batch.  The block is sorted row by row in place,
-and one sort of (row, n - count) keys orders each row's counts descending.
-The rows of each support size L then go through one (R_L, L) call of
-``h_sigma_sq_rows``, which gives every replicate's (H_hat, sigma_hat^2) bit
-for bit as the one-sample kernel does, so the CSV does not depend on the
-blocking.
+and one sort of (row, n - count) keys orders each row's counts descending,
+sample after sample in one array.  One call of ``h_sigma_sq`` with each
+sample's offset as a segment start gives every replicate's
+(H_hat, sigma_hat^2): a segment's bits do not depend on where it sits, so
+they are those of the one-sample estimate, and the CSV does not depend on
+the blocking.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
@@ -37,10 +37,11 @@ import numpy as np
 from .distributions import (
     AnalyticDistribution,
     _check_order,
+    _count,
     _replicate_states,
     derive_seed,
     distribution_config,
-    h_sigma_sq_rows,
+    h_sigma_sq,
 )
 from .entropy import gse_analytic
 from .estimation import _two_sided_z
@@ -74,18 +75,11 @@ class SweepResult:
     points: tuple[CoveragePoint, ...]
 
 
-def _count(value, what: str, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
-def _descending_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _descending_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tally an (R, n) int64 block of samples, one a row, sorting it in place.
 
     Returns every sample's counts in descending order, concatenated sample
-    after sample, with the offset and length (the support size) of each
-    sample's run."""
+    after sample, with the offset of each sample's run."""
     rows, n = block.shape
     block.sort()
     # edges marks the first element of each run, and the end of the block
@@ -103,20 +97,15 @@ def _descending_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     base = np.repeat(np.arange(n, rows * (n + 1), n + 1), support)
     key = base - (bounds[1:] - bounds[:-1])
     key.sort()
-    return base - key, offsets[:-1], support
+    return base - key, offsets[:-1]
 
 
-def _hits(counts: np.ndarray, offsets: np.ndarray, support: np.ndarray,
-          n: int, m: int, z: float, truth: float) -> int:
-    """Replicates of a tallied block whose interval covers truth: one row-kernel
-    call per support size L, on the (R_L, L) matrix of their proportions."""
-    hits = 0
-    for size in np.flatnonzero(np.bincount(support)):
-        first = offsets[support == size]
-        h, sigma_sq = h_sigma_sq_rows(counts[first[:, None] + np.arange(size)] / n, m)
-        half = z * np.sqrt(sigma_sq) / math.sqrt(n)
-        hits += int(np.count_nonzero((h - half <= truth) & (truth <= h + half)))
-    return hits
+def _hits(counts: np.ndarray, offsets: np.ndarray, n: int, m: int, z: float, truth: float) -> int:
+    """Replicates of a tallied block whose interval covers truth: one kernel
+    call on all their proportions, a segment per replicate."""
+    h, sigma_sq = h_sigma_sq(counts / n, m, offsets)
+    half = z * np.sqrt(sigma_sq) / math.sqrt(n)
+    return int(np.count_nonzero((h - half <= truth) & (truth <= h + half)))
 
 
 def coverage_experiment(dist: AnalyticDistribution, m: int, n: int, reps: int,
@@ -147,7 +136,7 @@ def coverage_experiment(dist: AnalyticDistribution, m: int, n: int, reps: int,
 def coverage_sweep(dist: AnalyticDistribution, m: int, n_grid: Sequence[int],
                    reps: int, alpha: float, seed: int) -> SweepResult:
     """One coverage experiment per grid point, sharing a single exact entropy."""
-    grid = [int(n) for n in n_grid]
+    grid = [_count(n, "coverage sample size n", 2) for n in n_grid]
     if not grid:
         raise ValueError("empty sample-size grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):

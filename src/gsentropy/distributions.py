@@ -6,11 +6,12 @@ UniformFinite, and CustomFinite (an explicit probability vector).  Each
 family class owns its pmf, seeded draws, exact H_m and sigma_m^2, certified
 truncation cutoff and JSON config; the module functions validate, then
 delegate.  The shifted log-weight pass behind H_m and sigma_m^2 of every
-explicit pmf sits beside ``DiscretePmf``, with a row-wise twin for many
-samples at once.  Everything here is pure: a distribution object is an
-immutable value, and sampling is a deterministic function of (distribution,
-n, seed); the batched seeding beside ``derive_seed`` reproduces, for many
-replicates at once, the streams that ``draw`` seeds one at a time.
+explicit pmf sits beside ``DiscretePmf``: it takes one pmf, or many laid end
+to end as segments of one array, and gives a segment the same bits either
+way.  Everything here is pure: a distribution object is an immutable value,
+and sampling is a deterministic function of (distribution, n, seed); the
+batched seeding beside ``derive_seed`` reproduces, for many replicates at
+once, the streams that ``draw`` seeds one at a time.
 """
 
 from __future__ import annotations
@@ -129,10 +130,16 @@ class SampleCounts:
         return cls(*np.unique(_int64_array(values, "observations"), return_counts=True))
 
 
+def _count(value, what: str, least: int) -> int:
+    """value as an int; it must be an integer, not a bool, and at least least."""
+    # (int, np.integer), not numbers.Integral, whose check costs about 1 us a call
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _check_order(m: int) -> int:
-    if int(m) != m or m < 1:
-        raise ValueError(f"collision order m must be an integer >= 1, got {m!r}")
-    return int(m)
+    return _count(m, "collision order m", 1)
 
 
 def _check_eps(eps: float) -> float:
@@ -141,45 +148,41 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def collision_log_weights(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(ln q, q, H_m, ln sum p^m) of q_k = p_k^m / sum p_i^m, for strictly positive p.
+# The default segment starts: all of p is one segment.  An index array, as
+# reduceat would convert a tuple on every call.
+_WHOLE = np.zeros(1, dtype=np.intp)
 
-    Shifting w = m ln p by its maximum means nothing underflows, and
-    H_m = ln W - sum q w keeps uniform inputs exactly at ln K."""
+
+def _spread(values: np.ndarray, starts, size: int) -> np.ndarray:
+    """One value a segment, over the segment's elements; a single segment broadcasts."""
+    return values if values.size == 1 else np.repeat(values, np.diff(starts, append=size))
+
+
+def collision_log_weights(p: np.ndarray, m: int,
+                          starts=_WHOLE) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ln q, q, H_m, ln sum p^m) of q_k = p_k^m / sum p_i^m over each segment
+    of a strictly positive 1-d p; segments begin at the indices starts
+    (default: p is one segment), and H_m and ln sum p^m hold one value each.
+
+    Shifting w = m ln p by its segment maximum means nothing underflows, and
+    H_m = ln W - sum q w keeps uniform inputs exactly at ln K.  Every sum and
+    max is a reduceat over the segment alone, so a segment's values have the
+    same bits wherever it sits in p, and no BLAS call sets their order."""
     w = m * np.log(p)
-    shift = w.max()
-    w -= shift
-    log_norm = float(np.log(np.sum(np.exp(w))))
-    log_q = w - log_norm
+    shift = np.maximum.reduceat(w, starts)
+    w -= _spread(shift, starts, w.size)
+    log_norm = np.log(np.add.reduceat(np.exp(w), starts))
+    log_q = w - _spread(log_norm, starts, w.size)
     q = np.exp(log_q)
-    return log_q, q, float(log_norm - np.dot(q, w)), float(shift) + log_norm
+    return log_q, q, log_norm - np.add.reduceat(q * w, starts), shift + log_norm
 
 
-def h_sigma_sq(p: np.ndarray, m: int) -> tuple[float, float]:
-    """(H_m, sigma_m^2) of a strictly positive pmf: sigma^2 = sum p_k g_k^2,
-    g_k = -(m q_k / p_k) (ln q_k + H_m)."""
-    log_q, q, h, _ = collision_log_weights(p, m)
-    g = -(m * q / p) * (log_q + h)
-    return h, float(np.dot(p, g * g))
-
-
-def h_sigma_sq_rows(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """h_sigma_sq of each row of a strictly positive (R, L) matrix, bit for bit.
-
-    The same operations in the same order, with axis=1 reductions where
-    h_sigma_sq reduces a vector and np.vecdot where it calls np.dot: both
-    call the BLAS dot on each row.  That holds wherever the BLAS dot does not
-    depend on where a row starts in memory; OpenBLAS's SSE2-era kernel
-    (OPENBLAS_CORETYPE=Prescott) does, and there a row at an odd offset can
-    differ in the last bit."""
-    w = m * np.log(p)
-    w -= w.max(axis=1, keepdims=True)
-    log_norm = np.log(np.sum(np.exp(w), axis=1))
-    log_q = w - log_norm[:, None]
-    q = np.exp(log_q)
-    h = log_norm - np.vecdot(q, w)
-    g = -(m * q / p) * (log_q + h[:, None])
-    return h, np.vecdot(p, g * g)
+def h_sigma_sq(p: np.ndarray, m: int, starts=_WHOLE) -> tuple[np.ndarray, np.ndarray]:
+    """(H_m, sigma_m^2) of each segment of a strictly positive 1-d p, as in
+    collision_log_weights: sigma^2 = sum p_k g_k^2, g_k = -(m q_k / p_k) (ln q_k + H_m)."""
+    log_q, q, h, _ = collision_log_weights(p, m, starts)
+    g = -(m * q / p) * (log_q + _spread(h, starts, p.size))
+    return h, np.add.reduceat(p * (g * g), starts)
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +647,11 @@ class CustomFinite(AnalyticDistribution):
 
     def h_m(self, m: int, eps: float) -> tuple[float, int]:
         p = self.pmf.probs
-        return collision_log_weights(p[p > 0.0], m)[2], self.pmf.size
+        return float(collision_log_weights(p[p > 0.0], m)[2][0]), self.pmf.size
 
     def sigma_sq(self, m: int, eps: float) -> float:
         p = self.pmf.probs
-        return h_sigma_sq(p[p > 0.0], m)[1]
+        return float(h_sigma_sq(p[p > 0.0], m)[1][0])
 
     def cutoff(self, m: int, eps: float) -> int:
         return self.pmf.size
@@ -667,9 +670,8 @@ def finite_pmf(dist: AnalyticDistribution) -> DiscretePmf:
 
 def pmf_at(dist: AnalyticDistribution, k: int) -> float:
     """Pointwise probability P(X = k) for category k >= 1."""
-    if int(k) != k or k < 1:
-        raise ValueError(f"category index must be a positive integer, got {k!r}")
-    return float(dist.pmf_array(np.asarray([int(k)], dtype=np.int64))[0])
+    k = _count(k, "category index k", 1)
+    return float(dist.pmf_array(np.asarray([k], dtype=np.int64))[0])
 
 
 def truncation_index(dist: AnalyticDistribution, m: int, eps: float) -> int:
@@ -815,20 +817,10 @@ def _set_state(rng: np.random.Generator, state: tuple[int, int]) -> np.random.Ge
     return rng
 
 
-def _replicate_generators(master: int, count: int) -> Iterator[np.random.Generator]:
-    """For r = 0, 1, ..., count - 1 in turn, a Generator in the state that
-    draw(.., derive_seed(master, r)) seeds; one Generator object, re-set for
-    each r."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    for state in _replicate_states(master, count):
-        yield _set_state(rng, state)
-
-
 def draw(dist: AnalyticDistribution, n: int, seed: int) -> np.ndarray:
     """n iid observations as an int64 array; deterministic function of (dist, n, seed)."""
-    if int(n) != n or n < 1:
-        raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    return dist.draw(n, np.random.default_rng(np.random.SeedSequence(int(seed) & _MASK64)))
+    n = _count(n, "sample size n", 1)
+    return dist.draw(n, np.random.default_rng(np.random.SeedSequence(operator.index(seed) & _MASK64)))
 
 
 def sample(dist: AnalyticDistribution, n: int, seed: int) -> SampleCounts:

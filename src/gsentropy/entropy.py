@@ -55,7 +55,7 @@ def cdotc(pmf, m: int) -> CdotcPmf:
     _, q_support, _, log_mass = collision_log_weights(pmf.probs[mask], m)
     q = np.zeros_like(pmf.probs)
     q[mask] = q_support
-    return CdotcPmf(m, DiscretePmf(q), math.exp(log_mass))
+    return CdotcPmf(m, DiscretePmf(q), math.exp(log_mass[0]))
 
 
 def gse(pmf, m: int) -> float:
@@ -65,7 +65,7 @@ def gse(pmf, m: int) -> float:
     keeps uniform inputs exactly at ln K and never underflows.
     """
     p = as_pmf(pmf).probs
-    return collision_log_weights(p[p > 0.0], _check_order(m))[2]
+    return float(collision_log_weights(p[p > 0.0], _check_order(m))[2][0])
 
 
 def shannon_entropy(target, eps: float = DEFAULT_EPS) -> float:

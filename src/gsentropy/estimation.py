@@ -80,7 +80,8 @@ def empirical_pmf(counts: SampleCounts) -> DiscretePmf:
 
 def _plugin_h_sigma_sq(counts: np.ndarray, n: int, m: int) -> tuple[float, float]:
     """(H_hat_m, sigma_hat_m^2) from the strictly positive counts of a size-n sample."""
-    return h_sigma_sq(np.sort(counts)[::-1] / n, m)
+    h, sigma_sq = h_sigma_sq(np.sort(counts)[::-1] / n, m)
+    return float(h[0]), float(sigma_sq[0])
 
 
 def gse_plugin(counts: SampleCounts, m: int) -> float:
@@ -100,7 +101,7 @@ def sigma_sq_true(target, m: int, eps: float = DEFAULT_EPS) -> float:
     if isinstance(target, AnalyticDistribution):
         return target.sigma_sq(m, eps)
     p = as_pmf(target).probs
-    return h_sigma_sq(p[p > 0.0], m)[1]
+    return float(h_sigma_sq(p[p > 0.0], m)[1][0])
 
 
 def sigma_sq_literal(pmf, m: int) -> float:
@@ -114,7 +115,7 @@ def sigma_sq_literal(pmf, m: int) -> float:
     m = _check_order(m)
     p = pmf.probs[pmf.probs > 0.0]
     log_q, q, h, _ = collision_log_weights(p, m)
-    inner = (m * m / p) * q * (log_q + h)
+    inner = (m * m / p) * q * (log_q + float(h[0]))
     return float(np.sum(inner * inner))
 
 

@@ -140,6 +140,16 @@ class TestCoverageSweep:
         with pytest.raises(ValueError):
             coverage_sweep(dist, 2, [10, 10, 20], reps=10, alpha=0.05, seed=1)
 
+    @pytest.mark.parametrize("grid", [[10.7, 20], [10, 20.0], [True, 20]])
+    def test_grid_sizes_must_be_integers(self, grid):
+        # int() once ran 10.7 as n = 10
+        with pytest.raises(ValueError):
+            coverage_sweep(UniformFinite(3), 2, grid, reps=10, alpha=0.05, seed=1)
+
+    def test_numpy_integer_grid(self):
+        result = coverage_sweep(UniformFinite(3), 2, np.arange(10, 30, 10), reps=5, alpha=0.05, seed=1)
+        assert [p.n for p in result.points] == [10, 20] and all(type(p.n) is int for p in result.points)
+
     def test_soft_convergence_diagnostic(self):
         result = coverage_sweep(Zeta(1.5), 2, [20, 60, 120, 240, 480], reps=120,
                                 alpha=0.05, seed=41)
@@ -183,6 +193,22 @@ def test_coverage_csv_pins_hold_on_other_cpu_paths():
         cwd=here.parents[1], env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0 and "4 passed" in run.stdout, run.stdout + run.stderr
+
+
+def test_kernel_pins_hold_under_the_sse2_blas_kernel():
+    # OpenBLAS's SSE2-era dot peels an element to reach 16-byte alignment, so
+    # a sum it ran would depend on where a segment starts; the kernel's sums
+    # are numpy reductions, and its pinned bits hold there too.
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
+    tests = Path(__file__).resolve().parent
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{tests / 'test_distributions.py'}::TestRowKernel",
+         f"{tests / 'test_estimation.py'}::TestCountArrayKernel",
+         f"{tests / 'test_families.py'}::test_family_values_are_pinned[custom-5]"],
+        cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0 and "21 passed" in run.stdout, run.stdout + run.stderr
 
 
 class TestArtifacts:

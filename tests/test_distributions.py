@@ -31,13 +31,11 @@ from gsentropy.distributions import (
     _SEED_BLOCK,
     _derive_seeds,
     _pcg64_states,
-    _replicate_generators,
     _replicate_states,
     _set_state,
     _zeta_accept,
     _zeta_chunk,
     h_sigma_sq,
-    h_sigma_sq_rows,
     power_log_series,
 )
 
@@ -180,6 +178,14 @@ class TestPmfAt:
             pmf_at(Zeta(1.5), 0)
         with pytest.raises(ValueError):
             pmf_at(UniformFinite(3), -1)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, "2"])
+    def test_category_must_be_an_integer(self, k):
+        with pytest.raises(ValueError):
+            pmf_at(UniformFinite(3), k)
+
+    def test_numpy_integer_category(self):
+        assert pmf_at(UniformFinite(4), np.int64(3)) == pmf_at(UniformFinite(4), 3) == 0.25
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES)
     def test_nonnegative_and_partial_sums_bounded(self, dist):
@@ -325,6 +331,23 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(Zeta(1.5), 0, 1)
 
+    @pytest.mark.parametrize("n", [10.0, 2.5, True, np.float64(10.0), "10"])
+    def test_sample_size_must_be_an_integer(self, n):
+        for call in (draw, sample):
+            with pytest.raises(ValueError):
+                call(Geometric(0.3), n, 0)
+
+    @pytest.mark.parametrize("seed", [2.9, 2.0, np.float64(2.0), "2"])
+    def test_seed_must_be_an_integer(self, seed):
+        # int() would seed 2.9 as 2
+        for call in (draw, sample):
+            with pytest.raises(TypeError):
+                call(Zeta(1.5), 5, seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(2), np.uint64(2), np.int32(2)])
+    def test_numpy_integer_seeds_and_sizes(self, seed):
+        npt.assert_array_equal(draw(Zeta(1.5), np.int64(5), seed), draw(Zeta(1.5), 5, 2))
+
 
 # SHA-256 of draw(Zeta(s), n, seed).tobytes(), recorded before the sampler's
 # accept test was restructured.  s = 1.01 keeps about a quarter of its
@@ -467,9 +490,10 @@ class TestBatchedSeeding:
 
     def test_generators_replay_draw(self):
         count = _SEED_BLOCK + 5  # past the first block of derived states
-        for r, rng in enumerate(_replicate_generators(2022, count)):
+        rng = np.random.Generator(np.random.PCG64(0))
+        for r, state in enumerate(_replicate_states(2022, count)):
             expected = np.random.PCG64(np.random.SeedSequence(derive_seed(2022, r))).state
-            assert rng.bit_generator.state == expected
+            assert _set_state(rng, state).bit_generator.state == expected
         assert r == count - 1
         # draw seeds of no and one 32-bit word are hashed as zero-padded
         for seed in (0, 7, 2**32 - 1):
@@ -478,8 +502,9 @@ class TestBatchedSeeding:
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES)
     def test_family_draws_are_unchanged(self, dist):
-        for r, rng in enumerate(_replicate_generators(5, 12)):
-            npt.assert_array_equal(dist.draw(37, rng), draw(dist, 37, derive_seed(5, r)))
+        rng = np.random.Generator(np.random.PCG64(0))
+        for r, state in enumerate(_replicate_states(5, 12)):
+            npt.assert_array_equal(dist.draw(37, _set_state(rng, state)), draw(dist, 37, derive_seed(5, r)))
 
 
 def block_draw(dist, n, master, rows):
@@ -542,21 +567,27 @@ ROW_KERNEL_FAMILIES = [Zeta(1.5), Geometric(0.3), UniformFinite(7),
 
 
 class TestRowKernel:
-    # Holds where the BLAS dot ignores operand alignment (OpenBLAS's Sandy
-    # Bridge and later kernels); its Prescott kernel does not, and fails it.
+    # A sample's proportions give the same bits as a pmf alone and as a
+    # segment of a block, whatever precedes them: the coverage engine relies
+    # on it.  The leading segment of 1..8 elements shifts every later one.
     @pytest.mark.parametrize("dist", ROW_KERNEL_FAMILIES, ids=lambda d: d.config()["kind"])
     @pytest.mark.parametrize("n", [2, 10, 100, 5000])
     def test_bit_identical_to_one_row_kernel(self, dist, n):
-        by_support = {}
-        for r in range(40):
-            counts = sample(dist, n, derive_seed(n, r)).counts
-            by_support.setdefault(counts.size, []).append(np.sort(counts)[::-1] / n)
+        pmfs = [np.sort(sample(dist, n, derive_seed(n, r)).counts)[::-1] / n for r in range(40)]
+        starts = np.cumsum([0] + [p.size for p in pmfs[:-1]])
+        filler = np.linspace(0.3, 0.01, 8)
         for m in (1, 2, 3, 4):
-            for rows in by_support.values():
-                h, sigma_sq = h_sigma_sq_rows(np.stack(rows), m)
-                expected = np.array([h_sigma_sq(p, m) for p in rows])
-                assert h.tobytes() == expected[:, 0].tobytes()
-                assert sigma_sq.tobytes() == expected[:, 1].tobytes()
+            alone = np.array([np.concatenate(h_sigma_sq(p, m)) for p in pmfs])
+            for lead in range(9):
+                block = np.concatenate([filler[:lead], *pmfs])
+                h, sigma_sq = h_sigma_sq(block, m, np.append([0], lead + starts) if lead else starts)
+                assert h[-40:].tobytes() == alone[:, 0].tobytes()
+                assert sigma_sq[-40:].tobytes() == alone[:, 1].tobytes()
+
+    def test_one_segment_is_the_default(self):
+        p = np.array([0.5, 0.25, 0.125, 0.125])
+        for a, b in zip(h_sigma_sq(p, 2), h_sigma_sq(p, 2, np.array([0]))):
+            assert a.shape == (1,) and a.tobytes() == b.tobytes()
 
 
 class TestConfig:

@@ -137,6 +137,20 @@ class TestGse:
         for m in (1, 2, 3):
             assert -1e-12 <= gse(pmf, m) <= math.log(pmf.support_size) + 1e-12
 
+    @pytest.mark.parametrize("m", [True, False, 2.0, np.float64(2.0), 2.5, "2"])
+    def test_order_must_be_an_integer(self, m):
+        # True once passed as m = 1
+        with pytest.raises(ValueError):
+            gse([0.5, 0.5], m)
+        with pytest.raises(ValueError):
+            gse_analytic(Zeta(1.5), m)
+        with pytest.raises(ValueError):
+            sigma_sq_true([0.3, 0.7], m)
+
+    def test_numpy_integer_order(self):
+        assert gse([0.3, 0.7], np.int64(2)) == gse([0.3, 0.7], 2)
+        assert type(gse([0.3, 0.7], np.int64(2))) is float
+
 
 class TestShannonEntropy:
     def test_fair_coin(self):

@@ -236,6 +236,11 @@ class TestGseEstimateBundle:
             assert abs(sigma_hat_sq(counts, 2) - s2_true) <= 20.0 / math.sqrt(n)
 
 
+def _total(x):
+    """The sum of x in the kernel's order, a reduceat over one segment."""
+    return float(np.add.reduceat(x, [0])[0])
+
+
 def label_ordered_estimate(counts, m, alpha):
     """The pmf route: the empirical pmf in descending-count order, H from
     entropy.gse, sigma^2 from its own pass."""
@@ -243,12 +248,12 @@ def label_ordered_estimate(counts, m, alpha):
     p = pmf.probs
     w = m * np.log(p)
     w -= w.max()
-    log_norm = float(np.log(np.sum(np.exp(w))))
+    log_norm = float(np.log(_total(np.exp(w))))
     log_q = w - log_norm
     q = np.exp(log_q)
-    h = float(log_norm - np.dot(q, w))
+    h = log_norm - _total(q * w)
     g = -(m * q / p) * (log_q + h)
-    h_hat, sigma_sq = gse(pmf, m), float(np.dot(p, g * g))
+    h_hat, sigma_sq = gse(pmf, m), _total(p * (g * g))
     half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(sigma_sq) / math.sqrt(counts.n)
     return h_hat, sigma_sq, h_hat - half, h_hat + half
 

@@ -53,6 +53,9 @@ def _pin(fn, *args):
 # and config.  per_m holds, for m = 1..4, (gse_analytic_info as (H_m, terms),
 # sigma_sq_true, truncation_index at eps 1e-10); pmf_at is at k = 1, 2, 7,
 # 1000; draw is the SHA-256 of draw(d, 1000, seed) for seeds 0 and 2022.
+# custom-5's sigma_m^2 at m = 2 and 3 was re-recorded, one ulp each, when the
+# explicit-pmf kernel's sums moved from the BLAS dot to np.add.reduceat; both
+# values lie within 6.1e-16 relative of mpmath.
 PINNED = {'zeta-1.01': {'per_m': ((('0x1.a41e8cd967f89p+6', 1000), '0x1.3ec67a55e4fe6p+13', 'NonConvergenceError'),
                                   (('0x1.9a536ff8c640ap+0', 1000), '0x1.db436986f6eb8p+7', 'NonConvergenceError'),
                                   (('0x1.5390ff9b0dee2p-1', 1000), '0x1.d47b17d093007p+7', 336299),
@@ -156,8 +159,8 @@ PINNED = {'zeta-1.01': {'per_m': ((('0x1.a41e8cd967f89p+6', 1000), '0x1.3ec67a55
                           'draw': ('20b85f750b45043e05a585f965d56aa682311ef88da6f2b0a7bb80b75c1d9b5e',
                                    '548e1e1920ef9cb7af3fc5768268805cf9e58c08b54618366606792fc933e7cc')},
           'custom-5': {'per_m': ((('0x1.47a486cb9a5e4p+0', 5), '0x1.728711ba86a14p-3', 5),
-                                 (('0x1.14170dce9ff76p+0', 5), '0x1.2568770aa5ad7p+0', 5),
-                                 (('0x1.c6461f224d0f8p-1', 5), '0x1.8a24f85121beep+1', 5),
+                                 (('0x1.14170dce9ff76p+0', 5), '0x1.2568770aa5ad6p+0', 5),
+                                 (('0x1.c6461f224d0f8p-1', 5), '0x1.8a24f85121befp+1', 5),
                                  (('0x1.74f0f2d84a611p-1', 5), '0x1.7b36d298e2447p+2', 5)),
                        'shannon': '0x1.47a486cb9a5e4p+0',
                        'pmf_at': ('0x1.999999999999ap-2', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
