@@ -15,13 +15,16 @@ from one vectorised pass of numpy's SeedSequence arithmetic.  The family's
 exactly the sample ``draw`` takes from state r.  Zeta fills each row's first
 batch of uniforms and runs its rejection test once over the block; a row
 left short of n acceptances goes on from its own stream, re-set to its state
-and advanced past the first batch.  The block is sorted row by row in place,
-and one sort of (row, n - count) keys orders each row's counts descending,
-sample after sample in one array.  One call of ``h_sigma_sq`` with each
-sample's offset as a segment start gives every replicate's
-(H_hat, sigma_hat^2): a segment's bits do not depend on where it sits, so
-they are those of the one-sample estimate, and the CSV does not depend on
-the blocking.
+and advanced past the first batch.  Past n = 4096 Zeta draws row by row.
+Its later batches, and every batch at large n, stream their uniforms into
+two reused chunk-sized buffers: no array is batch-sized, and the values
+and the stream's end state are those of drawing whole batches.  The block
+is sorted row by row in place, and one sort of (row, n - count) keys orders
+each row's counts descending, sample after sample in one array.  One call
+of ``h_sigma_sq`` with each sample's offset as a segment start gives every
+replicate's (H_hat, sigma_hat^2): a segment's bits do not depend on where it
+sits, so they are those of the one-sample estimate, and the CSV does not
+depend on the blocking.
 """
 
 from __future__ import annotations

@@ -321,6 +321,9 @@ class AnalyticDistribution:
 # chunks sized from the need alone.
 _ZETA_CHUNK = 8192
 
+# PCG64 is a 128-bit LCG: advancing by its period less k steps back k draws.
+_PCG64_PERIOD = 1 << 128
+
 
 def _zeta_chunk(need: int) -> int:
     """Candidates to test for need more values: half again as many plus 64,
@@ -375,30 +378,71 @@ class Zeta(AnalyticDistribution):
         Inverse-CDF tables are infeasible here: the tail P(X > k) ~ c k^{1-s}
         decays too slowly to truncate at machine precision.
 
-        Each batch draws uniforms for 2 * (values still needed) candidates, at
-        least 64, all its u then all its v.  The accept test (``_zeta_accept``,
-        shared with ``draw_rows``) then runs in place on consecutive chunks of
-        the batch, each sized from the remaining need, and stops as soon as n
-        values are kept, so the output is the first n acceptances in stream
-        order.  Candidates above 2^62 are dropped (inf and nan fail the
-        comparisons too): the sampled law is truncated there, losing a tail mass
-        of about 2^(62(1-s)) / ((s-1) zeta(s)), which matters only for s near 1.
+        Each batch takes uniforms for 2 * (values still needed) candidates,
+        at least 64, all its u then all its v from rng's stream.  The accept
+        test (``_zeta_accept``, shared with ``draw_rows``) runs in place on
+        consecutive chunks of the batch, each sized from the remaining need,
+        and stops as soon as n values are kept, so the output is the first n
+        acceptances in stream order.  The uniforms are streamed (``_fill``)
+        into two reused chunk-sized buffers, and rng skips the candidates left
+        untested, so no batch-sized array is made while values and rng's end
+        state are those of drawing every whole batch.  The skips use
+        ``advance``, so rng must be a PCG64 generator, as ``draw`` and the
+        coverage engine build; any other raises TypeError.  Candidates above
+        2^62 are dropped (inf and nan fail the comparisons too): the sampled
+        law is truncated there, losing a tail mass of about
+        2^(62(1-s)) / ((s-1) zeta(s)), which matters only for s near 1.
         """
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError(f"Zeta.draw needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
         out = np.empty(n, dtype=np.int64)
         self._fill(out, 0, rng)
         return out
 
     def _fill(self, out: np.ndarray, filled: int, rng: np.random.Generator) -> None:
-        """Fill out[filled:] with the acceptances of rng's next batches."""
+        """Fill out[filled:] with the acceptances of rng's next batches,
+        streamed through two reused chunk-sized buffers.
+
+        A batch that fits the buffers takes all its u, then all its v.  A
+        larger one is read at two cursors a batch apart: for each chunk, rng
+        draws its u, advances to its v and draws them, then steps back to
+        the next chunk's u by advancing the period 2^128 less the batch.  At
+        the batch end rng advances past the v left untested, so every batch
+        leaves rng where drawing all its u and v would.  advance drops the
+        half of a 64-bit output that rng may hold for 32-bit draws; it is
+        put back at the end.
+        """
+        u, v = np.empty(_ZETA_CHUNK), np.empty(_ZETA_CHUNK)
+        bg = rng.bit_generator
+        entry = None
         while filled < out.size:
             batch = max(2 * (out.size - filled), 64)
-            filled = self._accept_into(out, filled, rng.random(batch), rng.random(batch), 0)
+            if batch <= _ZETA_CHUNK:
+                filled = self._accept_into(out, filled, rng.random(out=u[:batch]), rng.random(out=v[:batch]))
+                continue
+            if entry is None:
+                entry = bg.state
+            used = 0
+            while True:
+                size = min(_zeta_chunk(out.size - filled), batch - used)
+                rng.random(out=u[:size])
+                bg.advance(batch - size)  # from this chunk's u to its v
+                rng.random(out=v[:size])
+                filled = self._accept_into(out, filled, u[:size], v[:size])
+                used += size
+                if used == batch or filled == out.size:
+                    break
+                bg.advance(_PCG64_PERIOD - batch)  # back to the next chunk's u
+            bg.advance(batch - used)  # past the v left untested
+        if entry is not None and entry["has_uint32"]:
+            bg.state = {**bg.state, "has_uint32": 1, "uinteger": entry["uinteger"]}
 
-    def _accept_into(self, out: np.ndarray, filled: int, u: np.ndarray, v: np.ndarray, start: int) -> int:
-        """Run the accept test in place on u[start:], v[start:], chunk by
-        chunk, until out is full; returns how much of out is filled."""
+    def _accept_into(self, out: np.ndarray, filled: int, u: np.ndarray, v: np.ndarray) -> int:
+        """Run the accept test in place on u and v, chunk by chunk, until out
+        is full; returns how much of out is filled."""
         am1 = self.s - 1.0
         b = 2.0**am1
+        start = 0
         while start < u.size and filled < out.size:
             need = out.size - filled
             stop = min(start + _zeta_chunk(need), u.size)
@@ -418,11 +462,12 @@ class Zeta(AnalyticDistribution):
         accept test runs once, on the first chunk ``draw`` would test of every
         row, and a row with n acceptances there keeps its first n.  A row left
         short (often near s = 1, where candidates above 2^62 are dropped) goes
-        on as ``draw`` goes on: through the rest of its batch, then with fresh
-        batches from its own stream, re-set to its state and advanced past the
-        first batch.  Rows whose batch is larger than one chunk (few to a
-        block) are drawn one by one: for them, picking rows out of the block
-        cost more than the per-call overhead it saved.
+        on as ``draw`` goes on: through the rest of its batch, then through
+        the later batches of its own stream (re-set to its state and advanced
+        past the first batch), which ``_fill`` draws into its reused
+        chunk-sized buffers.  Rows whose batch is larger than one chunk (few to a block)
+        are drawn one by one, each streamed by ``draw``: for them, picking rows
+        out of the block cost more than the per-call overhead it saved.
         """
         batch = max(2 * n, 64)
         if batch > _ZETA_CHUNK:
@@ -443,7 +488,7 @@ class Zeta(AnalyticDistribution):
             row = out[r]
             kept = np.compress(accept[r], x[r])
             row[: kept.size] = kept
-            filled = self._accept_into(row, kept.size, uv[r, :batch], uv[r, batch:], width)
+            filled = self._accept_into(row, kept.size, uv[r, width:batch], uv[r, batch + width :])
             if filled < n:
                 _set_state(rng, states[r]).bit_generator.advance(2 * batch)
                 self._fill(row, filled, rng)
@@ -596,7 +641,8 @@ class UniformFinite(AnalyticDistribution):
     K: int
 
     def __post_init__(self) -> None:
-        if int(self.K) != self.K or self.K < 1:
+        # a bool equals 0 or 1 but is not a count; the float 1e6 is one
+        if isinstance(self.K, (bool, np.bool_)) or int(self.K) != self.K or self.K < 1:
             raise ValueError("UniformFinite needs a positive integer number of categories")
         # draws are floor(u K) of 53-bit uniforms u, which miss categories past 2^53
         if self.K > 2**53:

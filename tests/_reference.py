@@ -181,15 +181,17 @@ def classical_entropy_variance(p):
     return float(np.dot(p, log_p**2) - np.dot(p, log_p) ** 2)
 
 
-def zeta_draw_whole_batch(s, n, seed):
+def zeta_draw_whole_batch(s, n, seed=None, rng=None):
     """Zeta(s) rejection draw that runs the accept test on each whole batch.
 
     Same random stream as the library sampler (batches of 2 * still needed
     candidates, at least 64, u before v), written as plain expressions with
     explicit guards, so the library's chunked in-place form can be checked
-    value for value against it.
+    value for value against it.  It draws from rng when one is given (so
+    its end state can be compared), else from the stream of seed.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if rng is None:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
     am1 = s - 1.0
     b = 2.0**am1
     kept = []

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -76,6 +77,16 @@ class TestValidation:
             with pytest.raises(ValueError):
                 UniformFinite(bad)
         assert UniformFinite(2**53).K == 2**53
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_uniform_count_is_not_a_bool(self, flag):
+        # True == 1, but a flag is not a number of categories
+        with pytest.raises(ValueError):
+            UniformFinite(flag)
+
+    def test_uniform_count_may_be_an_integral_float(self):
+        dist = UniformFinite(1e6)
+        assert dist == UniformFinite(1_000_000) and type(dist.K) is int
 
     def test_pmf_must_normalize(self):
         with pytest.raises(ValueError):
@@ -442,6 +453,48 @@ def test_zeta_draw_matches_whole_batch_reference(s, n):
         npt.assert_array_equal(draw(Zeta(s), n, int(seed)), zeta_draw_whole_batch(s, n, int(seed)))
 
 
+@pytest.mark.parametrize("s", [1.01, 1.5, 3.0])
+@pytest.mark.parametrize("n", [64, 5000, 30_000, 100_000])
+def test_zeta_draw_ends_where_whole_batches_end(s, n):
+    # the draw streams its uniforms and skips what it leaves untested; the
+    # stream must still stand where drawing every whole batch leaves it
+    rng, whole = (np.random.default_rng(np.random.SeedSequence(n)) for _ in range(2))
+    npt.assert_array_equal(Zeta(s).draw(n, rng), zeta_draw_whole_batch(s, n, rng=whole))
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
+def test_zeta_draw_keeps_a_cached_half_word():
+    # a 32-bit draw leaves half a 64-bit output cached; advance drops it
+    rng, whole = (np.random.default_rng(4) for _ in range(2))
+    for gen in (rng, whole):
+        gen.integers(0, 10, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    npt.assert_array_equal(Zeta(1.5).draw(20_000, rng), zeta_draw_whole_batch(1.5, 20_000, rng=whole))
+    assert rng.bit_generator.state == whole.bit_generator.state
+    assert rng.integers(0, 2**32, dtype=np.uint32) == whole.integers(0, 2**32, dtype=np.uint32)
+
+
+def test_zeta_draw_makes_no_batch_sized_array():
+    # the first batch has 2n candidates; drawn whole, u and v alone take 16n bytes
+    n = 100_000
+    rng = np.random.default_rng(9)
+    tracemalloc.start()
+    try:
+        Zeta(1.5).draw(n, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n + 512 * 1024, peak
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+def test_zeta_draw_needs_pcg64(bit_generator):
+    # the streamed draw skips with PCG64's advance: MT19937 has none, and
+    # Philox's skips whole blocks, so it would give other values
+    with pytest.raises(TypeError, match="PCG64"):
+        Zeta(1.5).draw(10, np.random.Generator(bit_generator(1)))
+
+
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
         assert derive_seed(7, 3, 1) == derive_seed(7, 3, 1)
@@ -631,6 +684,7 @@ class TestConfig:
         {"kind": "geometric", "q": False},
         {"kind": "geometric", "q": "0.5"},
         {"kind": "uniform", "K": True},
+        {"kind": "uniform", "K": False},
         {"kind": "uniform", "K": "4"},
         {"kind": "custom", "probs": [True, False]},
         {"kind": "custom", "probs": ["0.5", 0.5]},
