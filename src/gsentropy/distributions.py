@@ -387,14 +387,13 @@ class Zeta(AnalyticDistribution):
         into two reused chunk-sized buffers, and rng skips the candidates left
         untested, so no batch-sized array is made while values and rng's end
         state are those of drawing every whole batch.  The skips use
-        ``advance``, so rng must be a PCG64 generator, as ``draw`` and the
-        coverage engine build; any other raises TypeError.  Candidates above
+        ``advance``, so a draw that needs one (any batch larger than a chunk,
+        as at n > 4096) needs a PCG64 generator, as ``draw`` and the coverage
+        engine build; any other raises TypeError there.  Candidates above
         2^62 are dropped (inf and nan fail the comparisons too): the sampled
         law is truncated there, losing a tail mass of about
         2^(62(1-s)) / ((s-1) zeta(s)), which matters only for s near 1.
         """
-        if not isinstance(rng.bit_generator, np.random.PCG64):
-            raise TypeError(f"Zeta.draw needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
         out = np.empty(n, dtype=np.int64)
         self._fill(out, 0, rng)
         return out
@@ -403,37 +402,41 @@ class Zeta(AnalyticDistribution):
         """Fill out[filled:] with the acceptances of rng's next batches,
         streamed through two reused chunk-sized buffers.
 
-        A batch that fits the buffers takes all its u, then all its v.  A
-        larger one is read at two cursors a batch apart: for each chunk, rng
-        draws its u, advances to its v and draws them, then steps back to
-        the next chunk's u by advancing the period 2^128 less the batch.  At
-        the batch end rng advances past the v left untested, so every batch
-        leaves rng where drawing all its u and v would.  advance drops the
-        half of a 64-bit output that rng may hold for 32-bit draws; it is
-        put back at the end.
+        Each batch is read at two cursors a batch apart.  A fill takes the
+        rest of the batch if it fits the buffers, else one accept-test chunk:
+        rng draws its u, advances to its v and draws them, then, if the batch
+        goes on, steps back to the next u by advancing the period 2^128 less
+        the batch.  At the batch end rng advances past the v left untested,
+        so every batch leaves rng where drawing all its u and v would.  A
+        batch that fits the buffers whole takes one fill and no advance.
+        advance drops the half of a 64-bit output that rng may hold for
+        32-bit draws; it is put back at the end.
         """
         u, v = np.empty(_ZETA_CHUNK), np.empty(_ZETA_CHUNK)
         bg = rng.bit_generator
         entry = None
         while filled < out.size:
             batch = max(2 * (out.size - filled), 64)
-            if batch <= _ZETA_CHUNK:
-                filled = self._accept_into(out, filled, rng.random(out=u[:batch]), rng.random(out=v[:batch]))
-                continue
-            if entry is None:
-                entry = bg.state
             used = 0
             while True:
-                size = min(_zeta_chunk(out.size - filled), batch - used)
+                size = batch - used
+                if size > _ZETA_CHUNK:
+                    size = _zeta_chunk(out.size - filled)
                 rng.random(out=u[:size])
-                bg.advance(batch - size)  # from this chunk's u to its v
+                if size < batch:
+                    if entry is None:
+                        if not isinstance(bg, np.random.PCG64):
+                            raise TypeError(f"a streamed Zeta draw needs PCG64, got {type(bg).__name__}")
+                        entry = bg.state
+                    bg.advance(batch - size)  # from this fill's u to its v
                 rng.random(out=v[:size])
                 filled = self._accept_into(out, filled, u[:size], v[:size])
                 used += size
                 if used == batch or filled == out.size:
                     break
-                bg.advance(_PCG64_PERIOD - batch)  # back to the next chunk's u
-            bg.advance(batch - used)  # past the v left untested
+                bg.advance(_PCG64_PERIOD - batch)  # back to the next fill's u
+            if used < batch:
+                bg.advance(batch - used)  # past the v left untested
         if entry is not None and entry["has_uint32"]:
             bg.state = {**bg.state, "has_uint32": 1, "uinteger": entry["uinteger"]}
 
@@ -465,9 +468,10 @@ class Zeta(AnalyticDistribution):
         on as ``draw`` goes on: through the rest of its batch, then through
         the later batches of its own stream (re-set to its state and advanced
         past the first batch), which ``_fill`` draws into its reused
-        chunk-sized buffers.  Rows whose batch is larger than one chunk (few to a block)
-        are drawn one by one, each streamed by ``draw``: for them, picking rows
-        out of the block cost more than the per-call overhead it saved.
+        chunk-sized buffers.  Rows whose batch is larger than one chunk (few
+        to a block) are drawn one by one, each streamed by ``draw``: for them,
+        picking rows out of the block cost more than the per-call overhead it
+        saved.
         """
         batch = max(2 * n, 64)
         if batch > _ZETA_CHUNK:

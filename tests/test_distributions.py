@@ -488,11 +488,15 @@ def test_zeta_draw_makes_no_batch_sized_array():
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
-def test_zeta_draw_needs_pcg64(bit_generator):
-    # the streamed draw skips with PCG64's advance: MT19937 has none, and
+def test_zeta_draw_needs_pcg64_only_to_skip(bit_generator):
+    # a batch that fits the buffers is drawn whole, from any generator
+    rng, whole = (np.random.Generator(bit_generator(1)) for _ in range(2))
+    npt.assert_array_equal(Zeta(1.5).draw(4096, rng), zeta_draw_whole_batch(1.5, 4096, rng=whole))
+    npt.assert_array_equal(rng.random(4), whole.random(4))
+    # a larger one skips with PCG64's advance: MT19937 has none, and
     # Philox's skips whole blocks, so it would give other values
     with pytest.raises(TypeError, match="PCG64"):
-        Zeta(1.5).draw(10, np.random.Generator(bit_generator(1)))
+        Zeta(1.5).draw(4097, rng)
 
 
 class TestSeedDerivation:
