@@ -3,15 +3,16 @@
 Four families share the base class ``AnalyticDistribution``: Zeta (heavy
 tailed, infinite support), Geometric (light tailed, infinite support),
 UniformFinite, and CustomFinite (an explicit probability vector).  Each
-family class owns its pmf, seeded draws, exact H_m and sigma_m^2, certified
-truncation cutoff and JSON config; the module functions validate, then
-delegate.  The shifted log-weight pass behind H_m and sigma_m^2 of every
-explicit pmf sits beside ``DiscretePmf``: it takes one pmf, or many laid end
-to end as segments of one array, and gives a segment the same bits either
-way.  Everything here is pure: a distribution object is an immutable value,
-and sampling is a deterministic function of (distribution, n, seed); the
-batched seeding beside ``derive_seed`` reproduces, for many replicates at
-once, the streams that ``draw`` seeds one at a time.
+family class owns its pmf, seeded draws, exact H_m (with the number of
+series terms it sums) and sigma_m^2, and JSON config; the module functions
+validate, then delegate.  The shifted log-weight pass behind H_m and
+sigma_m^2 of every explicit pmf sits beside ``DiscretePmf``: it takes one
+pmf, or many laid end to end as segments of one array, and gives a segment
+the same bits either way.  Everything here is pure: a distribution object is
+an immutable value, and sampling is a deterministic function of
+(distribution, n, seed); the batched seeding beside ``derive_seed``
+reproduces, for many replicates at once, the streams that ``draw`` seeds one
+at a time.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 # Tolerance for "these probabilities form a distribution".
 PMF_ATOL = 1e-12
 
-# Hard ceiling on the number of series terms any direct summation is allowed
-# to touch.  Series that would need more are reported as non-convergent
+# Hard ceiling on the number of series terms a partial sum is allowed to
+# touch.  Series that would need more are reported as non-convergent
 # (numerically, not mathematically).
 MAX_SERIES_TERMS = 50_000_000
 
@@ -139,7 +140,11 @@ def _count(value, what: str, least: int) -> int:
 
 
 def _check_order(m: int) -> int:
-    return _count(m, "collision order m", 1)
+    # m enters float arithmetic, which would round an order past 2^53
+    m = _count(m, "collision order m", 1)
+    if m > 2**53:
+        raise ValueError("collision order m must be at most 2**53")
+    return m
 
 
 def _check_eps(eps: float) -> float:
@@ -270,13 +275,10 @@ def riemann_zeta(s: float, tol: float = 1e-13) -> float:
 class AnalyticDistribution:
     """Base of the families.  Each implements, for validated arguments,
     pmf_array(int64 ks), draw(n, rng), h_m(m, eps) -> (H_m, series terms),
-    sigma_sq(m, eps) and config().  Finite laws override cutoff and
-    finite_pmf; infinite ones feed tail_bounds(m, K) and first_cutoff to the
-    shared cutoff search.  draw_rows, a block of seeded draws, stacks draw
-    unless the family has a faster way to the same rows.
+    sigma_sq(m, eps) and config().  Finite laws override finite_pmf.
+    draw_rows, a block of seeded draws, stacks draw unless the family has a
+    faster way to the same rows.
     """
-
-    first_cutoff = 1
 
     def draw_rows(self, n: int, rng: np.random.Generator, states: list[tuple[int, int]]) -> np.ndarray:
         """One sample of n per PCG64 (state, inc) pair, as an (R, n) int64
@@ -288,32 +290,6 @@ class AnalyticDistribution:
 
     def finite_pmf(self) -> DiscretePmf:
         raise ValueError(f"{type(self).__name__} does not have finite support")
-
-    def cutoff(self, m: int, eps: float) -> int:
-        """Smallest K >= first_cutoff whose entropy and variance tail bounds are both < eps."""
-
-        def ok(K: int) -> bool:
-            ent, var = self.tail_bounds(m, K)
-            return ent < eps and var < eps
-
-        lo = self.first_cutoff
-        hi = lo
-        while not ok(hi):
-            hi *= 2
-            if hi > MAX_SERIES_TERMS:
-                raise NonConvergenceError(
-                    f"series tails for {self!r}, m={m} cannot be certified below "
-                    f"eps={eps} within {MAX_SERIES_TERMS} terms"
-                )
-        # binary search the smallest certified cutoff
-        low = max(lo, hi // 2)
-        while low < hi:
-            mid = (low + hi) // 2
-            if ok(mid):
-                hi = mid
-            else:
-                low = mid + 1
-        return hi
 
 
 # Largest accept-test chunk.  Its float arrays (x, w, t, t - 1; 64 KB each)
@@ -360,14 +336,14 @@ def _zeta_accept(x: np.ndarray, w: np.ndarray, am1: float, b: float) -> np.ndarr
 
 @dataclass(frozen=True)
 class Zeta(AnalyticDistribution):
-    """P(X = k) = k^{-s} / zeta(s) on k = 1, 2, ...; requires s > 1."""
+    """P(X = k) = k^{-s} / zeta(s) on k = 1, 2, ...; requires 1 < s <= 1024."""
 
     s: float
-    first_cutoff = 8  # integrands k^-a ln^j k are decreasing from here on
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.s) and self.s > 1.0):
-            raise ValueError("Zeta exponent must satisfy s > 1 (the normalizer diverges otherwise)")
+        # the normalizer diverges at s <= 1; the sampler's 2^(s-1) overflows past 1024
+        if not (1.0 < self.s <= 1024.0):  # NaN fails too
+            raise ValueError("Zeta exponent must satisfy 1 < s <= 1024")
 
     def pmf_array(self, ks: np.ndarray) -> np.ndarray:
         return ks.astype(np.float64) ** (-self.s) / riemann_zeta(self.s)
@@ -530,46 +506,8 @@ class Zeta(AnalyticDistribution):
         s2 = power_log_series(a, 2, tol)
         return (m * m * z_s / z_t**2) * (c * c * s0 - 2.0 * c * t * s1 + t * t * s2)
 
-    def tail_bounds(self, m: int, K: int) -> tuple[float, float]:
-        """Upper bounds on the entropy-series and variance-series tails past K."""
-        s = self.s
-        t = m * s
-        z_s = riemann_zeta(s)
-        z_t = riemann_zeta(t)
-        # H_m - ln zeta(t) = t * (sum k^-t ln k) / zeta(t) >= 0
-        c = t * power_log_series(t, 1) / z_t
-        c0 = abs(math.log(z_t))
-
-        # entropy terms: (1/z_t) k^-t |t ln k + ln z_t|
-        ent = (t * _tail_integral(t, 1, K) + c0 * _tail_integral(t, 0, K)) / z_t
-
-        # variance terms: (m^2 z_s / z_t^2) k^{s-2t} (t ln k + |c|)^2
-        alpha = 2.0 * t - s
-        if alpha <= 1.0:
-            return ent, math.inf
-        amp = m * m * z_s / z_t**2
-        var = amp * (
-            t * t * _tail_integral(alpha, 2, K)
-            + 2.0 * t * abs(c) * _tail_integral(alpha, 1, K)
-            + c * c * _tail_integral(alpha, 0, K)
-        )
-        return ent, var
-
     def config(self) -> dict:
         return {"kind": "zeta", "s": self.s}
-
-
-def _geometric_index_sums(log_x: float, start: int) -> tuple[float, float, float]:
-    """Closed forms of sum_{j>=J} j^i x^j for i = 0, 1, 2, given ln x < 0 and J >= 1.
-
-    Written in 1 - x from expm1, which keeps its digits as x -> 1."""
-    J = start
-    xj = math.exp(J * log_x)
-    one = -math.expm1(log_x)
-    g0 = xj / one
-    g1 = xj * (1.0 + (J - 1.0) * one) / one**2
-    g2 = xj * (2.0 + (2.0 * J - 3.0) * one + ((J - 1.0) * one) ** 2) / one**3
-    return g0, g1, g2
 
 
 @dataclass(frozen=True)
@@ -615,25 +553,6 @@ class Geometric(AnalyticDistribution):
         bracket = (math.exp(log_rho) - x * ratio) ** 2 + x * ratio * ratio
         return m * m * (log_rho / q) * (log_rho / one) * bracket
 
-    def tail_bounds(self, m: int, K: int) -> tuple[float, float]:
-        """Upper bounds on the entropy-series and variance-series tails past K."""
-        q = self.q
-        log_r = math.log1p(-q)
-        log_rho = m * log_r
-        rho = math.exp(log_rho)
-        h = -math.expm1(log_rho)  # 1 - rho, accurately
-        beta = -log_rho
-        c0 = abs(math.log(h))
-
-        g0, g1, _ = _geometric_index_sums(log_rho, K)
-        ent = h * (c0 * g0 + beta * g1)
-
-        # ln q_k + H_m = (k-1) ln rho + (rho/h) beta, so |.| <= c1 + (k-1) beta
-        c1 = (rho / h) * beta
-        e0, e1, e2 = _geometric_index_sums((2 * m - 1) * log_r, K)
-        var = (m * m * h * h / q) * (c1 * c1 * e0 + 2.0 * c1 * beta * e1 + beta * beta * e2)
-        return ent, var
-
     def config(self) -> dict:
         return {"kind": "geometric", "q": self.q}
 
@@ -666,9 +585,6 @@ class UniformFinite(AnalyticDistribution):
 
     def sigma_sq(self, m: int, eps: float) -> float:
         return 0.0
-
-    def cutoff(self, m: int, eps: float) -> int:
-        return self.K
 
     def finite_pmf(self) -> DiscretePmf:
         return DiscretePmf(np.full(self.K, 1.0 / self.K))
@@ -703,9 +619,6 @@ class CustomFinite(AnalyticDistribution):
         p = self.pmf.probs
         return float(h_sigma_sq(p[p > 0.0], m)[1][0])
 
-    def cutoff(self, m: int, eps: float) -> int:
-        return self.pmf.size
-
     def finite_pmf(self) -> DiscretePmf:
         return self.pmf
 
@@ -725,16 +638,9 @@ def pmf_at(dist: AnalyticDistribution, k: int) -> float:
 
 
 def truncation_index(dist: AnalyticDistribution, m: int, eps: float) -> int:
-    """Smallest certified cutoff K so both infinite series tails are < eps.
-
-    Returns K such that the neglected tails of the collision-entropy series
-    sum p_{m,k} |ln p_{m,k}| and of the asymptotic-variance series are both
-    provably below eps, using monotone integral bounds (Zeta) or closed-form
-    geometric tail sums (Geometric).  Finite families return their support
-    size.  Raises NonConvergenceError if no cutoff within the term budget
-    can be certified.
-    """
-    return dist.cutoff(_check_order(m), _check_eps(eps))
+    """The number of series terms H_m sums at tolerance eps: the second value
+    of gse_analytic_info, which gse compute prints as its truncation terms."""
+    return dist.h_m(_check_order(m), _check_eps(eps))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ from gsentropy import (
     SampleCounts,
     confidence_interval,
     gse_plugin,
+    parse_distribution,
     read_counts_csv,
     sigma_hat_sq,
+    truncation_index,
     write_counts_csv,
 )
 from gsentropy.cli import main
@@ -105,6 +107,37 @@ class TestCompute:
         payload = json.loads(out)
         assert abs(payload["h_m"] - mp_geometric_h_sigma_sq(1e-9, m)[0]) <= 1e-10
         assert payload["truncation_terms"] == 0
+
+
+    @pytest.mark.parametrize("spec", ['{"kind":"zeta","s":1.5}', '{"kind":"geometric","q":1e-9}'])
+    def test_truncation_terms_are_truncation_index(self, capsys, spec):
+        for m in (1, 2):
+            code, out, _ = run(capsys, "compute", "--dist", spec, "--m", str(m), "--format", "json")
+            assert code == 0
+            assert json.loads(out)["truncation_terms"] == truncation_index(parse_distribution(spec), m, 1e-10)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dist", '{"kind":"zeta","s":1025}'],
+    ["--dist", '{"kind":"zeta","s":1.5}', "--m", str(2**53 + 1)],
+    ["--dist", '{"kind":"geometric","q":0.3}', "--m", str(2**53 + 1)],
+])
+@pytest.mark.parametrize("command", [["compute"], ["coverage", "--grid", "10:10:1", "--reps", "2"]])
+def test_parameter_past_its_bound_is_usage_error(capsys, command, argv):
+    # s > 1024 overflows the Zeta sampler's 2^(s-1); m > 2^53 would be rounded as a float
+    code, out, err = run(capsys, *command, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dist", '{"kind":"zeta","s":1024}'],
+    ["--dist", '{"kind":"zeta","s":1.5}', "--m", str(2**53)],
+])
+@pytest.mark.parametrize("command", [["compute"], ["coverage", "--grid", "10:10:1", "--reps", "2"]])
+def test_parameter_at_its_bound_is_answered(capsys, command, argv):
+    code, _, err = run(capsys, *command, *argv)
+    assert code == 0 and not err.startswith("error:")
 
 
 class TestEstimate:

@@ -13,18 +13,21 @@ from gsentropy import (
     CustomFinite,
     DiscretePmf,
     Geometric,
-    NonConvergenceError,
     SampleCounts,
     UniformFinite,
     Zeta,
+    coverage_experiment,
     derive_seed,
     distribution_config,
     draw,
     finite_pmf,
+    gse_analytic,
     parse_distribution,
     pmf_at,
     riemann_zeta,
     sample,
+    shannon_entropy,
+    sigma_sq_true,
     truncation_index,
 )
 from gsentropy.coverage import _BLOCK
@@ -65,6 +68,19 @@ class TestValidation:
             Zeta(1.0)
         with pytest.raises(ValueError):
             Zeta(0.5)
+
+    @pytest.mark.parametrize("s", [1024.0 * (1 + 2**-52), 1025.0, 1e154, math.inf, math.nan])
+    def test_zeta_exponent_is_at_most_1024(self, s):
+        # the sampler's constant 2^(s-1) must be a finite double
+        with pytest.raises(ValueError):
+            Zeta(s)
+
+    def test_zeta_at_the_largest_exponent_answers(self):
+        dist = Zeta(1024.0)
+        assert draw(dist, 100, 1).tolist() == [1] * 100
+        assert gse_analytic(dist, 2) == sigma_sq_true(dist, 2) == 0.0
+        assert 0.0 < shannon_entropy(dist) < 1e-300
+        assert coverage_experiment(dist, 2, 20, 5, 0.05, 0).reps == 5
 
     def test_geometric_open_interval(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
@@ -211,70 +227,6 @@ class TestTruncationIndex:
         assert truncation_index(UniformFinite(10), 3, 1e-10) == 10
         custom = CustomFinite(DiscretePmf(np.array([0.9, 0.1])))
         assert truncation_index(custom, 2, 1e-6) == 2
-
-    @staticmethod
-    def _series_terms(dist, m, k_from, k_to, h_m):
-        """Exact entropy- and variance-series terms for k in [k_from, k_to]."""
-        ks = np.arange(k_from, k_to + 1, dtype=np.int64)
-        p = dist.pmf_array(ks)
-        if isinstance(dist, Zeta):
-            t = m * dist.s
-            z_t = riemann_zeta(t)
-            log_q = -t * np.log(ks.astype(float)) - math.log(z_t)
-        else:
-            r = 1.0 - dist.q
-            rho = r**m
-            log_q = math.log1p(-rho) + (ks - 1) * m * math.log(r)
-        q = np.exp(log_q)
-        ent = q * np.abs(log_q)
-        var = (m**2 / p) * (q * log_q + q * h_m) ** 2
-        return ent.sum(), var.sum()
-
-    def test_zeta_cutoff_self_verifies(self):
-        from gsentropy import gse_analytic
-
-        dist, m, eps = Zeta(1.5), 2, 1e-10
-        k_max = truncation_index(dist, m, eps)
-        h_m = gse_analytic(dist, m, 1e-12)
-        ent, var = self._series_terms(dist, m, k_max + 1, 11 * k_max, h_m)
-        assert ent < eps
-        assert var < eps
-
-    def test_geometric_cutoff_self_verifies(self):
-        from gsentropy import gse_analytic
-
-        dist, m, eps = Geometric(0.5), 2, 1e-12
-        k_max = truncation_index(dist, m, eps)
-        h_m = gse_analytic(dist, m, 1e-13)
-        ent, var = self._series_terms(dist, m, k_max + 1, 11 * k_max, h_m)
-        assert ent < eps
-        assert var < eps
-
-    def test_cutoff_is_minimal_for_geometric(self):
-        dist, m, eps = Geometric(0.5), 2, 1e-12
-        k_max = truncation_index(dist, m, eps)
-        ent, var = dist.tail_bounds(m, k_max - 1)
-        assert max(ent, var) >= eps
-
-    @pytest.mark.parametrize("start", [1, 2, 1000, 10**6])
-    @pytest.mark.parametrize("q", [0.5, 1e-4, 1e-9, 1e-12])
-    def test_geometric_index_sums_keep_precision_for_small_q(self, q, start):
-        # x = (1-q)^3 close to 1, as in the variance bound at m = 2
-        mpmath = pytest.importorskip("mpmath")
-        from gsentropy.distributions import _geometric_index_sums
-
-        with mpmath.workdps(50):
-            x = (1 - mpmath.mpf(q)) ** 3
-            xj, one, j = x**start, 1 - x, start
-            ref = (xj / one, xj * (j - x * (j - 1)) / one**2,
-                   xj * (j * j - (2 * j * j - 2 * j - 1) * x + (j - 1) ** 2 * x * x) / one**3)
-        got = _geometric_index_sums(3 * math.log1p(-q), start)
-        for value, expect in zip(got, ref):
-            assert abs(value - float(expect)) <= 1e-12 * float(expect)
-
-    def test_shannon_order_on_heavy_tail_exceeds_budget(self):
-        with pytest.raises(NonConvergenceError):
-            truncation_index(Zeta(1.5), 1, 1e-10)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
     def test_domain(self, eps):

@@ -46,6 +46,9 @@ input_files = st.one_of(
     st.lists(st.text(max_size=5), max_size=12).map(lambda lines: "\n".join(lines).encode()),
 )
 
+# orders m up to 4, and around and past 2^53, the largest order accepted
+orders = st.integers(1, 4) | st.integers(2**53 - 2, 2**53 + 2) | st.integers(2**53, 10**400)
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -81,8 +84,9 @@ def test_readers_raise_only_value_or_os_errors(workdir, data):
 
 
 @FUZZ
-@given(input_files, st.booleans(), st.integers(1, 4), st.sampled_from(["text", "json"]))
+@given(input_files, st.booleans(), orders, st.sampled_from(["text", "json"]))
 @example(b"category,count\na,100000000000000000000\n", False, 2, "json")  # a count beyond int64
+@example(b"category,count\na,3\nb,4\n", False, 10**400, "text")  # an order too large for a float
 def test_estimate_exits_0_or_2_without_traceback(workdir, data, raw, m, fmt):
     path = workdir / "input"
     path.write_bytes(data)
