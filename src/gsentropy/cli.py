@@ -26,7 +26,7 @@ from .coverage import (
     write_coverage_csv,
     write_coverage_svg,
 )
-from .distributions import NonConvergenceError, Zeta, parse_distribution
+from .distributions import NonConvergenceError, Zeta, _check_order, parse_distribution
 from .entropy import gse_analytic_info, shannon_entropy
 from .estimation import (
     _interval,
@@ -57,16 +57,20 @@ def _parse_grid(spec: str) -> list[int]:
     start, stop, step = (int(p) for p in parts)
     if start < 2 or stop < start or step < 1:
         raise ValueError(f"unusable grid {spec!r}")
+    # as for orders: past 2^53 a sample size would be rounded as a float, and a
+    # far larger stop overflows list(range())
+    if stop > 2**53:
+        raise ValueError(f"grid stop must be at most 2**53, got {stop}")
     return list(range(start, stop + 1, step))
 
 
 def _parse_m_range(spec: str) -> tuple[int, ...]:
     if ".." in spec:
-        lo, hi = (int(p) for p in spec.split("..", 1))
-        if lo < 1 or hi < lo:
+        lo, hi = (_check_order(int(p)) for p in spec.split("..", 1))
+        if hi < lo:
             raise ValueError(f"unusable order range {spec!r}")
         return tuple(range(lo, hi + 1))
-    return (int(spec),)
+    return (_check_order(int(spec)),)
 
 
 def _fmt(x: float) -> str:

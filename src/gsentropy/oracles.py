@@ -10,7 +10,10 @@ separate so they can check one another:
 
 The gradient itself is double-checked against central finite differences
 on the simplex.  ``run_verification`` bundles all of it into the report
-behind the command-line ``verify`` subcommand.
+behind the command-line ``verify`` subcommand.  It takes each order's finite
+differences, and the corpus's closed-form variances, from one call of the
+segment kernel in ``distributions`` with a segment a vector; a segment's
+values have the bits of a lone ``gse`` or ``sigma_sq_true`` call on it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AnalyticDistribution, DiscretePmf, _check_order, derive_seed, sample
-from .entropy import as_pmf, gse, gse_analytic
+from .distributions import (
+    AnalyticDistribution,
+    DiscretePmf,
+    _check_order,
+    _count,
+    collision_log_weights,
+    derive_seed,
+    h_sigma_sq,
+    sample,
+)
+from .entropy import as_pmf, gse_analytic
 from .estimation import gse_plugin, sigma_sq_literal, sigma_sq_true
 
 DEFAULT_CORPUS_SEED = 20260810
@@ -59,6 +71,31 @@ def analytic_gradient(pmf, m: int) -> np.ndarray:
     return (log_q[-1] - log_q[:-1]) * ratio[:-1] - (ratio[:-1] - ratio[-1]) * (h + log_q[-1])
 
 
+def _fd_gradients(ps: list[np.ndarray], m: int, h: float) -> list[np.ndarray]:
+    """Central differences (H+ - H-) / (2h) of every probability vector in ps.
+
+    Row i of a vector's block moves p_i by +h and row K-1+i by -h, and p_K
+    absorbs each move.  All rows are segments of one collision_log_weights
+    call, so each H has the bits of a lone gse call on that row.  Every row
+    must lie in the open simplex, as fd_gradient checks.
+    """
+    blocks = []
+    for p in ps:
+        free = p.size - 1
+        rows = np.arange(2 * free)
+        step = np.repeat([h, -h], free)
+        block = np.tile(p, (2 * free, 1))
+        block[rows, rows % free] += step
+        block[:, -1] -= step
+        blocks.append(block.ravel())
+    sizes = np.array([p.size for p in ps])
+    row_sizes = np.repeat(sizes, 2 * (sizes - 1))
+    starts = np.concatenate(([0], np.cumsum(row_sizes[:-1])))
+    entropies = collision_log_weights(np.concatenate(blocks), m, starts)[2]
+    return [(e[: e.size // 2] - e[e.size // 2:]) / (2.0 * h)
+            for e in np.split(entropies, np.cumsum(2 * (sizes - 1))[:-1])]
+
+
 def fd_gradient(pmf, m: int, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central finite differences of gse along the free coordinates.
 
@@ -70,19 +107,9 @@ def fd_gradient(pmf, m: int, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     if not (h > 0.0):
         raise ValueError("step size must be positive")
     p = pmf.probs
-    k = p.size
     if np.any(p[:-1] + h >= 1.0) or np.any(p[:-1] - h <= 0.0) or p[-1] - h <= 0.0:
         raise ValueError(f"step {h} leaves the simplex for {p}")
-    out = np.empty(k - 1)
-    for i in range(k - 1):
-        plus = p.copy()
-        plus[i] += h
-        plus[-1] -= h
-        minus = p.copy()
-        minus[i] -= h
-        minus[-1] += h
-        out[i] = (gse(DiscretePmf(plus), m) - gse(DiscretePmf(minus), m)) / (2.0 * h)
-    return out
+    return _fd_gradients([p], m, h)[0]
 
 
 def delta_variance_oracle(pmf, m: int) -> float:
@@ -123,6 +150,7 @@ def pmf_corpus(seed: int = DEFAULT_CORPUS_SEED, size: int = DEFAULT_CORPUS_SIZE,
     finite differences stay inside the simplex and 1/p_k terms stay well
     conditioned.
     """
+    size = _count(size, "corpus size", 1)
     rng = np.random.default_rng(seed)
     corpus: list[DiscretePmf] = []
     while len(corpus) < size:
@@ -152,30 +180,40 @@ class VerificationReport:
         return all(check.passed for check in self.checks)
 
 
+def _sigma_sq_sweeps(probs: list[np.ndarray], orders) -> dict[int, list[float]]:
+    """sigma_m^2 of every vector in probs at each order, from one h_sigma_sq
+    call an order with a segment a vector; each value has the bits of a lone
+    sigma_sq_true call."""
+    flat = np.concatenate(probs)
+    starts = np.cumsum([0] + [p.size for p in probs[:-1]])
+    return {m: h_sigma_sq(flat, m, starts)[1].tolist() for m in orders}
+
+
 def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
                      corpus_size: int = DEFAULT_CORPUS_SIZE,
                      m_values: tuple[int, ...] = (1, 2, 3, 4)) -> VerificationReport:
     """Run the oracle battery on a fixed-seed corpus and report per-invariant results."""
     corpus = pmf_corpus(seed=corpus_seed, size=corpus_size)
+    probs = [pmf.probs for pmf in corpus]
     checks: list[CheckResult] = []
 
-    # analytic gradient vs central finite differences
+    # analytic gradient vs central finite differences, one kernel sweep an order
     worst = 0.0
-    for pmf in corpus:
-        for m in m_values:
+    for m in m_values:
+        for pmf, f in zip(corpus, _fd_gradients(probs, _check_order(m), DEFAULT_FD_STEP)):
             a = analytic_gradient(pmf, m)
-            f = fd_gradient(pmf, m)
             gap = np.abs(a - f) / np.maximum(1.0, 1e2 * np.abs(a))
             worst = max(worst, float(gap.max()))
     checks.append(CheckResult(
         "gradient vs finite differences (tol max(1e-6, 1e-4|g|))",
         worst <= 1e-6, f"worst normalized gap {worst:.3e}"))
 
+    sigma_sq = _sigma_sq_sweeps(probs, {1, 2, *m_values})
+
     # closed-form variance vs delta-method quadratic form
     worst = 0.0
-    for pmf in corpus:
-        for m in m_values:
-            direct = sigma_sq_true(pmf, m)
+    for m in m_values:
+        for pmf, direct in zip(corpus, sigma_sq[m]):
             quad = delta_variance_oracle(pmf, m)
             worst = max(worst, abs(direct - quad) / max(abs(quad), 1e-30))
     checks.append(CheckResult(
@@ -184,11 +222,10 @@ def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
 
     # m = 1 must reduce to the classical plug-in entropy variance
     worst = 0.0
-    for pmf in corpus:
-        p = pmf.probs
+    for p, direct in zip(probs, sigma_sq[1]):
         log_p = np.log(p)
         classical = float(np.dot(p, log_p**2) - np.dot(p, log_p) ** 2)
-        worst = max(worst, abs(sigma_sq_true(pmf, 1) - classical))
+        worst = max(worst, abs(direct - classical))
     checks.append(CheckResult(
         "m=1 reduction to sum p ln^2 p - H^2 (abs tol 1e-12)",
         worst <= 1e-12, f"worst absolute gap {worst:.3e}"))
@@ -212,11 +249,10 @@ def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
     # diagnostic: the inside-the-square weighting disagrees on non-uniform pmfs
     disagreements = 0
     non_uniform = 0
-    for pmf in corpus:
+    for pmf, corrected in zip(corpus, sigma_sq[2]):
         if np.ptp(pmf.probs) <= 1e-12:
             continue
         non_uniform += 1
-        corrected = sigma_sq_true(pmf, 2)
         literal = sigma_sq_literal(pmf, 2)
         if abs(literal - corrected) > 1e-8 * max(corrected, 1e-30):
             disagreements += 1

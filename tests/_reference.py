@@ -181,6 +181,29 @@ def classical_entropy_variance(p):
     return float(np.dot(p, log_p**2) - np.dot(p, log_p) ** 2)
 
 
+def fd_gradient_loop(pmf, m, h):
+    """Central finite differences with one gse call per perturbed vector.
+
+    The one function here that calls the library: it is the per-vector
+    route that the stacked finite differences must reproduce bit for bit
+    (gse itself is checked against naive_gse).  Row i moves p_i by +/-h and
+    the last entry absorbs the change.
+    """
+    from gsentropy import DiscretePmf, gse
+
+    p = pmf.probs
+    out = np.empty(p.size - 1)
+    for i in range(p.size - 1):
+        plus = p.copy()
+        plus[i] += h
+        plus[-1] -= h
+        minus = p.copy()
+        minus[i] -= h
+        minus[-1] += h
+        out[i] = (gse(DiscretePmf(plus), m) - gse(DiscretePmf(minus), m)) / (2.0 * h)
+    return out
+
+
 def zeta_draw_whole_batch(s, n, seed=None, rng=None):
     """Zeta(s) rejection draw that runs the accept test on each whole batch.
 

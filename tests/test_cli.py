@@ -287,6 +287,14 @@ class TestCoverage:
                            "--grid", "10-20-10", "--reps", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["10:" + "1" * 401 + ":10", f"10:{2**53 + 1}:{2**52}"])
+    def test_grid_stop_past_2_to_the_53_is_usage_error(self, capsys, grid):
+        # a stop past 2^53 must not reach range(), whose C ssize_t a 401-digit one overflows
+        code, out, err = run(capsys, "coverage", "--dist", '{"kind":"uniform","K":2}',
+                             "--grid", grid, "--reps", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_protocol_defaults(self):
         from gsentropy import default_grid
         from gsentropy.cli import build_parser
@@ -309,6 +317,26 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--corpus-size", "6", "--m-range", "2..3")
         assert code == 0
         assert "orders [2, 3]" in out
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_empty_corpus_is_usage_error(self, capsys, size):
+        # an empty corpus would pass every check vacuously
+        code, out, err = run(capsys, "verify", f"--corpus-size={size}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "corpus size" in err
+
+    @pytest.mark.parametrize("spec", ["1.." + "1" * 401, "1" * 401 + "..1", "1" * 401,
+                                      f"1..{2**53 + 1}", "0..2", "0", "3..2"])
+    def test_unusable_order_range_is_usage_error(self, capsys, spec):
+        # an end past 2^53 must not reach range(), whose C ssize_t a 401-digit one overflows
+        code, out, err = run(capsys, "verify", "--corpus-size", "2", "--m-range", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_order_range_reaches_2_to_the_53(self, capsys):
+        code, out, _ = run(capsys, "verify", "--corpus-size", "2", "--m-range", f"{2**53 - 1}..{2**53}")
+        assert code == 0
+        assert f"orders [{2**53 - 1}, {2**53}]" in out
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         import gsentropy.cli as cli_mod

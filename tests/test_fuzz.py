@@ -1,12 +1,15 @@
 """Fuzzing of the input surface: distribution configs, count and label files,
-and ``gse estimate`` on those files.
+``gse estimate`` on those files, the order-range and grid parsers, and ``gse
+verify``'s corpus and order flags.
 
 Only the documented failures may occur: ``ValueError`` from
-``parse_distribution``, ``ValueError`` or ``OSError`` from the readers, and
-exit code 0 or 2 (with an ``error:`` line, never a traceback) from the CLI.
-The runs are derandomized, so every run tries the same examples.  ``gse
-compute`` is not fuzzed: a Zeta exponent near 1 can legitimately sum up to
-50M series terms.
+``parse_distribution`` and the range parsers, ``ValueError`` or ``OSError``
+from the readers, and exit code 0 or 2 (with an ``error:`` line, never a
+traceback) from the CLI.  The runs are derandomized, so every run tries the
+same examples.  ``gse compute`` is not fuzzed: a Zeta exponent near 1 can
+legitimately sum up to 50M series terms.  The range strategies keep every
+valid span tiny (at most 3 orders, a corpus of at most 3 pmfs), so no example
+starts an unbounded run.
 """
 
 import io
@@ -18,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsentropy import parse_distribution, read_counts_csv, read_raw_labels
-from gsentropy.cli import main
+from gsentropy.cli import _parse_grid, _parse_m_range, main
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -48,6 +51,41 @@ input_files = st.one_of(
 
 # orders m up to 4, and around and past 2^53, the largest order accepted
 orders = st.integers(1, 4) | st.integers(2**53 - 2, 2**53 + 2) | st.integers(2**53, 10**400)
+
+
+# range ends: small ones, around 2^53, and far past it either way
+_huge = st.integers(2**53 + 1, 10**401) | st.integers(-(10**401), -1)
+_junk = st.text(alphabet="x .:-+e", max_size=6)
+
+
+@st.composite
+def _order_ranges(draw):
+    """lo..hi or a single order, half of them valid; hi is drawn near lo,
+    so a valid range holds at most 3 orders."""
+    lo = draw(st.integers(1, 5) | st.integers(2**53 - 2, 2**53))
+    hi = draw(st.integers(lo, min(lo + 2, 2**53)))
+    if not draw(st.booleans()):  # break one end
+        bad = st.integers(-2, 0) | _huge
+        lo, hi = draw(st.sampled_from([(draw(bad), hi), (lo, draw(bad | st.just(lo - 1)))]))
+    return f"{lo}..{hi}" if draw(st.booleans()) else str(lo)
+
+
+@st.composite
+def _grids(draw):
+    """start:stop:step, half of them valid; a step above a third of the span
+    leaves a valid grid at most 3 points."""
+    start = draw(st.integers(2, 12) | st.integers(2**53 - 2, 2**53))
+    stop = draw(st.integers(start, min(start + 30, 2**53)) | st.integers(start, 2**53))
+    if not draw(st.booleans()):  # break one part
+        start, stop = draw(st.sampled_from([
+            (draw(st.integers(-1, 1) | _huge), stop),
+            (start, draw(st.just(start - 1) | st.integers(2**53 + 1, 2**53 + 2) | _huge))]))
+    step = draw(st.integers(1, 2**60).map(lambda x: x + abs(stop - start) // 3) | st.integers(-2, 0))
+    return f"{start}:{stop}:{step}"
+
+
+m_range_specs = _order_ranges() | st.tuples(st.integers(-1, 3), _junk).map("{0[0]}..{0[1]}".format) | _junk
+grid_specs = _grids() | st.tuples(st.integers(-1, 12), _junk).map("{0[0]}:{0[1]}".format) | _junk
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +136,52 @@ def test_estimate_exits_0_or_2_without_traceback(workdir, data, raw, m, fmt):
         assert err.getvalue() == ""
         if fmt == "json":
             assert json.loads(out.getvalue())["m"] == m
+    else:
+        assert code == 2
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+
+
+@FUZZ
+@given(m_range_specs)
+@example("1.." + "1" * 401)  # an end too large for range()
+@example("1" * 401 + ".." + "1" * 401)
+def test_parse_m_range_raises_only_value_error(spec):
+    try:
+        orders = _parse_m_range(spec)
+    except ValueError:
+        return
+    assert 1 <= len(orders) <= 3
+    assert all(1 <= m <= 2**53 for m in orders)
+    assert list(orders) == list(range(orders[0], orders[-1] + 1))
+
+
+@FUZZ
+@given(grid_specs)
+@example("10:" + "1" * 401 + ":10")  # a stop too large for range()
+@example(f"10:{2**53}:{2**53}")
+def test_parse_grid_raises_only_value_error(spec):
+    try:
+        grid = _parse_grid(spec)
+    except ValueError:
+        return
+    assert 1 <= len(grid) <= 3
+    assert 2 <= grid[0] and grid[-1] <= 2**53
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+@FUZZ
+@given(st.integers(-3, 3) | st.integers(-(10**401), -4), m_range_specs)
+@example(0, "1..2")  # an empty corpus
+@example(-3, "1..2")
+@example(2, "1.." + "1" * 401)
+def test_verify_exits_0_or_2_without_traceback(size, spec):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", f"--corpus-size={size}", f"--m-range={spec}"])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert out.getvalue().startswith(f"corpus: {size} pmfs")
+        assert out.getvalue().count("[PASS]") == 5
     else:
         assert code == 2
         assert out.getvalue() == "" and err.getvalue().startswith("error:")

@@ -17,7 +17,11 @@ from gsentropy import (
     sigma_sq_true,
 )
 
-from _reference import SIG2_POINT37
+from gsentropy.oracles import DEFAULT_CORPUS_SEED, _fd_gradients, _sigma_sq_sweeps
+
+from _reference import SIG2_POINT37, fd_gradient_loop
+
+ORDERS = range(1, 9)
 
 
 def _grad_tol(values):
@@ -68,6 +72,20 @@ class TestFdGradient:
     def test_uniform_is_flat(self):
         npt.assert_allclose(fd_gradient(np.full(4, 0.25), 3), 0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("h", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("seed", [DEFAULT_CORPUS_SEED, 7, 11])
+    def test_stacked_differences_are_the_per_vector_loop(self, seed, h):
+        # fd_gradient and the corpus sweep of run_verification both stack the
+        # perturbed vectors as kernel segments; neither may move a bit
+        corpus = pmf_corpus(seed=seed)
+        for m in ORDERS:
+            sweep = _fd_gradients([pmf.probs for pmf in corpus], m, h)
+            assert len(sweep) == len(corpus)
+            for pmf, stacked in zip(corpus, sweep):
+                loop = fd_gradient_loop(pmf, m, h)
+                assert np.array_equal(fd_gradient(pmf, m, h), loop)
+                assert np.array_equal(stacked, loop)
+
 
 class TestDeltaVarianceOracle:
     def test_uniform_is_degenerate(self):
@@ -113,6 +131,16 @@ class TestMcVarianceOracle:
             mc_variance_oracle(UniformFinite(2), 2, n=100, reps=10, seed=1)
 
 
+class TestSigmaSqSweeps:
+    @pytest.mark.parametrize("seed", [DEFAULT_CORPUS_SEED, 7, 11])
+    def test_sweep_is_sigma_sq_true(self, seed):
+        corpus = pmf_corpus(seed=seed)
+        sweeps = _sigma_sq_sweeps([pmf.probs for pmf in corpus], ORDERS)
+        assert sorted(sweeps) == list(ORDERS)
+        for m in ORDERS:
+            assert sweeps[m] == [sigma_sq_true(pmf, m) for pmf in corpus]
+
+
 class TestVerificationReport:
     def test_default_battery_passes(self):
         report = run_verification(corpus_size=25)
@@ -133,3 +161,11 @@ class TestVerificationReport:
             npt.assert_array_equal(pmf.probs, pmf2.probs)
             assert 2 <= pmf.size <= 12
             assert pmf.probs.min() >= 0.01
+
+    @pytest.mark.parametrize("size", [0, -3, True, 2.0])
+    def test_corpus_size_is_a_positive_integer(self, size):
+        # an empty corpus would pass every check vacuously
+        with pytest.raises(ValueError, match="corpus size"):
+            pmf_corpus(size=size)
+        with pytest.raises(ValueError, match="corpus size"):
+            run_verification(corpus_size=size)
