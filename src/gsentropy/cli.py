@@ -42,6 +42,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NON_CONVERGENT = 3
+# the most orders or grid points a --m-range or --grid span may hold
+MAX_SPAN = 10**6
 
 def _load_distribution(spec: str):
     text = spec.strip()
@@ -61,7 +63,7 @@ def _parse_grid(spec: str) -> list[int]:
     # far larger stop overflows list(range())
     if stop > 2**53:
         raise ValueError(f"grid stop must be at most 2**53, got {stop}")
-    return list(range(start, stop + 1, step))
+    return list(_capped(range(start, stop + 1, step), "grid", spec))
 
 
 def _parse_m_range(spec: str) -> tuple[int, ...]:
@@ -69,8 +71,16 @@ def _parse_m_range(spec: str) -> tuple[int, ...]:
         lo, hi = (_check_order(int(p)) for p in spec.split("..", 1))
         if hi < lo:
             raise ValueError(f"unusable order range {spec!r}")
-        return tuple(range(lo, hi + 1))
+        return tuple(_capped(range(lo, hi + 1), "order range", spec))
     return (_check_order(int(spec)),)
+
+
+def _capped(span: range, what: str, spec: str) -> range:
+    # len() of a range allocates nothing, so a span too long to build or run
+    # is refused before it is built
+    if len(span) > MAX_SPAN:
+        raise ValueError(f"{what} {spec!r} holds {len(span)} values, more than {MAX_SPAN}")
+    return span
 
 
 def _fmt(x: float) -> str:

@@ -25,11 +25,14 @@ own exact sigma_m^2.  Interval quantiles are the stdlib's ``NormalDist``.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from statistics import NormalDist
 from typing import Mapping, Union
@@ -178,13 +181,17 @@ def confidence_interval(counts: SampleCounts, m: int, alpha: float) -> Confidenc
 
 COUNTS_HEADER = ("category", "count")
 _SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
+# Bytes a raw-label block holds.  8 KiB is the chunk a text-mode file decodes
+# at a time, and a decode error's position is relative to that chunk, so the
+# blocks give the error text that line-by-line reading gave.
+_RAW_BLOCK = 8192
 
 
-def _encode_labels(label_counts: Counter) -> tuple[SampleCounts, dict[int, str]]:
+def _encode_labels(label_counts: Mapping[str, int]) -> tuple[SampleCounts, dict[int, str]]:
     labels = sorted(label for label, count in label_counts.items() if count > 0)
     if not labels:
         raise ValueError("no observations: all counts are zero or the file is empty")
-    counts = SampleCounts(np.arange(1, len(labels) + 1), [label_counts[label] for label in labels])
+    counts = SampleCounts(np.arange(1, len(labels) + 1), list(map(label_counts.__getitem__, labels)))
     return counts, dict(enumerate(labels, start=1))
 
 
@@ -195,7 +202,8 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str
     whitespace.  Returns the canonical counts plus the code -> original
     label map.  Duplicate labels are aggregated; zero-count rows are dropped.
     """
-    label_counts: Counter = Counter()
+    label_counts: dict[str, int] = {}
+    get = label_counts.get
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -203,28 +211,47 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str
             if header is None or tuple(h.strip().lower() for h in header) != COUNTS_HEADER:
                 raise ValueError(f"expected header 'category,count' in {path}")
             for row_number, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
                 if len(row) != 2:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
                     raise ValueError(f"{path}:{row_number}: expected two columns, got {len(row)}")
+                label, field = row
                 # int() alone would also take "1_000" and non-ASCII digits;
                 # plain ASCII digits, the common case, skip the pattern
-                field = row[1]
-                if not (field.isascii() and field.isdigit()) and not _SIGNED_DIGITS.fullmatch(field.strip()):
+                plain = field.isascii() and field.isdigit()
+                if not plain and not _SIGNED_DIGITS.fullmatch(field.strip()):
                     raise ValueError(f"{path}:{row_number}: count {field!r} is not an integer")
                 count = int(field)
-                if count < 0:
+                if not plain and count < 0:
                     raise ValueError(f"{path}:{row_number}: negative count {count}")
-                label_counts[row[0].strip()] += count
+                label = label.strip()
+                label_counts[label] = get(label, 0) + count
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return _encode_labels(label_counts)
 
 
 def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str]]:
-    """Read one observation label per line (blank lines are skipped)."""
-    with open(path, encoding="utf-8-sig") as handle:  # a leading byte-order mark is not part of a label
-        label_counts = Counter(map(str.strip, handle))
+    """Read one observation label per line (blank lines are skipped).
+
+    Lines end at "\\n", "\\r\\n" or "\\r" only; a label's surrounding
+    Unicode whitespace is stripped.  The file is counted a block at a time, so
+    memory grows with the distinct labels, not the lines.
+    """
+    # the decoders of a text-mode file: a leading byte-order mark is not part
+    # of a label, and a "\r\n" split across two blocks is one line end
+    decode = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8-sig")(), translate=True).decode
+    label_counts: Counter = Counter()
+    tail = ""
+    with open(path, "rb") as handle:
+        for block in iter(partial(handle.read, _RAW_BLOCK), b""):
+            lines = (tail + decode(block)).split("\n")
+            tail = lines.pop()  # the unfinished last line
+            label_counts.update(lines)
+    label_counts.update((tail + decode(b"", True)).split("\n"))
+    # strip each distinct label once rather than every line
+    for label in [label for label in label_counts if label != label.strip()]:
+        label_counts[label.strip()] += label_counts.pop(label)
     del label_counts[""]
     return _encode_labels(label_counts)
 

@@ -204,6 +204,62 @@ def fd_gradient_loop(pmf, m, h):
     return out
 
 
+def _encode_labels_loop(label_counts):
+    from gsentropy import SampleCounts
+
+    labels = sorted(label for label, count in label_counts.items() if count > 0)
+    if not labels:
+        raise ValueError("no observations: all counts are zero or the file is empty")
+    counts = SampleCounts(np.arange(1, len(labels) + 1), [label_counts[label] for label in labels])
+    return counts, dict(enumerate(labels, start=1))
+
+
+def read_counts_csv_rows(path):
+    """The counts-CSV reader as one Counter update per row.
+
+    Like fd_gradient_loop it builds the library's SampleCounts; the blank-row
+    test, the pattern and the negative check run on every row, in the order
+    of the error messages.
+    """
+    import csv
+    import re
+    from collections import Counter
+
+    label_counts = Counter()
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None or tuple(h.strip().lower() for h in header) != ("category", "count"):
+                raise ValueError(f"expected header 'category,count' in {path}")
+            for row_number, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}:{row_number}: expected two columns, got {len(row)}")
+                field = row[1]
+                if not re.fullmatch(r"[+-]?[0-9]+", field.strip()):
+                    raise ValueError(f"{path}:{row_number}: count {field!r} is not an integer")
+                count = int(field)
+                if count < 0:
+                    raise ValueError(f"{path}:{row_number}: negative count {count}")
+                label_counts[row[0].strip()] += count
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    return _encode_labels_loop(label_counts)
+
+
+def read_raw_labels_lines(path):
+    """The raw-label reader as a text-mode file read line by line, each
+    line stripped (universal newlines; a leading byte-order mark dropped)."""
+    from collections import Counter
+
+    with open(path, encoding="utf-8-sig") as handle:
+        label_counts = Counter(line.strip() for line in handle)
+    del label_counts[""]
+    return _encode_labels_loop(label_counts)
+
+
 def zeta_draw_whole_batch(s, n, seed=None, rng=None):
     """Zeta(s) rejection draw that runs the accept test on each whole batch.
 

@@ -295,6 +295,13 @@ class TestCoverage:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_grid_of_more_than_a_million_points_is_usage_error(self, capsys):
+        # refused before the list is built, and before any replicate runs
+        code, out, err = run(capsys, "coverage", "--dist", '{"kind":"uniform","K":2}',
+                             "--grid", f"10:{2**53}:1", "--reps", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "more than 1000000" in err
+
     def test_protocol_defaults(self):
         from gsentropy import default_grid
         from gsentropy.cli import build_parser
@@ -332,6 +339,22 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--corpus-size", "2", "--m-range", spec)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", [f"1..{2**53}", "1..1000001"])
+    def test_order_range_of_more_than_a_million_orders_is_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, "verify", "--corpus-size", "1", "--m-range", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "more than 1000000" in err
+
+    def test_spans_of_a_million_are_accepted(self):
+        from gsentropy.cli import MAX_SPAN, _parse_grid, _parse_m_range
+
+        assert MAX_SPAN == 10**6
+        assert _parse_m_range("1..1000000") == tuple(range(1, 10**6 + 1))
+        assert _parse_grid("2:1000001:1") == list(range(2, 10**6 + 2))
+        assert _parse_grid(f"2:{2**53}:{(2**53 - 2) // (10**6 - 1)}")[-1] <= 2**53
+        with pytest.raises(ValueError, match="more than 1000000"):
+            _parse_grid("2:1000002:1")
 
     def test_order_range_reaches_2_to_the_53(self, capsys):
         code, out, _ = run(capsys, "verify", "--corpus-size", "2", "--m-range", f"{2**53 - 1}..{2**53}")

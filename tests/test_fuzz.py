@@ -9,7 +9,8 @@ traceback) from the CLI.  The runs are derandomized, so every run tries the
 same examples.  ``gse compute`` is not fuzzed: a Zeta exponent near 1 can
 legitimately sum up to 50M series terms.  The range strategies keep every
 valid span tiny (at most 3 orders, a corpus of at most 3 pmfs), so no example
-starts an unbounded run.
+starts an unbounded run; their other spans hold more than 10^6 values, past
+the parsers' cap.
 """
 
 import io
@@ -58,12 +59,19 @@ _huge = st.integers(2**53 + 1, 10**401) | st.integers(-(10**401), -1)
 _junk = st.text(alphabet="x .:-+e", max_size=6)
 
 
+# a span end that makes a span of just over 10^6 values, or of about 2^53;
+# either is built (about 36 MB) or fails to allocate at once if the cap is lost
+def _too_long(start, step=1):
+    return st.integers(start + 10**6 * step, start + 10**6 * step + 2) | st.integers(2**53 - 2, 2**53)
+
+
 @st.composite
 def _order_ranges(draw):
     """lo..hi or a single order, half of them valid; hi is drawn near lo,
-    so a valid range holds at most 3 orders."""
+    so a valid range holds at most 3 orders, or so far past it that the
+    range holds more than 10^6 orders and is refused."""
     lo = draw(st.integers(1, 5) | st.integers(2**53 - 2, 2**53))
-    hi = draw(st.integers(lo, min(lo + 2, 2**53)))
+    hi = draw(st.integers(lo, min(lo + 2, 2**53)) | (_too_long(lo) if lo <= 5 else st.nothing()))
     if not draw(st.booleans()):  # break one end
         bad = st.integers(-2, 0) | _huge
         lo, hi = draw(st.sampled_from([(draw(bad), hi), (lo, draw(bad | st.just(lo - 1)))]))
@@ -73,8 +81,12 @@ def _order_ranges(draw):
 @st.composite
 def _grids(draw):
     """start:stop:step, half of them valid; a step above a third of the span
-    leaves a valid grid at most 3 points."""
+    leaves a valid grid at most 3 points.  Some grids instead take steps of
+    1 to 3 over more than 10^6 points, which are refused."""
     start = draw(st.integers(2, 12) | st.integers(2**53 - 2, 2**53))
+    if start <= 12 and draw(st.booleans()):
+        step = draw(st.integers(1, 3))
+        return f"{start}:{draw(_too_long(start, step))}:{step}"
     stop = draw(st.integers(start, min(start + 30, 2**53)) | st.integers(start, 2**53))
     if not draw(st.booleans()):  # break one part
         start, stop = draw(st.sampled_from([
@@ -145,6 +157,8 @@ def test_estimate_exits_0_or_2_without_traceback(workdir, data, raw, m, fmt):
 @given(m_range_specs)
 @example("1.." + "1" * 401)  # an end too large for range()
 @example("1" * 401 + ".." + "1" * 401)
+@example(f"1..{2**53}")  # 2^53 orders: refused before the span is built
+@example("1..1000001")
 def test_parse_m_range_raises_only_value_error(spec):
     try:
         orders = _parse_m_range(spec)
@@ -159,6 +173,7 @@ def test_parse_m_range_raises_only_value_error(spec):
 @given(grid_specs)
 @example("10:" + "1" * 401 + ":10")  # a stop too large for range()
 @example(f"10:{2**53}:{2**53}")
+@example(f"10:{2**53}:1")  # about 2^53 points: refused before the list is built
 def test_parse_grid_raises_only_value_error(spec):
     try:
         grid = _parse_grid(spec)
@@ -174,6 +189,7 @@ def test_parse_grid_raises_only_value_error(spec):
 @example(0, "1..2")  # an empty corpus
 @example(-3, "1..2")
 @example(2, "1.." + "1" * 401)
+@example(1, f"1..{2**53}")
 def test_verify_exits_0_or_2_without_traceback(size, spec):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

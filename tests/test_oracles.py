@@ -169,3 +169,9 @@ class TestVerificationReport:
             pmf_corpus(size=size)
         with pytest.raises(ValueError, match="corpus size"):
             run_verification(corpus_size=size)
+
+    @pytest.mark.parametrize("m_values", [(), [], (1, 0), (2, True), (2**53 + 1,)])
+    def test_orders_are_checked_before_the_battery(self, m_values):
+        # with no order every check would pass vacuously, with worst gaps of 0
+        with pytest.raises(ValueError, match="m_values|collision order"):
+            run_verification(corpus_size=3, m_values=m_values)
