@@ -3,7 +3,7 @@
 
 Repeats the sample -> interval -> does-it-cover-the-truth loop across a
 grid of sample sizes and writes the coverage curve as CSV and SVG.  The
-full protocol (grid 10..1000 step 10, 5000 replicates) takes a while; this
+full protocol (the default grid, 5000 replicates) takes a while; this
 demo runs a reduced grid in well under a minute.
 
 Run:
@@ -20,6 +20,7 @@ from gsentropy import (
     write_coverage_csv,
     write_coverage_svg,
 )
+from gsentropy.coverage import STABLE_BAND_SE
 
 out_dir = Path(__file__).resolve().parent / "output"
 out_dir.mkdir(exist_ok=True)
@@ -42,7 +43,7 @@ for m in (2, 3):
     bottom, top = convergence_gap(result)
     n_star = stable_from(result)
     print(f"  distance from 0.95: first-quartile {bottom:.4f} -> top-quartile {top:.4f}")
-    print(f"  all points within 3 binomial SEs of 0.95 from n = {n_star}")
+    print(f"  all points within {STABLE_BAND_SE:g} binomial SEs of 0.95 from n = {n_star}")
     print(f"  wrote {csv_path.name} and {svg_path.name}")
     print()
 

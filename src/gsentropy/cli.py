@@ -19,6 +19,8 @@ import sys
 from pathlib import Path
 
 from .coverage import (
+    DEFAULT_GRID,
+    STABLE_BAND_SE,
     coverage_csv,
     coverage_sweep,
     default_grid,
@@ -27,7 +29,7 @@ from .coverage import (
     write_coverage_svg,
 )
 from .distributions import NonConvergenceError, Zeta, _check_order, parse_distribution
-from .entropy import gse_analytic_info, shannon_entropy
+from .entropy import DEFAULT_EPS, gse_analytic_info, shannon_entropy
 from .estimation import (
     _interval,
     _two_sided_z,
@@ -47,7 +49,7 @@ MAX_SPAN = 10**6
 
 def _load_distribution(spec: str):
     text = spec.strip()
-    if not text.lstrip().startswith("{"):
+    if not text.startswith("{"):
         text = Path(text).read_text(encoding="utf-8")
     return parse_distribution(text)
 
@@ -168,12 +170,11 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     dist = _load_distribution(args.dist)
     grid = _parse_grid(args.grid) if args.grid else default_grid()
     result = coverage_sweep(dist, args.m, grid, args.reps, args.alpha, args.seed)
-    csv_text = coverage_csv(result.points)
     if args.out:
         write_coverage_csv(result, args.out)
         summary_stream = sys.stdout
     else:
-        sys.stdout.write(csv_text)
+        sys.stdout.write(coverage_csv(result.points))
         summary_stream = sys.stderr
     if args.svg:
         write_coverage_svg(result, args.svg)
@@ -182,12 +183,10 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     stable = stable_from(result)
     print(f"true H_{args.m} = {_fmt(result.true_gse)}; coverage min {min(covs):.4f} "
           f"max {max(covs):.4f} over {len(covs)} sample sizes", file=summary_stream)
-    if stable is None:
-        print("no grid point starts an all-within-3-SE run of the nominal level",
-              file=summary_stream)
-    else:
-        print(f"all points within 3 binomial SEs of {1 - args.alpha:g} from n = {stable}",
-              file=summary_stream)
+    band = f"{STABLE_BAND_SE:g}"
+    print(f"no grid point starts an all-within-{band}-SE run of the nominal level" if stable is None
+          else f"all points within {band} binomial SEs of {1 - args.alpha:g} from n = {stable}",
+          file=summary_stream)
     return EXIT_OK
 
 
@@ -210,15 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--m", type=int, default=2, help="collision order (default 2)")
-        p.add_argument("--eps", type=float, default=1e-10,
-                       help="series evaluation tolerance (default 1e-10)")
-
     p = sub.add_parser("compute", help="exact entropy of a distribution")
     p.add_argument("--dist", required=True,
                    help='inline JSON like {"kind":"zeta","s":1.5} or a path to a JSON file')
-    add_common(p)
+    p.add_argument("--m", type=int, default=2, help="collision order (default 2)")
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS,
+                   help="series evaluation tolerance (default %(default)g)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_compute)
 
@@ -236,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=5000)
     p.add_argument("--grid", default=None,
-                   help="start:stop:step sample sizes (default 10:1000:10)")
+                   help="start:stop:step sample sizes (default {}:{}:{})".format(*DEFAULT_GRID))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--svg", default=None, help="optional SVG plot path")

@@ -52,6 +52,9 @@ from .estimation import _two_sided_z
 # Sample elements per block: a block holds max(1, _BLOCK // n) replicates,
 # so an experiment's memory is bounded whatever reps is.
 _BLOCK = 1 << 14
+DEFAULT_GRID = (10, 1000, 10)  # the protocol's (start, stop, step), stop included
+STABLE_BAND_SE = 3.0  # stable_from's band in binomial standard errors
+SVG_SIZE = (640, 420)  # the coverage plot's (width, height) in pixels
 
 
 @dataclass(frozen=True)
@@ -152,8 +155,9 @@ def coverage_sweep(dist: AnalyticDistribution, m: int, n_grid: Sequence[int],
     return SweepResult(distribution_config(dist), m, alpha, truth, points)
 
 
-def default_grid(start: int = 10, stop: int = 1000, step: int = 10) -> list[int]:
-    """Sample sizes 10, 20, ..., 1000 unless overridden."""
+def default_grid() -> list[int]:
+    """The protocol's sample sizes, DEFAULT_GRID: 10, 20, ..., 1000."""
+    start, stop, step = DEFAULT_GRID
     return list(range(start, stop + 1, step))
 
 
@@ -176,9 +180,9 @@ def write_coverage_csv(result: SweepResult, path: Union[str, Path]) -> None:
     Path(path).write_text(coverage_csv(result.points), encoding="utf-8")
 
 
-def write_coverage_svg(result: SweepResult, path: Union[str, Path],
-                       width: int = 640, height: int = 420) -> None:
+def write_coverage_svg(result: SweepResult, path: Union[str, Path]) -> None:
     """Minimal standalone plot: coverage vs n with a dashed line at 1 - alpha."""
+    width, height = SVG_SIZE
     pts = result.points
     margin = 50
     x0, x1 = pts[0].n, pts[-1].n
@@ -219,13 +223,13 @@ def write_coverage_svg(result: SweepResult, path: Union[str, Path],
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def stable_from(result: SweepResult, band_se: float = 3.0) -> int | None:
-    """Smallest grid n from which every later point sits within band_se
+def stable_from(result: SweepResult) -> int | None:
+    """Smallest grid n from which every later point sits within STABLE_BAND_SE
     binomial standard errors of the nominal level (None if never)."""
     level = 1.0 - result.alpha
     pts = result.points
     for i, start in enumerate(pts):
-        if all(abs(p.coverage - level) <= band_se * math.sqrt(level * (1 - level) / p.reps)
+        if all(abs(p.coverage - level) <= STABLE_BAND_SE * math.sqrt(level * (1 - level) / p.reps)
                for p in pts[i:]):
             return start.n
     return None

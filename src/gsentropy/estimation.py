@@ -25,12 +25,11 @@ own exact sigma_m^2.  Interval quantiles are the stdlib's ``NormalDist``.
 
 from __future__ import annotations
 
-import codecs
 import csv
-import io
 import math
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -181,10 +180,21 @@ def confidence_interval(counts: SampleCounts, m: int, alpha: float) -> Confidenc
 
 COUNTS_HEADER = ("category", "count")
 _SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
-# Bytes a raw-label block holds.  8 KiB is the chunk a text-mode file decodes
-# at a time, and a decode error's position is relative to that chunk, so the
-# blocks give the error text that line-by-line reading gave.
+# Characters a raw-label block holds: the 8 KiB a text-mode file decodes at a time
 _RAW_BLOCK = 8192
+
+
+@contextmanager
+def _utf8_text(path, newline=None):
+    """The file as UTF-8 text less a leading byte-order mark.  A bad byte raises
+    ValueError with its file offset: exc.object, the decoder's last input with
+    any held-over bytes, ends where the binary buffer stands."""
+    with open(path, newline=newline, encoding="utf-8-sig") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            offset = handle.buffer.tell() - len(exc.object) + exc.start
+            raise ValueError(f"{path}: byte {offset} is not UTF-8 ({exc.reason})") from exc
 
 
 def _encode_labels(label_counts: Mapping[str, int]) -> tuple[SampleCounts, dict[int, str]]:
@@ -204,7 +214,7 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str
     """
     label_counts: dict[str, int] = {}
     get = label_counts.get
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    with _utf8_text(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -238,17 +248,14 @@ def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str
     Unicode whitespace is stripped.  The file is counted a block at a time, so
     memory grows with the distinct labels, not the lines.
     """
-    # the decoders of a text-mode file: a leading byte-order mark is not part
-    # of a label, and a "\r\n" split across two blocks is one line end
-    decode = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8-sig")(), translate=True).decode
     label_counts: Counter = Counter()
     tail = ""
-    with open(path, "rb") as handle:
-        for block in iter(partial(handle.read, _RAW_BLOCK), b""):
-            lines = (tail + decode(block)).split("\n")
+    with _utf8_text(path) as handle:
+        for block in iter(partial(handle.read, _RAW_BLOCK), ""):
+            lines = (tail + block).split("\n")
             tail = lines.pop()  # the unfinished last line
             label_counts.update(lines)
-    label_counts.update((tail + decode(b"", True)).split("\n"))
+    label_counts[tail] += 1
     # strip each distinct label once rather than every line
     for label in [label for label in label_counts if label != label.strip()]:
         label_counts[label.strip()] += label_counts.pop(label)

@@ -10,10 +10,11 @@ separate so they can check one another:
 
 The gradient itself is double-checked against central finite differences
 on the simplex.  ``run_verification`` bundles all of it into the report
-behind the command-line ``verify`` subcommand.  It takes each order's finite
-differences, and the corpus's closed-form variances, from one call of the
-segment kernel in ``distributions`` with a segment a vector; a segment's
-values have the bits of a lone ``gse`` or ``sigma_sq_true`` call on it.
+behind the command-line ``verify`` subcommand, in one pass over (order,
+pmf): each order's finite differences, and the corpus's closed-form
+variances, come from one call of the segment kernel in ``distributions``,
+and each (order, pmf) from one run of the oracles' own weight pass,
+``_collision_weights``.  The corpus is valid by construction.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from .estimation import gse_plugin, sigma_sq_literal, sigma_sq_true
 DEFAULT_CORPUS_SEED = 20260810
 DEFAULT_CORPUS_SIZE = 100
 DEFAULT_FD_STEP = 1e-6
+CORPUS_K_MIN = 2
+CORPUS_K_MAX = 12
+CORPUS_MIN_PROB = 0.01
 
 
 def _positive_pmf(pmf) -> DiscretePmf:
@@ -47,6 +51,27 @@ def _positive_pmf(pmf) -> DiscretePmf:
     if np.any(pmf.probs <= 0.0):
         raise ValueError("gradient oracles require strictly positive probabilities")
     return pmf
+
+
+def _collision_weights(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(ln q, m q / p, H) of a strictly positive p at order m; H is an np.dot."""
+    w = m * np.log(p)
+    w -= w.max()
+    log_q = w - np.log(np.sum(np.exp(w)))
+    q = np.exp(log_q)
+    return log_q, m * q / p, float(-np.dot(q, log_q))
+
+
+def _free_gradient(log_q: np.ndarray, ratio: np.ndarray, h: float) -> np.ndarray:
+    """The K-1 free partial derivatives from one _collision_weights pass."""
+    return (log_q[-1] - log_q[:-1]) * ratio[:-1] - (ratio[:-1] - ratio[-1]) * (h + log_q[-1])
+
+
+def _quadratic_form(p: np.ndarray, g: np.ndarray) -> float:
+    """g^T Sigma g with the explicit (K-1)x(K-1) multinomial covariance of p."""
+    v = p[:-1]
+    cov = np.diag(v) - np.outer(v, v)
+    return float(g @ cov @ g)
 
 
 def analytic_gradient(pmf, m: int) -> np.ndarray:
@@ -59,16 +84,7 @@ def analytic_gradient(pmf, m: int) -> np.ndarray:
                   - m (q_i / p_i - q_K / p_K) (H + ln q_K).
     """
     pmf = _positive_pmf(pmf)
-    m = _check_order(m)
-    p = pmf.probs
-    w = m * np.log(p)
-    w -= w.max()
-    log_norm = np.log(np.sum(np.exp(w)))
-    log_q = w - log_norm
-    q = np.exp(log_q)
-    h = float(-np.dot(q, log_q))
-    ratio = m * q / p
-    return (log_q[-1] - log_q[:-1]) * ratio[:-1] - (ratio[:-1] - ratio[-1]) * (h + log_q[-1])
+    return _free_gradient(*_collision_weights(pmf.probs, _check_order(m)))
 
 
 def _fd_gradients(ps: list[np.ndarray], m: int, h: float) -> list[np.ndarray]:
@@ -115,10 +131,7 @@ def fd_gradient(pmf, m: int, h: float = DEFAULT_FD_STEP) -> np.ndarray:
 def delta_variance_oracle(pmf, m: int) -> float:
     """grad^T Sigma grad with the explicit (K-1)x(K-1) multinomial covariance."""
     pmf = _positive_pmf(pmf)
-    g = analytic_gradient(pmf, m)
-    v = pmf.probs[:-1]
-    cov = np.diag(v) - np.outer(v, v)
-    return float(g @ cov @ g)
+    return _quadratic_form(pmf.probs, analytic_gradient(pmf, m))
 
 
 def mc_variance_oracle(dist: AnalyticDistribution, m: int, n: int, reps: int, seed: int) -> float:
@@ -142,21 +155,21 @@ def mc_variance_oracle(dist: AnalyticDistribution, m: int, n: int, reps: int, se
 # ---------------------------------------------------------------------------
 
 
-def pmf_corpus(seed: int = DEFAULT_CORPUS_SEED, size: int = DEFAULT_CORPUS_SIZE,
-               k_min: int = 2, k_max: int = 12, min_prob: float = 0.01) -> list[DiscretePmf]:
+def pmf_corpus(seed: int = DEFAULT_CORPUS_SEED, size: int = DEFAULT_CORPUS_SIZE) -> list[DiscretePmf]:
     """Reproducible corpus of random interior simplex points.
 
-    Draws whose smallest entry falls below ``min_prob`` are rejected, so
-    finite differences stay inside the simplex and 1/p_k terms stay well
+    Each pmf has CORPUS_K_MIN to CORPUS_K_MAX categories.  Draws whose
+    smallest entry falls below CORPUS_MIN_PROB are rejected, so finite
+    differences stay inside the simplex and 1/p_k terms stay well
     conditioned.
     """
     size = _count(size, "corpus size", 1)
     rng = np.random.default_rng(seed)
     corpus: list[DiscretePmf] = []
     while len(corpus) < size:
-        k = int(rng.integers(k_min, k_max + 1))
+        k = int(rng.integers(CORPUS_K_MIN, CORPUS_K_MAX + 1))
         p = rng.dirichlet(np.full(k, 2.0))
-        if p.min() >= min_prob:
+        if p.min() >= CORPUS_MIN_PROB:
             corpus.append(DiscretePmf(p))
     return corpus
 
@@ -198,60 +211,31 @@ def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
         raise ValueError("m_values must hold at least one order")
     corpus = pmf_corpus(seed=corpus_seed, size=corpus_size)
     probs = [pmf.probs for pmf in corpus]
-    checks: list[CheckResult] = []
-
-    # analytic gradient vs central finite differences, one kernel sweep an order
-    worst = 0.0
-    for m in m_values:
-        for pmf, f in zip(corpus, _fd_gradients(probs, m, DEFAULT_FD_STEP)):
-            a = analytic_gradient(pmf, m)
-            gap = np.abs(a - f) / np.maximum(1.0, 1e2 * np.abs(a))
-            worst = max(worst, float(gap.max()))
-    checks.append(CheckResult(
-        "gradient vs finite differences (tol max(1e-6, 1e-4|g|))",
-        worst <= 1e-6, f"worst normalized gap {worst:.3e}"))
-
     sigma_sq = _sigma_sq_sweeps(probs, {1, 2, *m_values})
 
-    # closed-form variance vs delta-method quadratic form
-    worst = 0.0
+    # one weight pass per (order, pmf) gives the gradient against the finite
+    # differences, the quadratic form against the series sigma^2, and the full
+    # gradient's mean-zero sum; a max does not depend on the loop order
+    worst_fd = worst_quad = worst_mean = 0.0
     for m in m_values:
-        for pmf, direct in zip(corpus, sigma_sq[m]):
-            quad = delta_variance_oracle(pmf, m)
-            worst = max(worst, abs(direct - quad) / max(abs(quad), 1e-30))
-    checks.append(CheckResult(
-        "variance series vs delta-method quadratic form (rel tol 1e-8)",
-        worst <= 1e-8, f"worst relative gap {worst:.3e}"))
+        for p, f, direct in zip(probs, _fd_gradients(probs, m, DEFAULT_FD_STEP), sigma_sq[m]):
+            log_q, ratio, h = _collision_weights(p, m)
+            a = _free_gradient(log_q, ratio, h)
+            gap = np.abs(a - f) / np.maximum(1.0, 1e2 * np.abs(a))
+            worst_fd = max(worst_fd, float(gap.max()))
+            quad = _quadratic_form(p, a)
+            worst_quad = max(worst_quad, abs(direct - quad) / max(abs(quad), 1e-30))
+            worst_mean = max(worst_mean, abs(float(np.dot(p, -ratio * (log_q + h)))))
 
     # m = 1 must reduce to the classical plug-in entropy variance
-    worst = 0.0
+    worst_m1 = 0.0
     for p, direct in zip(probs, sigma_sq[1]):
         log_p = np.log(p)
         classical = float(np.dot(p, log_p**2) - np.dot(p, log_p) ** 2)
-        worst = max(worst, abs(direct - classical))
-    checks.append(CheckResult(
-        "m=1 reduction to sum p ln^2 p - H^2 (abs tol 1e-12)",
-        worst <= 1e-12, f"worst absolute gap {worst:.3e}"))
-
-    # gradient mean-zero identity sum_k p_k g_k = 0
-    worst = 0.0
-    for pmf in corpus:
-        for m in m_values:
-            p = pmf.probs
-            w = m * np.log(p)
-            w -= w.max()
-            log_q = w - np.log(np.sum(np.exp(w)))
-            q = np.exp(log_q)
-            h = float(-np.dot(q, log_q))
-            g = -(m * q / p) * (log_q + h)
-            worst = max(worst, abs(float(np.dot(p, g))))
-    checks.append(CheckResult(
-        "mean-zero identity sum p_k g_k = 0 (abs tol 1e-12)",
-        worst <= 1e-12, f"worst absolute value {worst:.3e}"))
+        worst_m1 = max(worst_m1, abs(direct - classical))
 
     # diagnostic: the inside-the-square weighting disagrees on non-uniform pmfs
-    disagreements = 0
-    non_uniform = 0
+    disagreements = non_uniform = 0
     for pmf, corrected in zip(corpus, sigma_sq[2]):
         if np.ptp(pmf.probs) <= 1e-12:
             continue
@@ -260,10 +244,18 @@ def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
         if abs(literal - corrected) > 1e-8 * max(corrected, 1e-30):
             disagreements += 1
     probe = np.array([0.3, 0.7])
-    checks.append(CheckResult(
-        "diagnostic: inside-the-square weighting disagrees everywhere non-uniform",
-        disagreements == non_uniform,
-        f"{disagreements}/{non_uniform} corpus pmfs disagree; example (0.3,0.7) m=2: "
-        f"corrected {sigma_sq_true(probe, 2):.6f} vs literal {sigma_sq_literal(probe, 2):.6f}"))
+    example = f"corrected {sigma_sq_true(probe, 2):.6f} vs literal {sigma_sq_literal(probe, 2):.6f}"
 
-    return VerificationReport(corpus_seed, corpus_size, m_values, tuple(checks))
+    return VerificationReport(corpus_seed, corpus_size, m_values, (
+        CheckResult("gradient vs finite differences (tol max(1e-6, 1e-4|g|))",
+                    worst_fd <= 1e-6, f"worst normalized gap {worst_fd:.3e}"),
+        CheckResult("variance series vs delta-method quadratic form (rel tol 1e-8)",
+                    worst_quad <= 1e-8, f"worst relative gap {worst_quad:.3e}"),
+        CheckResult("m=1 reduction to sum p ln^2 p - H^2 (abs tol 1e-12)",
+                    worst_m1 <= 1e-12, f"worst absolute gap {worst_m1:.3e}"),
+        CheckResult("mean-zero identity sum p_k g_k = 0 (abs tol 1e-12)",
+                    worst_mean <= 1e-12, f"worst absolute value {worst_mean:.3e}"),
+        CheckResult("diagnostic: inside-the-square weighting disagrees everywhere non-uniform",
+                    disagreements == non_uniform,
+                    f"{disagreements}/{non_uniform} corpus pmfs disagree; example (0.3,0.7) m=2: {example}"),
+    ))

@@ -204,6 +204,107 @@ def fd_gradient_loop(pmf, m, h):
     return out
 
 
+def analytic_gradient_per_pmf(p, m):
+    """The K-1 free partial derivatives of one pmf, each step written out:
+    the per-pmf route that the oracles' shared weight pass must reproduce
+    bit for bit."""
+    w = m * np.log(p)
+    w -= w.max()
+    log_norm = np.log(np.sum(np.exp(w)))
+    log_q = w - log_norm
+    q = np.exp(log_q)
+    h = float(-np.dot(q, log_q))
+    ratio = m * q / p
+    return (log_q[-1] - log_q[:-1]) * ratio[:-1] - (ratio[:-1] - ratio[-1]) * (h + log_q[-1])
+
+
+def delta_variance_per_pmf(p, m):
+    """grad^T Sigma grad of one pmf with the explicit multinomial covariance."""
+    g = analytic_gradient_per_pmf(p, m)
+    v = p[:-1]
+    cov = np.diag(v) - np.outer(v, v)
+    return float(g @ cov @ g)
+
+
+def run_verification_loops(corpus_seed, corpus_size, m_values):
+    """The verify battery as one loop per check, each recomputing its pmf's
+    weights: the report the library's one-pass loop must reproduce exactly.
+
+    Like fd_gradient_loop it calls the library, for the corpus, the kernel
+    sweeps of finite differences and closed-form variances (checked bit for
+    bit in test_oracles), the literal diagnostic and the report types.
+    """
+    from gsentropy import VerificationReport, pmf_corpus, sigma_sq_literal, sigma_sq_true
+    from gsentropy.oracles import DEFAULT_FD_STEP, CheckResult, _fd_gradients, _sigma_sq_sweeps
+
+    m_values = tuple(m_values)
+    corpus = pmf_corpus(seed=corpus_seed, size=corpus_size)
+    probs = [pmf.probs for pmf in corpus]
+    checks = []
+
+    worst = 0.0
+    for m in m_values:
+        for p, f in zip(probs, _fd_gradients(probs, m, DEFAULT_FD_STEP)):
+            a = analytic_gradient_per_pmf(p, m)
+            gap = np.abs(a - f) / np.maximum(1.0, 1e2 * np.abs(a))
+            worst = max(worst, float(gap.max()))
+    checks.append(CheckResult(
+        "gradient vs finite differences (tol max(1e-6, 1e-4|g|))",
+        worst <= 1e-6, f"worst normalized gap {worst:.3e}"))
+
+    sigma_sq = _sigma_sq_sweeps(probs, {1, 2, *m_values})
+
+    worst = 0.0
+    for m in m_values:
+        for p, direct in zip(probs, sigma_sq[m]):
+            quad = delta_variance_per_pmf(p, m)
+            worst = max(worst, abs(direct - quad) / max(abs(quad), 1e-30))
+    checks.append(CheckResult(
+        "variance series vs delta-method quadratic form (rel tol 1e-8)",
+        worst <= 1e-8, f"worst relative gap {worst:.3e}"))
+
+    worst = 0.0
+    for p, direct in zip(probs, sigma_sq[1]):
+        log_p = np.log(p)
+        classical = float(np.dot(p, log_p**2) - np.dot(p, log_p) ** 2)
+        worst = max(worst, abs(direct - classical))
+    checks.append(CheckResult(
+        "m=1 reduction to sum p ln^2 p - H^2 (abs tol 1e-12)",
+        worst <= 1e-12, f"worst absolute gap {worst:.3e}"))
+
+    worst = 0.0
+    for p in probs:
+        for m in m_values:
+            w = m * np.log(p)
+            w -= w.max()
+            log_q = w - np.log(np.sum(np.exp(w)))
+            q = np.exp(log_q)
+            h = float(-np.dot(q, log_q))
+            g = -(m * q / p) * (log_q + h)
+            worst = max(worst, abs(float(np.dot(p, g))))
+    checks.append(CheckResult(
+        "mean-zero identity sum p_k g_k = 0 (abs tol 1e-12)",
+        worst <= 1e-12, f"worst absolute value {worst:.3e}"))
+
+    disagreements = 0
+    non_uniform = 0
+    for pmf, corrected in zip(corpus, sigma_sq[2]):
+        if np.ptp(pmf.probs) <= 1e-12:
+            continue
+        non_uniform += 1
+        literal = sigma_sq_literal(pmf, 2)
+        if abs(literal - corrected) > 1e-8 * max(corrected, 1e-30):
+            disagreements += 1
+    probe = np.array([0.3, 0.7])
+    checks.append(CheckResult(
+        "diagnostic: inside-the-square weighting disagrees everywhere non-uniform",
+        disagreements == non_uniform,
+        f"{disagreements}/{non_uniform} corpus pmfs disagree; example (0.3,0.7) m=2: "
+        f"corrected {sigma_sq_true(probe, 2):.6f} vs literal {sigma_sq_literal(probe, 2):.6f}"))
+
+    return VerificationReport(corpus_seed, corpus_size, m_values, tuple(checks))
+
+
 def _encode_labels_loop(label_counts):
     from gsentropy import SampleCounts
 
@@ -212,6 +313,20 @@ def _encode_labels_loop(label_counts):
         raise ValueError("no observations: all counts are zero or the file is empty")
     counts = SampleCounts(np.arange(1, len(labels) + 1), [label_counts[label] for label in labels])
     return counts, dict(enumerate(labels, start=1))
+
+
+def _decode_error(path):
+    """The readers' error for a file that is not UTF-8, its offset taken from
+    one decode of the whole file with the byte-order mark cut off by hand."""
+    from pathlib import Path
+
+    data = Path(path).read_bytes()
+    bom = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    try:
+        data[bom:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ValueError(f"{path}: byte {bom + exc.start} is not UTF-8 ({exc.reason})")
+    raise AssertionError(f"{path} decodes as a whole")
 
 
 def read_counts_csv_rows(path):
@@ -246,16 +361,22 @@ def read_counts_csv_rows(path):
                 label_counts[row[0].strip()] += count
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
     return _encode_labels_loop(label_counts)
 
 
 def read_raw_labels_lines(path):
     """The raw-label reader as a text-mode file read line by line, each
-    line stripped (universal newlines; a leading byte-order mark dropped)."""
+    line stripped (universal newlines; a leading byte-order mark dropped).
+    Like the CSV reader, it names a bad byte by its offset in the file."""
     from collections import Counter
 
-    with open(path, encoding="utf-8-sig") as handle:
-        label_counts = Counter(line.strip() for line in handle)
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            label_counts = Counter(line.strip() for line in handle)
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
     del label_counts[""]
     return _encode_labels_loop(label_counts)
 

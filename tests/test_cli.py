@@ -153,6 +153,16 @@ class TestEstimate:
         assert "0.431577" in out
         assert "observed support   : 2" in out
 
+    @pytest.mark.parametrize("raw", [True, False])
+    def test_bad_byte_is_named_by_its_file_offset(self, capsys, tmp_path, raw):
+        # the offset is the file's, not that of the decoder's 8 KiB chunk
+        path = tmp_path / "bad.txt"
+        body = b"a\n" * 6000 if raw else b"category,count\n" + b"a,1\n" * 2996 + b"b"
+        path.write_bytes(body + b"\xff\n")
+        code, out, err = run(capsys, "estimate", "--data", str(path), *(["--raw"] if raw else []))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: byte 12000 is not UTF-8 (invalid start byte)\n"
+
     def test_json_matches_library(self, capsys, counts_csv):
         code, out, _ = run(capsys, "estimate", "--data", str(counts_csv),
                            "--m", "2", "--format", "json")

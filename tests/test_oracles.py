@@ -19,7 +19,13 @@ from gsentropy import (
 
 from gsentropy.oracles import DEFAULT_CORPUS_SEED, _fd_gradients, _sigma_sq_sweeps
 
-from _reference import SIG2_POINT37, fd_gradient_loop
+from _reference import (
+    SIG2_POINT37,
+    analytic_gradient_per_pmf,
+    delta_variance_per_pmf,
+    fd_gradient_loop,
+    run_verification_loops,
+)
 
 ORDERS = range(1, 9)
 
@@ -60,6 +66,26 @@ class TestAnalyticGradient:
                 a = analytic_gradient(pmf, m)
                 f = fd_gradient(pmf, m)
                 assert np.all(np.abs(a - f) <= _grad_tol(a))
+
+
+class TestSharedWeightPass:
+    @pytest.mark.parametrize("seed", [DEFAULT_CORPUS_SEED, 7, 11, 3])
+    def test_oracles_are_the_per_pmf_loop(self, seed):
+        for pmf in pmf_corpus(seed=seed):
+            for m in ORDERS:
+                assert analytic_gradient(pmf, m).tobytes() == analytic_gradient_per_pmf(pmf.probs, m).tobytes()
+                assert delta_variance_oracle(pmf, m).hex() == delta_variance_per_pmf(pmf.probs, m).hex()
+
+    @pytest.mark.parametrize("seed, size, orders", [
+        (DEFAULT_CORPUS_SEED, 100, (1, 2, 3, 4)),
+        (7, 20, range(1, 7)),
+        (11, 50, range(1, 9)),
+        (3, 300, range(1, 5)),
+    ])
+    def test_report_is_the_check_by_check_loops(self, seed, size, orders):
+        # one weight pass per (order, pmf) feeds three checks; the report,
+        # every worst gap's text included, must be the one of a loop per check
+        assert run_verification(seed, size, tuple(orders)) == run_verification_loops(seed, size, orders)
 
 
 class TestFdGradient:

@@ -1,7 +1,8 @@
 """The two file readers against the per-line readers in ``_reference``.
 
 Each reader must give the reference's counts and code -> label map, or raise
-a ``ValueError`` of the same type with the same message.  The generated files
+a ``ValueError`` of the same type with the same message; a byte that is not
+UTF-8 is named by its offset in the whole file.  The generated files
 mix LF, CRLF and CR line ends, carry an optional byte-order mark, blank and
 whitespace-only lines, labels with Unicode whitespace that strips but does
 not end a line, duplicate labels, odd counts and quoted fields, invalid
@@ -115,6 +116,9 @@ def _agree(tmp_path, data, reader, reference):
 @example(("z" * 8190 + "\r\n" + "a\r\n").encode())  # a CRLF across the 8 KiB mark
 @example(("z" * 65535 + "\r\n" + "a").encode())  # and across the 64 KiB mark
 @example(("a\n" * 6000).encode() + b"\xff\n")  # a decode error past the first 8 KiB
+@example(("a\n" * 4096).encode() + b"\xff")  # a bad byte at byte 8,192
+@example(BOM.encode() + b"a\n\xffb\n")  # and after a byte-order mark
+@example(b"a\n\xe2\x82")  # a character cut short at the end of the file
 @example(b" \x85a\xe2\x80\xa8\n\xe2\x80\xa8a\n \n\t\n")
 @example(b"")
 def test_read_raw_labels_matches_line_by_line(tmp_path_factory, data):
@@ -127,6 +131,8 @@ def test_read_raw_labels_matches_line_by_line(tmp_path_factory, data):
 @example(b"category,count\na,1_000\nb,+2\nc,-0\nd,-1\n")
 @example("category,count\na,\u0663\n".encode())
 @example(b"category,count\n\n \na,1,2\n")
+@example(BOM.encode() + b"category,count\na,1\n\xff,2\n")
+@example(b"category,count\na,1\n\xe2\x82")
 def test_read_counts_csv_matches_row_by_row(tmp_path_factory, data):
     _agree(tmp_path_factory.mktemp("csv"), data, read_counts_csv, read_counts_csv_rows)
 
