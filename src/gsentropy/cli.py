@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -201,6 +202,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gse",

@@ -8,23 +8,23 @@ derives each grid point's seed from (seed, n), so every point is a
 deterministic function of its own seed, whatever ran before it, and fresh
 samples are drawn at every n.
 
-Replicates run in blocks of max(1, _BLOCK // n), so memory does not grow
-with reps.  The seeds of up to 1024 replicates, and their PCG64 states, come
-from one vectorised pass of numpy's SeedSequence arithmetic.  The family's
-``draw_rows`` turns a block of states into an (R, n) matrix whose row r is
-exactly the sample ``draw`` takes from state r.  Zeta fills each row's first
-batch of uniforms and runs its rejection test once over the block; a row
+``_replicate_estimates`` runs the replicates of an experiment, and those of
+``oracles.mc_variance_oracle``, in blocks of max(1, _BLOCK // n), so memory
+does not grow with reps.  The seeds of up to 1024 replicates, and their PCG64
+states, come from one vectorised pass of numpy's SeedSequence arithmetic.  The
+family's ``draw_rows`` turns a block of states into an (R, n) matrix whose row
+r is exactly the sample ``draw`` takes from state r.  Zeta fills each row's
+first batch of uniforms and runs its rejection test once over the block; a row
 left short of n acceptances goes on from its own stream, re-set to its state
-and advanced past the first batch.  Past n = 4096 Zeta draws row by row.
-Its later batches, and every batch at large n, stream their uniforms into
-two reused chunk-sized buffers: no array is batch-sized, and the values
-and the stream's end state are those of drawing whole batches.  The block
-is sorted row by row in place, and one sort of (row, n - count) keys orders
-each row's counts descending, sample after sample in one array.  One call
-of ``h_sigma_sq`` with each sample's offset as a segment start gives every
-replicate's (H_hat, sigma_hat^2): a segment's bits do not depend on where it
-sits, so they are those of the one-sample estimate, and the CSV does not
-depend on the blocking.
+and advanced past the first batch.  Past n = 4096 Zeta draws row by row.  Its
+later batches, and every batch at large n, stream their uniforms into two
+reused chunk-sized buffers: no array is batch-sized, and the values and the
+stream's end state are those of drawing whole batches.  The block is sorted row
+by row in place, and one sort of (row, n - count) keys orders each row's counts
+descending, sample after sample in one array.  One call of ``h_sigma_sq``, a
+segment a sample, gives every replicate's (H_hat, sigma_hat^2).  A segment's
+bits do not depend on where it sits, so they are those of the one-sample
+estimate: neither the CSV nor the oracle's variance depends on the blocking.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -106,12 +106,19 @@ def _descending_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return base - key, offsets[:-1]
 
 
-def _hits(counts: np.ndarray, offsets: np.ndarray, n: int, m: int, z: float, truth: float) -> int:
-    """Replicates of a tallied block whose interval covers truth: one kernel
-    call on all their proportions, a segment per replicate."""
-    h, sigma_sq = h_sigma_sq(counts / n, m, offsets)
-    half = z * np.sqrt(sigma_sq) / math.sqrt(n)
-    return int(np.count_nonzero((h - half <= truth) & (truth <= h + half)))
+def _replicate_estimates(dist: AnalyticDistribution, m: int, n: int, reps: int,
+                         seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block's (H_hat_m, sigma_hat_m^2) arrays, replicate r seeded (seed, r):
+    one kernel call on all the block's proportions, a segment per replicate."""
+    rows = max(1, _BLOCK // n)
+    states = _replicate_states(seed, reps)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for start in range(0, reps, rows):
+        block = [next(states) for _ in range(min(rows, reps - start))]
+        # the samples are freed once tallied, before the kernel allocates:
+        # at large n that order saves page faults in the next block's draws
+        counts, offsets = _descending_counts(dist.draw_rows(n, rng, block))
+        yield h_sigma_sq(counts / n, m, offsets)
 
 
 def coverage_experiment(dist: AnalyticDistribution, m: int, n: int, reps: int,
@@ -122,16 +129,10 @@ def coverage_experiment(dist: AnalyticDistribution, m: int, n: int, reps: int,
     m = _check_order(m)
     z = _two_sided_z(alpha)
     truth = gse_analytic(dist, m) if true_value is None else true_value
-    rows = max(1, _BLOCK // n)
-    states = _replicate_states(seed, reps)
-    rng = np.random.Generator(np.random.PCG64(0))
     hits = 0
-    for start in range(0, reps, rows):
-        block = [next(states) for _ in range(min(rows, reps - start))]
-        # the samples are freed once tallied, before the kernel allocates:
-        # at large n that order saves page faults in the next block's draws
-        tally = _descending_counts(dist.draw_rows(n, rng, block))
-        hits += _hits(*tally, n, m, z, truth)
+    for h, sigma_sq in _replicate_estimates(dist, m, n, reps, seed):
+        half = z * np.sqrt(sigma_sq) / math.sqrt(n)
+        hits += int(np.count_nonzero((h - half <= truth) & (truth <= h + half)))
     coverage = hits / reps
     return CoveragePoint(
         n=n, m=m, reps=reps, hits=hits, coverage=coverage,

@@ -6,7 +6,7 @@ separate so they can check one another:
   1. the closed-form series implemented in ``estimation.sigma_sq_true``;
   2. the delta-method quadratic form grad^T Sigma grad built here from the
      analytic gradient and the explicit multinomial covariance;
-  3. a Monte Carlo estimate of Var[sqrt(n) (H_hat_m - H_m)].
+  3. the Monte Carlo Var[sqrt(n) (H_hat_m - H_m)] of the coverage engine's replicates.
 
 The gradient itself is double-checked against central finite differences
 on the simplex.  ``run_verification`` bundles all of it into the report
@@ -29,12 +29,11 @@ from .distributions import (
     _check_order,
     _count,
     collision_log_weights,
-    derive_seed,
     h_sigma_sq,
-    sample,
 )
+from .coverage import _replicate_estimates
 from .entropy import as_pmf, gse_analytic
-from .estimation import gse_plugin, sigma_sq_literal, sigma_sq_true
+from .estimation import sigma_sq_literal, sigma_sq_true
 
 DEFAULT_CORPUS_SEED = 20260810
 DEFAULT_CORPUS_SIZE = 100
@@ -137,17 +136,15 @@ def delta_variance_oracle(pmf, m: int) -> float:
 def mc_variance_oracle(dist: AnalyticDistribution, m: int, n: int, reps: int, seed: int) -> float:
     """Empirical variance of sqrt(n) (plug-in - true) over seeded replicates.
 
-    Replicate r draws with the derived seed (seed, r).
+    Replicate r draws with the derived seed (seed, r), in the coverage engine's blocks.
     """
+    n = _count(n, "sample size n", 1)
+    reps = _count(reps, "replicate count reps", 1)
     if reps < 100:
         raise ValueError("need at least 100 replicates for a meaningful variance")
     h_true = gse_analytic(dist, m)
-    scale = np.sqrt(float(n))
-    values = np.empty(reps)
-    for r in range(reps):
-        counts = sample(dist, n, derive_seed(seed, r))
-        values[r] = scale * (gse_plugin(counts, m) - h_true)
-    return float(np.var(values, ddof=1))
+    h_hat = np.concatenate([h for h, _ in _replicate_estimates(dist, m, n, reps, seed)])
+    return float(np.var(np.sqrt(float(n)) * (h_hat - h_true), ddof=1))
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,24 @@ def run_verification_loops(corpus_seed, corpus_size, m_values):
     return VerificationReport(corpus_seed, corpus_size, m_values, tuple(checks))
 
 
+def mc_variance_loop(dist, m, n, reps, seed):
+    """The Monte Carlo variance oracle as one draw, seed derivation and
+    plug-in estimate per replicate: the route the coverage engine's blocks
+    must reproduce bit for bit.  Like fd_gradient_loop it calls the library,
+    for the seeded sample and the one-sample estimate."""
+    from gsentropy import derive_seed, gse_analytic, gse_plugin, sample
+
+    if reps < 100:
+        raise ValueError("need at least 100 replicates for a meaningful variance")
+    h_true = gse_analytic(dist, m)
+    scale = np.sqrt(float(n))
+    values = np.empty(reps)
+    for r in range(reps):
+        counts = sample(dist, n, derive_seed(seed, r))
+        values[r] = scale * (gse_plugin(counts, m) - h_true)
+    return float(np.var(values, ddof=1))
+
+
 def _encode_labels_loop(label_counts):
     from gsentropy import SampleCounts
 

@@ -382,3 +382,38 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "[FAIL] forced" in out
+
+
+def test_one_parser_per_process_answers_as_a_fresh_one(capsys, monkeypatch, tmp_path):
+    # main reuses one cached parser; calls through it, a usage error and --help
+    # among them, must exit and print exactly as through a parser built anew
+    import gsentropy.cli as cli_mod
+
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    data = tmp_path / "labels.txt"
+    data.write_text("a\nb\na\nc\n", encoding="utf-8")
+    calls = [
+        ["compute", "--dist", '{"kind":"zeta","s":1.5}', "--format", "json"],
+        ["estimate", "--data", str(data), "--raw", "--m", "3"],
+        ["verify", "--corpus-size", "3", "--m-range", "1..2"],
+        ["compute", "--m"],
+        ["estimate", "--help"],
+        ["--help"],
+        ["compute", "--dist", '{"kind":"uniform","K":4}'],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    cached = outcomes() + outcomes()
+    monkeypatch.setattr(cli_mod, "build_parser", cli_mod.build_parser.__wrapped__)
+    fresh = outcomes()
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 0, 0]
+    assert cached == fresh + fresh

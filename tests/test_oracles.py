@@ -5,6 +5,7 @@ import pytest
 from gsentropy import (
     CustomFinite,
     DiscretePmf,
+    Geometric,
     UniformFinite,
     Zeta,
     analytic_gradient,
@@ -24,6 +25,7 @@ from _reference import (
     analytic_gradient_per_pmf,
     delta_variance_per_pmf,
     fd_gradient_loop,
+    mc_variance_loop,
     run_verification_loops,
 )
 
@@ -155,6 +157,41 @@ class TestMcVarianceOracle:
     def test_needs_enough_replicates(self):
         with pytest.raises(ValueError):
             mc_variance_oracle(UniformFinite(2), 2, n=100, reps=10, seed=1)
+
+    @pytest.mark.parametrize("n, reps, message", [
+        (100, 150.0, "reps must be an integer"),
+        (100, "150", "reps must be an integer"),
+        (100, True, "reps must be an integer"),
+        (100, 0, "reps must be an integer >= 1"),
+        (100, 99, "at least 100 replicates"),
+        (0, 150, "n must be an integer >= 1"),
+        (2.5, 150, "n must be an integer"),
+        ("100", 150, "n must be an integer"),
+    ])
+    def test_bad_counts_are_value_errors(self, n, reps, message):
+        with pytest.raises(ValueError, match=message):
+            mc_variance_oracle(UniformFinite(2), 2, n=n, reps=reps, seed=1)
+
+    # blocks of max(1, 16384 // n) replicates: several blocks, one row a block
+    # (drawn row by row), Zeta rows left short and resumed near s = 1, a
+    # degenerate law and a sample of one
+    @pytest.mark.parametrize("dist, m, n, reps, seed", [
+        (Zeta(1.5), 2, 4000, 400, 2024),
+        (Zeta(1.5), 2, 10_000, 100, 314159),
+        (Zeta(1.05), 2, 1000, 100, 7),
+        (Zeta(1.01), 3, 100, 200, 11),
+        (Geometric(0.3), 1, 50, 2000, 5),
+        (UniformFinite(1), 2, 20, 100, 1),
+        (CustomFinite(DiscretePmf(np.array([0.3, 0.7]))), 2, 500, 300, -1),
+        (UniformFinite(3), 2, 1, 100, 0),
+    ], ids=["zeta1.5", "zeta1.5-row-blocks", "zeta1.05", "zeta1.01-m3", "geometric-m1",
+            "uniform1", "custom", "uniform3-n1"])
+    def test_bits_are_those_of_the_per_replicate_loop(self, dist, m, n, reps, seed):
+        var = mc_variance_oracle(dist, m, n, reps, seed)
+        assert var.hex() == mc_variance_loop(dist, m, n, reps, seed).hex()
+
+    def test_one_category_has_zero_variance(self):
+        assert mc_variance_oracle(UniformFinite(1), 2, n=20, reps=100, seed=1) == 0.0
 
 
 class TestSigmaSqSweeps:
