@@ -132,7 +132,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     reader = read_raw_labels if args.raw else read_counts_csv
-    counts, labels = reader(args.data)
+    counts, _ = reader(args.data)
     est = gse_estimate(counts, args.m)
     ci = _interval(est.h_hat, est.sigma_hat, est.n, _two_sided_z(args.alpha), args.alpha)
 

@@ -599,6 +599,10 @@ class CustomFinite(AnalyticDistribution):
 
     pmf: DiscretePmf
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.pmf, DiscretePmf):
+            raise ValueError(f"CustomFinite needs a DiscretePmf, got {type(self.pmf).__name__}")
+
     def pmf_array(self, ks: np.ndarray) -> np.ndarray:
         probs = self.pmf.probs
         out = np.zeros(ks.shape, dtype=np.float64)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from statistics import NormalDist
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -197,20 +197,19 @@ def _utf8_text(path, newline=None):
             raise ValueError(f"{path}: byte {offset} is not UTF-8 ({exc.reason})") from exc
 
 
-def _encode_labels(label_counts: Mapping[str, int]) -> tuple[SampleCounts, dict[int, str]]:
-    labels = sorted(label for label, count in label_counts.items() if count > 0)
-    if not labels:
+def _encode_labels(label_counts: Mapping[str, int]) -> tuple[SampleCounts, tuple[str, ...]]:
+    if not label_counts:
         raise ValueError("no observations: all counts are zero or the file is empty")
-    counts = SampleCounts(np.arange(1, len(labels) + 1), list(map(label_counts.__getitem__, labels)))
-    return counts, dict(enumerate(labels, start=1))
+    counts = SampleCounts(np.arange(1, len(label_counts) + 1), list(label_counts.values()))
+    return counts, tuple(label_counts)
 
 
-def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str]]:
-    """Read a `category,count` CSV; labels are mapped to integer codes 1..K.
+def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ...]]:
+    """Read a `category,count` CSV; labels are numbered 1..K as they are read.
 
     A count is an optional sign and ASCII digits, with surrounding
-    whitespace.  Returns the canonical counts plus the code -> original
-    label map.  Duplicate labels are aggregated; zero-count rows are dropped.
+    whitespace.  Returns the counts plus the labels, labels[k - 1] that of
+    category k.  Duplicate labels are aggregated; zero-count rows are dropped.
     """
     label_counts: dict[str, int] = {}
     get = label_counts.get
@@ -225,7 +224,7 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str
                     if not row or (len(row) == 1 and not row[0].strip()):
                         continue
                     raise ValueError(f"{path}:{row_number}: expected two columns, got {len(row)}")
-                label, field = row
+                label, field = row[0].strip(), row[1]
                 # int() alone would also take "1_000" and non-ASCII digits;
                 # plain ASCII digits, the common case, skip the pattern
                 plain = field.isascii() and field.isdigit()
@@ -234,15 +233,15 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str
                 count = int(field)
                 if not plain and count < 0:
                     raise ValueError(f"{path}:{row_number}: negative count {count}")
-                label = label.strip()
-                label_counts[label] = get(label, 0) + count
+                if count:
+                    label_counts[label] = get(label, 0) + count
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return _encode_labels(label_counts)
 
 
-def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str]]:
-    """Read one observation label per line (blank lines are skipped).
+def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ...]]:
+    """Read one label per line (blank lines are skipped); returns what ``read_counts_csv`` does.
 
     Lines end at "\\n", "\\r\\n" or "\\r" only; a label's surrounding
     Unicode whitespace is stripped.  The file is counted a block at a time, so
@@ -264,10 +263,10 @@ def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, dict[int, str
 
 
 def write_counts_csv(counts: SampleCounts, path: Union[str, Path],
-                     labels: Mapping[int, str] | None = None) -> None:
-    """Write counts as `category,count`; re-ingesting reproduces the estimates."""
+                     labels: Sequence[str] | None = None) -> None:
+    """Write `category,count` rows that re-ingest to the same estimates; category k as labels[k - 1]."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(COUNTS_HEADER)
         for category, count in zip(counts.categories.tolist(), counts.counts.tolist()):
-            writer.writerow([labels[category] if labels is not None else category, count])
+            writer.writerow([labels[category - 1] if labels is not None else category, count])

@@ -330,7 +330,7 @@ def _encode_labels_loop(label_counts):
     if not labels:
         raise ValueError("no observations: all counts are zero or the file is empty")
     counts = SampleCounts(np.arange(1, len(labels) + 1), [label_counts[label] for label in labels])
-    return counts, dict(enumerate(labels, start=1))
+    return counts, tuple(labels)
 
 
 def _decode_error(path):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gsentropy import (
@@ -9,6 +10,7 @@ from gsentropy import (
     gse_plugin,
     parse_distribution,
     read_counts_csv,
+    read_raw_labels,
     sigma_hat_sq,
     truncation_index,
     write_counts_csv,
@@ -257,6 +259,32 @@ class TestEstimate:
         code, out, err = run(capsys, "estimate", "--data", str(path))
         assert code == 2
         assert out == "" and err.startswith(f"error: {path}:2: ")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_row_order_changes_no_output_byte(self, capsys, tmp_path, seed, raw):
+        # the readers number labels as they come, so a permuted file numbers
+        # them differently; the label -> count pairing and every output byte stay
+        rng = np.random.default_rng(seed)
+        observed = [f"L{k}" for k in rng.zipf(1.6, 400) % 37]
+        if raw:
+            head, body = [], observed + ["", " L3\t"]
+        else:
+            head = ["category,count"]
+            body = [f"{label},1" for label in observed] + ["L0,0", "zero,0", " L1 ,2", "L2,+0"]
+        flag = ["--raw"] if raw else []
+        path = tmp_path / "data.txt"
+        numberings, seen = set(), set()
+        for lines in (body, body[::-1], [body[i] for i in rng.permutation(len(body))]):
+            path.write_text("\n".join(head + lines) + "\n", encoding="utf-8")
+            counts, labels = (read_raw_labels if raw else read_counts_csv)(path)
+            outs = tuple(run(capsys, "estimate", "--data", str(path), "--m", m, "--format", fmt, *flag)
+                         for m in ("2", "3") for fmt in ("text", "json"))
+            numberings.add(labels)
+            seen.add((frozenset(zip(labels, counts.counts.tolist())), outs))
+        assert len(numberings) > 1 and len(seen) == 1
+        (pairs, outs), = seen
+        assert [code for code, _, _ in outs] == [0] * 4 and "zero" not in dict(pairs)
 
     def test_emitted_csv_round_trips_through_cli(self, capsys, tmp_path):
         counts = SampleCounts([1, 2, 3], [4, 9, 2])

@@ -104,6 +104,13 @@ class TestValidation:
         dist = UniformFinite(1e6)
         assert dist == UniformFinite(1_000_000) and type(dist.K) is int
 
+    @pytest.mark.parametrize("pmf", [(0.52, 0.48), [0.52, 0.48], np.array([0.52, 0.48]), None],
+                             ids=["tuple", "list", "ndarray", "None"])
+    def test_custom_needs_a_discrete_pmf(self, pmf):
+        # raised at construction, not as an AttributeError at the first h_m
+        with pytest.raises(ValueError, match="DiscretePmf"):
+            CustomFinite(pmf)
+
     def test_pmf_must_normalize(self):
         with pytest.raises(ValueError):
             DiscretePmf(np.array([0.5, 0.6]))

@@ -278,37 +278,41 @@ class TestCountArrayKernel:
                 assert (ci.lower, ci.upper) == (lower, upper)
 
 
+def _pairs(counts, labels):
+    """The label -> count pairing, the one part of a reader's numbering that is kept."""
+    assert counts.categories.tolist() == list(range(1, len(labels) + 1))
+    return dict(zip(labels, counts.counts.tolist()))
+
+
 class TestCountsIO:
     def test_counts_csv_round_trip(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("category,count\nalpha,3\nbeta,7\n", encoding="utf-8")
         counts, labels = read_counts_csv(path)
-        assert counts == SampleCounts([1, 2], [3, 7])
-        assert labels == {1: "alpha", 2: "beta"}
+        assert _pairs(counts, labels) == {"alpha": 3, "beta": 7}
 
         out = tmp_path / "again.csv"
         write_counts_csv(counts, out, labels)
         counts2, labels2 = read_counts_csv(out)
-        assert counts2 == counts
-        assert labels2 == labels
+        assert _pairs(counts2, labels2) == _pairs(counts, labels)
         assert gse_plugin(counts2, 2) == gse_plugin(counts, 2)
         assert sigma_hat_sq(counts2, 2) == sigma_hat_sq(counts, 2)
 
     @pytest.mark.parametrize("bom", ["", "\ufeff"])  # a UTF-8 byte-order mark is not data
     def test_duplicate_labels_aggregate_and_zeros_drop(self, tmp_path, bom):
         path = tmp_path / "counts.csv"
-        path.write_text(bom + "category,count\na,2\na,3\nb,0\nc,1\n", encoding="utf-8")
+        path.write_text(bom + "category,count\na,2\nb,0\na,3\nc,1\nc,0\n", encoding="utf-8")
         counts, labels = read_counts_csv(path)
-        assert counts == SampleCounts([1, 2], [5, 1])
-        assert labels == {1: "a", 2: "c"}
+        assert counts.n == 6
+        assert _pairs(counts, labels) == {"a": 5, "c": 1}
 
     @pytest.mark.parametrize("bom", ["", "\ufeff"])
     def test_raw_labels(self, tmp_path, bom):
         path = tmp_path / "obs.txt"
         path.write_text(bom + "x\ny\nx\n\nx\n", encoding="utf-8")
         counts, labels = read_raw_labels(path)
-        assert counts == SampleCounts([1, 2], [3, 1])
-        assert labels == {1: "x", 2: "y"}
+        assert counts.n == 4
+        assert _pairs(counts, labels) == {"x": 3, "y": 1}
 
     def test_bad_inputs(self, tmp_path):
         bad_header = tmp_path / "h.csv"

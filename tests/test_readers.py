@@ -1,6 +1,7 @@
 """The two file readers against the per-line readers in ``_reference``.
 
-Each reader must give the reference's counts and code -> label map, or raise
+Each reader must give the reference's categories 1..K, total and label ->
+count pairing (not its numbering, which the readers leave unspecified), or raise
 a ``ValueError`` of the same type with the same message; a byte that is not
 UTF-8 is named by its offset in the whole file.  The generated files
 mix LF, CRLF and CR line ends, carry an optional byte-order mark, blank and
@@ -101,7 +102,8 @@ def _outcome(reader, path):
         counts, labels = reader(path)
     except ValueError as exc:
         return type(exc), str(exc)
-    return counts.categories.tolist(), counts.counts.tolist(), counts.n, labels
+    # the numbering is the reader's own; categories 1..K and the pairing are not
+    return counts.categories.tolist(), len(labels), counts.n, dict(zip(labels, counts.counts.tolist()))
 
 
 def _agree(tmp_path, data, reader, reference):
