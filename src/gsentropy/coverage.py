@@ -43,7 +43,6 @@ from .distributions import (
     _count,
     _replicate_states,
     derive_seed,
-    distribution_config,
     h_sigma_sq,
 )
 from .entropy import gse_analytic
@@ -153,7 +152,7 @@ def coverage_sweep(dist: AnalyticDistribution, m: int, n_grid: Sequence[int],
         coverage_experiment(dist, m, n, reps, alpha, derive_seed(seed, n), true_value=truth)
         for n in grid
     )
-    return SweepResult(distribution_config(dist), m, alpha, truth, points)
+    return SweepResult(dist.config(), m, alpha, truth, points)
 
 
 def default_grid() -> list[int]:

@@ -6,9 +6,9 @@ UniformFinite, and CustomFinite (an explicit probability vector).  Each
 family class owns its pmf, seeded draws, exact H_m (with the number of
 series terms it sums) and sigma_m^2, and JSON config; the module functions
 validate, then delegate.  The shifted log-weight pass behind H_m and
-sigma_m^2 of every explicit pmf sits beside ``DiscretePmf``: it takes one
-pmf, or many laid end to end as segments of one array, and gives a segment
-the same bits either way.  Everything here is pure: a distribution object is
+sigma_m^2 of every explicit pmf, ``collision_log_weights``, takes one pmf,
+or many laid end to end as segments of one array, and gives a segment the
+same bits either way.  Everything here is pure: a distribution object is
 an immutable value, and sampling is a deterministic function of
 (distribution, n, seed); the batched seeding beside ``derive_seed``
 reproduces, for many replicates at once, the streams that ``draw`` seeds one
@@ -49,38 +49,6 @@ class NonConvergenceError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscretePmf:
-    """Explicit probability vector over categories 1..K.
-
-    Zero entries are permitted; the support size counts only the positive
-    ones.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probability vector must be 1-d and nonempty")
-        # NaN fails both bounds; entries of at most 1 cannot sum to inf
-        if not np.all((probs >= 0.0) & (probs <= 1.0 + PMF_ATOL)):
-            raise ValueError("probabilities must lie in [0, 1]")
-        total = float(probs.sum())
-        if abs(total - 1.0) > PMF_ATOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1 within {PMF_ATOL}")
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def size(self) -> int:
-        return int(self.probs.size)
-
-    @property
-    def support_size(self) -> int:
-        """Number of categories with strictly positive probability."""
-        return int(np.count_nonzero(self.probs > 0.0))
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -288,7 +256,7 @@ class AnalyticDistribution:
         rows = [self.draw(n, _set_state(rng, state)) for state in states]
         return rows[0][None, :] if len(rows) == 1 else np.stack(rows)
 
-    def finite_pmf(self) -> DiscretePmf:
+    def finite_pmf(self) -> CustomFinite:
         raise ValueError(f"{type(self).__name__} does not have finite support")
 
 
@@ -586,8 +554,8 @@ class UniformFinite(AnalyticDistribution):
     def sigma_sq(self, m: int, eps: float) -> float:
         return 0.0
 
-    def finite_pmf(self) -> DiscretePmf:
-        return DiscretePmf(np.full(self.K, 1.0 / self.K))
+    def finite_pmf(self) -> CustomFinite:
+        return CustomFinite(np.full(self.K, 1.0 / self.K))
 
     def config(self) -> dict:
         return {"kind": "uniform", "K": self.K}
@@ -595,42 +563,54 @@ class UniformFinite(AnalyticDistribution):
 
 @dataclass(frozen=True)
 class CustomFinite(AnalyticDistribution):
-    """An arbitrary explicit finite probability vector."""
+    """An explicit probability vector over categories 1..K.  Zero entries
+    are permitted; size is K, zeros included."""
 
-    pmf: DiscretePmf
+    probs: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.pmf, DiscretePmf):
-            raise ValueError(f"CustomFinite needs a DiscretePmf, got {type(self.pmf).__name__}")
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if probs.ndim != 1 or probs.size == 0:
+            raise ValueError("probability vector must be 1-d and nonempty")
+        # NaN fails both bounds; entries of at most 1 cannot sum to inf
+        if not np.all((probs >= 0.0) & (probs <= 1.0 + PMF_ATOL)):
+            raise ValueError("probabilities must lie in [0, 1]")
+        total = float(probs.sum())
+        if abs(total - 1.0) > PMF_ATOL:
+            raise ValueError(f"probabilities sum to {total!r}, not 1 within {PMF_ATOL}")
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def size(self) -> int:
+        return int(self.probs.size)
 
     def pmf_array(self, ks: np.ndarray) -> np.ndarray:
-        probs = self.pmf.probs
         out = np.zeros(ks.shape, dtype=np.float64)
-        inside = ks <= probs.size
-        out[inside] = probs[ks[inside] - 1]
+        inside = ks <= self.size
+        out[inside] = self.probs[ks[inside] - 1]
         return out
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        cum = np.cumsum(self.pmf.probs)
+        cum = np.cumsum(self.probs)
         cum[-1] = 1.0
         return np.searchsorted(cum, rng.random(n), side="right").astype(np.int64) + 1
 
     def h_m(self, m: int, eps: float) -> tuple[float, int]:
-        p = self.pmf.probs
-        return float(collision_log_weights(p[p > 0.0], m)[2][0]), self.pmf.size
+        p = self.probs
+        return float(collision_log_weights(p[p > 0.0], m)[2][0]), self.size
 
     def sigma_sq(self, m: int, eps: float) -> float:
-        p = self.pmf.probs
+        p = self.probs
         return float(h_sigma_sq(p[p > 0.0], m)[1][0])
 
-    def finite_pmf(self) -> DiscretePmf:
-        return self.pmf
+    def finite_pmf(self) -> CustomFinite:
+        return self
 
     def config(self) -> dict:
-        return {"kind": "custom", "probs": [float(p) for p in self.pmf.probs]}
+        return {"kind": "custom", "probs": self.probs.tolist()}
 
 
-def finite_pmf(dist: AnalyticDistribution) -> DiscretePmf:
+def finite_pmf(dist: AnalyticDistribution) -> CustomFinite:
     """The explicit probability vector of a finite-support distribution."""
     return dist.finite_pmf()
 
@@ -825,15 +805,10 @@ def parse_distribution(spec: Union[str, Mapping]) -> AnalyticDistribution:
         if kind == "uniform":
             return UniformFinite(_number(obj["K"]))
         if kind == "custom":
-            probs = [_number(p) for p in obj["probs"]]
-            return CustomFinite(DiscretePmf(np.asarray(probs, dtype=np.float64)))
+            return CustomFinite([_number(p) for p in obj["probs"]])
     except KeyError as exc:
         raise ValueError(f"distribution config for kind={kind!r} is missing field {exc}") from exc
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"distribution config for kind={kind!r} has a non-numeric parameter: {exc}") from exc
     raise ValueError(f"unknown distribution kind {kind!r}")
 
-
-def distribution_config(dist: AnalyticDistribution) -> dict:
-    """The JSON-style config mapping for a distribution (parse round-trip)."""
-    return dist.config()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AnalyticDistribution, DiscretePmf, _check_eps, _check_order, collision_log_weights
+from .distributions import AnalyticDistribution, CustomFinite, _check_eps, _check_order, collision_log_weights
 
 DEFAULT_EPS = 1e-10
 
@@ -34,15 +34,13 @@ class CdotcPmf:
     """
 
     m: int
-    pmf: DiscretePmf
+    pmf: CustomFinite
     collision_mass: float
 
 
-def as_pmf(p) -> DiscretePmf:
-    """Coerce an array-like probability vector into a validated DiscretePmf."""
-    if isinstance(p, DiscretePmf):
-        return p
-    return DiscretePmf(np.asarray(p, dtype=np.float64))
+def as_pmf(p) -> CustomFinite:
+    """Coerce an array-like probability vector into a validated CustomFinite."""
+    return p if isinstance(p, CustomFinite) else CustomFinite(p)
 
 
 def cdotc(pmf, m: int) -> CdotcPmf:
@@ -55,7 +53,7 @@ def cdotc(pmf, m: int) -> CdotcPmf:
     _, q_support, _, log_mass = collision_log_weights(pmf.probs[mask], m)
     q = np.zeros_like(pmf.probs)
     q[mask] = q_support
-    return CdotcPmf(m, DiscretePmf(q), math.exp(log_mass[0]))
+    return CdotcPmf(m, CustomFinite(q), math.exp(log_mass[0]))
 
 
 def gse(pmf, m: int) -> float:
@@ -73,11 +71,12 @@ def shannon_entropy(target, eps: float = DEFAULT_EPS) -> float:
 
     For analytic distributions the series is evaluated to tolerance eps;
     a tail too heavy to evaluate raises NonConvergenceError rather than
-    returning a silently truncated number.
+    returning a silently truncated number.  Any other target is taken as an
+    explicit probability vector.
     """
-    if isinstance(target, AnalyticDistribution):
-        return gse_analytic(target, 1, eps)
-    return gse(as_pmf(target), 1)
+    if not isinstance(target, AnalyticDistribution):
+        target = CustomFinite(target)
+    return gse_analytic(target, 1, eps)
 
 
 def gse_analytic(dist: AnalyticDistribution, m: int, eps: float = DEFAULT_EPS) -> float:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .distributions import (
     AnalyticDistribution,
-    DiscretePmf,
+    CustomFinite,
     SampleCounts,
     _check_eps,
     _check_order,
@@ -74,10 +74,10 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
-def empirical_pmf(counts: SampleCounts) -> DiscretePmf:
+def empirical_pmf(counts: SampleCounts) -> CustomFinite:
     """Sample proportions Y_k / n over the observed support, in descending
     order (the fixed summation order)."""
-    return DiscretePmf(np.sort(counts.counts)[::-1] / counts.n)
+    return CustomFinite(np.sort(counts.counts)[::-1] / counts.n)
 
 
 def _plugin_h_sigma_sq(counts: np.ndarray, n: int, m: int) -> tuple[float, float]:
@@ -96,14 +96,13 @@ def gse_plugin(counts: SampleCounts, m: int) -> float:
 def sigma_sq_true(target, m: int, eps: float = DEFAULT_EPS) -> float:
     """Asymptotic variance of sqrt(n) (H_hat_m - H_m) at the given distribution.
 
-    Accepts an explicit pmf (array-like or DiscretePmf) or an analytic
-    distribution; Zeta is evaluated to tolerance eps, the others exactly.
+    Accepts a distribution, or an explicit probability vector, which is taken
+    as a CustomFinite; Zeta is evaluated to tolerance eps, the others exactly.
     """
     m, eps = _check_order(m), _check_eps(eps)
-    if isinstance(target, AnalyticDistribution):
-        return target.sigma_sq(m, eps)
-    p = as_pmf(target).probs
-    return float(h_sigma_sq(p[p > 0.0], m)[1][0])
+    if not isinstance(target, AnalyticDistribution):
+        target = CustomFinite(target)
+    return target.sigma_sq(m, eps)
 
 
 def sigma_sq_literal(pmf, m: int) -> float:

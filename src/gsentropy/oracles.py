@@ -25,7 +25,7 @@ import numpy as np
 
 from .distributions import (
     AnalyticDistribution,
-    DiscretePmf,
+    CustomFinite,
     _check_order,
     _count,
     collision_log_weights,
@@ -43,7 +43,7 @@ CORPUS_K_MAX = 12
 CORPUS_MIN_PROB = 0.01
 
 
-def _positive_pmf(pmf) -> DiscretePmf:
+def _positive_pmf(pmf) -> CustomFinite:
     pmf = as_pmf(pmf)
     if pmf.size < 2:
         raise ValueError("gradient oracles need at least two categories")
@@ -152,7 +152,7 @@ def mc_variance_oracle(dist: AnalyticDistribution, m: int, n: int, reps: int, se
 # ---------------------------------------------------------------------------
 
 
-def pmf_corpus(seed: int = DEFAULT_CORPUS_SEED, size: int = DEFAULT_CORPUS_SIZE) -> list[DiscretePmf]:
+def pmf_corpus(seed: int = DEFAULT_CORPUS_SEED, size: int = DEFAULT_CORPUS_SIZE) -> list[CustomFinite]:
     """Reproducible corpus of random interior simplex points.
 
     Each pmf has CORPUS_K_MIN to CORPUS_K_MAX categories.  Draws whose
@@ -161,13 +161,13 @@ def pmf_corpus(seed: int = DEFAULT_CORPUS_SEED, size: int = DEFAULT_CORPUS_SIZE)
     conditioned.
     """
     size = _count(size, "corpus size", 1)
-    rng = np.random.default_rng(seed)
-    corpus: list[DiscretePmf] = []
+    rng = np.random.default_rng(_count(seed, "corpus seed", 0))
+    corpus: list[CustomFinite] = []
     while len(corpus) < size:
         k = int(rng.integers(CORPUS_K_MIN, CORPUS_K_MAX + 1))
         p = rng.dirichlet(np.full(k, 2.0))
         if p.min() >= CORPUS_MIN_PROB:
-            corpus.append(DiscretePmf(p))
+            corpus.append(CustomFinite(p))
     return corpus
 
 

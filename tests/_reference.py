@@ -189,7 +189,7 @@ def fd_gradient_loop(pmf, m, h):
     (gse itself is checked against naive_gse).  Row i moves p_i by +/-h and
     the last entry absorbs the change.
     """
-    from gsentropy import DiscretePmf, gse
+    from gsentropy import CustomFinite, gse
 
     p = pmf.probs
     out = np.empty(p.size - 1)
@@ -200,7 +200,7 @@ def fd_gradient_loop(pmf, m, h):
         minus = p.copy()
         minus[i] -= h
         minus[-1] += h
-        out[i] = (gse(DiscretePmf(plus), m) - gse(DiscretePmf(minus), m)) / (2.0 * h)
+        out[i] = (gse(CustomFinite(plus), m) - gse(CustomFinite(minus), m)) / (2.0 * h)
     return out
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from gsentropy import DiscretePmf
+from gsentropy import CustomFinite
 
 settings.register_profile(
     "suite",
@@ -20,7 +20,7 @@ def interior_pmfs(draw, min_k=2, max_k=10, min_weight=1e-3):
     k = draw(st.integers(min_k, max_k))
     raw = draw(st.lists(st.floats(min_weight, 1.0), min_size=k, max_size=k))
     arr = np.asarray(raw, dtype=float)
-    return DiscretePmf(arr / arr.sum())
+    return CustomFinite(arr / arr.sum())
 
 
 @st.composite
@@ -35,7 +35,7 @@ def pmfs_with_zeros(draw, min_k=2, max_k=10):
         ).filter(lambda xs: sum(xs) > 0)
     )
     arr = np.asarray(raw, dtype=float)
-    return DiscretePmf(arr / arr.sum())
+    return CustomFinite(arr / arr.sum())
 
 
 @pytest.fixture(scope="session")

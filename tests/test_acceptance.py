@@ -14,7 +14,6 @@ import pytest
 
 from gsentropy import (
     CustomFinite,
-    DiscretePmf,
     Zeta,
     analytic_gradient,
     cdotc,
@@ -106,7 +105,7 @@ def test_3_order_one_reduction(corpus):
 
 def test_4_clt_validation():
     start = time.perf_counter()
-    dist = CustomFinite(DiscretePmf(np.array([0.3, 0.7])))
+    dist = CustomFinite(np.array([0.3, 0.7]))
     n, reps = 10_000, 2000
     h_true = gse_analytic(dist, 2)
     s2_true = sigma_sq_true(dist, 2)
@@ -163,7 +162,7 @@ def test_6_coverage_order_three_qualitative():
 def test_7_exact_value_checks(corpus):
     worst_uniform = 0.0
     for k in range(2, 65):
-        pmf = DiscretePmf(np.full(k, 1.0 / k))
+        pmf = CustomFinite(np.full(k, 1.0 / k))
         for m in range(1, 7):
             worst_uniform = max(worst_uniform, abs(gse(pmf, m) - math.log(k)))
     degenerate = max(abs(gse([1.0], m)) for m in range(1, 7))

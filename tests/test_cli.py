@@ -370,6 +370,13 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "corpus size" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(-(2**64))])
+    def test_negative_corpus_seed_is_usage_error(self, capsys, seed):
+        # numpy's own message would name neither the flag nor the value
+        code, out, err = run(capsys, "verify", "--corpus-size", "2", "--corpus-seed", seed)
+        assert code == 2 and out == ""
+        assert err == f"error: corpus seed must be an integer >= 0, got {seed}\n"
+
     @pytest.mark.parametrize("spec", ["1.." + "1" * 401, "1" * 401 + "..1", "1" * 401,
                                       f"1..{2**53 + 1}", "0..2", "0", "3..2"])
     def test_unusable_order_range_is_usage_error(self, capsys, spec):

@@ -6,14 +6,15 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__
+from scipy import stats
 
 from gsentropy import (
     CustomFinite,
-    DiscretePmf,
     Geometric,
     UniformFinite,
     Zeta,
@@ -29,7 +30,7 @@ from gsentropy import (
     write_coverage_csv,
     write_coverage_svg,
 )
-from gsentropy.coverage import _BLOCK, COVERAGE_CSV_HEADER, coverage_csv
+from gsentropy.coverage import _BLOCK, COVERAGE_CSV_HEADER, _replicate_estimates, coverage_csv
 
 
 class TestCoverageExperiment:
@@ -55,7 +56,7 @@ class TestCoverageExperiment:
         (Zeta(1.5), 3000, 13),  # five replicates a block: 5 + 5 + 3
         (Zeta(1.5), _BLOCK + 1, 3),  # one replicate a block
         (Geometric(0.3), 50, 1),
-        (CustomFinite(DiscretePmf(np.array([0.4, 0.25, 0.15, 0.12, 0.08]))), 40, 97),
+        (CustomFinite(np.array([0.4, 0.25, 0.15, 0.12, 0.08])), 40, 97),
         (UniformFinite(1), 5, 40),  # every interval is degenerate, at ln 1 = 0
         (Zeta(1.01), 10, 300),  # every row of the block draw goes on past its first batch
         (Zeta(1.05), 100, 200),  # some rows go on past their first chunk
@@ -126,7 +127,7 @@ class TestCoverageSweep:
         assert all(b - a == 10 for a, b in zip(grid, grid[1:]))
 
     def test_sweep_structure_and_reuse_of_truth(self):
-        dist = CustomFinite(DiscretePmf(np.array([0.25, 0.75])))
+        dist = CustomFinite(np.array([0.25, 0.75]))
         result = coverage_sweep(dist, 2, [20, 40, 60], reps=50, alpha=0.05, seed=21)
         assert [p.n for p in result.points] == [20, 40, 60]
         assert result.distribution == {"kind": "custom", "probs": [0.25, 0.75]}
@@ -162,13 +163,44 @@ class TestCoverageSweep:
             )
 
 
+class TestZeroVarianceLimit:
+    # Every uniform law has sigma_m^2 = 0, so the sqrt(n) limit is a point
+    # mass.  A second-order expansion about p = 1/K gives
+    # ln K - H_hat_m = m^2 X / (2n) + o(1/n), with X the Pearson statistic,
+    # chi^2 with K - 1 degrees of freedom in the limit; sigma_hat_m^2 is
+    # m^4 X / n + o(1/n) the same way.  The sizes were taken from a
+    # convergence run: the bias below K - 1 is O(1/n) and shows at n = 2000
+    # for K = 50.
+    @pytest.mark.parametrize("K, n", [(10, 5000), (50, 20000)])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_scaled_error_has_the_chi_square_mean(self, K, n, m):
+        reps = 1000
+        h = np.concatenate([h for h, _ in _replicate_estimates(UniformFinite(K), m, n, reps, 0)])
+        scaled = 2 * n * (math.log(K) - h) / m**2
+        se = scaled.std(ddof=1) / math.sqrt(reps)
+        assert abs(scaled.mean() - (K - 1)) <= 4 * se
+
+    def test_uniform_50_coverage_is_far_below_nominal(self):
+        # the interval covers ln K about when X <= 4 z^2 = 15.4, which
+        # chi^2 with 49 degrees of freedom does with probability 1e-6
+        point = coverage_experiment(UniformFinite(50), 2, n=1000, reps=2000, alpha=0.05, seed=0)
+        assert point.hits == 0
+
+    def test_uniform_10_coverage_tends_to_the_chi_square_limit(self):
+        # and chi^2 with 9 degrees of freedom with probability 0.919, not 0.95
+        limit = stats.chi2.cdf(4 * NormalDist().inv_cdf(0.975) ** 2, 9)
+        point = coverage_experiment(UniformFinite(10), 2, n=20000, reps=1000, alpha=0.05, seed=0)
+        assert abs(point.coverage - limit) <= 4 * math.sqrt(limit * (1 - limit) / 1000)
+        assert point.coverage < 0.95 - 2 * point.se
+
+
 # SHA-256 of coverage_csv for m=2, grid 10:50:10, 40 reps, seed 2022; the
 # coverage CSV is the contract of record, so these must never change.
 PINNED_CSV_SHA256 = {
     "zeta": (Zeta(1.5), "3eaf9973baf0cbff983abc0a8f36b45783b97eb1887e207d564f7ace254236b5"),
     "geometric": (Geometric(0.3), "6def97895a267369bac92493a1f0641eb91956cb69717af94537a0b8c6b4195e"),
     "uniform": (UniformFinite(7), "120788ece3c5fda581cc6c681f2f229e56eca9bc0cac0fd0642e1eb7a2d5d3a2"),
-    "custom": (CustomFinite(DiscretePmf(np.array([0.4, 0.25, 0.15, 0.12, 0.08]))),
+    "custom": (CustomFinite(np.array([0.4, 0.25, 0.15, 0.12, 0.08])),
                "bc929087ca00365b44adc4545b3ff4fa8b2ff940648760db24a6e6a841374485"),
 }
 
@@ -237,7 +269,7 @@ class TestArtifacts:
         assert text.count("<circle") == 3
 
     def test_stable_from(self):
-        result = coverage_sweep(CustomFinite(DiscretePmf(np.array([0.3, 0.7]))), 2,
+        result = coverage_sweep(CustomFinite(np.array([0.3, 0.7])), 2,
                                 [200, 400, 800], reps=200, alpha=0.05, seed=71)
         n_star = stable_from(result)
         assert n_star is None or n_star in (200, 400, 800)

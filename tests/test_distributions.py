@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,14 +12,12 @@ from scipy import stats
 
 from gsentropy import (
     CustomFinite,
-    DiscretePmf,
     Geometric,
     SampleCounts,
     UniformFinite,
     Zeta,
     coverage_experiment,
     derive_seed,
-    distribution_config,
     draw,
     finite_pmf,
     gse_analytic,
@@ -58,7 +57,7 @@ ALL_FAMILIES = [
     Geometric(0.5),
     Geometric(0.2),
     UniformFinite(6),
-    CustomFinite(DiscretePmf(np.array([0.5, 0.2, 0.2, 0.1]))),
+    CustomFinite(np.array([0.5, 0.2, 0.2, 0.1])),
 ]
 
 
@@ -104,25 +103,37 @@ class TestValidation:
         dist = UniformFinite(1e6)
         assert dist == UniformFinite(1_000_000) and type(dist.K) is int
 
-    @pytest.mark.parametrize("pmf", [(0.52, 0.48), [0.52, 0.48], np.array([0.52, 0.48]), None],
-                             ids=["tuple", "list", "ndarray", "None"])
-    def test_custom_needs_a_discrete_pmf(self, pmf):
-        # raised at construction, not as an AttributeError at the first h_m
-        with pytest.raises(ValueError, match="DiscretePmf"):
-            CustomFinite(pmf)
+    @pytest.mark.parametrize("probs, error", [
+        ((0.52, 0.48), None),
+        ([0.52, 0.48], None),
+        (np.array([0.52, 0.48]), None),
+        (None, "probability vector must be 1-d and nonempty"),
+        (np.full((2, 2), 0.25), "probability vector must be 1-d and nonempty"),
+        ((0.5, 0.4), "probabilities sum to 0.9, not 1 within 1e-12"),
+    ], ids=["tuple", "list", "ndarray", "None", "2-d", "sum-0.9"])
+    def test_custom_needs_a_discrete_pmf(self, probs, error):
+        # any array-like vector builds the same law; anything else fails at
+        # construction, not at the first h_m
+        if error is None:
+            dist, same = CustomFinite(probs), CustomFinite(np.array([0.52, 0.48]))
+            assert dist.probs.dtype == np.float64 and dist.probs.tobytes() == same.probs.tobytes()
+            assert [dist.h_m(m, 1e-10)[0].hex() for m in (1, 2, 3)] == [same.h_m(m, 1e-10)[0].hex() for m in (1, 2, 3)]
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                CustomFinite(probs)
 
     def test_pmf_must_normalize(self):
         with pytest.raises(ValueError):
-            DiscretePmf(np.array([0.5, 0.6]))
+            CustomFinite(np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
-            DiscretePmf(np.array([1.1, -0.1]))
+            CustomFinite(np.array([1.1, -0.1]))
         with pytest.raises(ValueError):
-            DiscretePmf(np.array([1e308, 1e308]))  # finite entries whose sum overflows
+            CustomFinite(np.array([1e308, 1e308]))  # finite entries whose sum overflows
 
     def test_pmf_allows_zero_entries(self):
-        pmf = DiscretePmf(np.array([0.5, 0.0, 0.5]))
-        assert pmf.support_size == 2
-        assert pmf.size == 3
+        dist = CustomFinite(np.array([0.5, 0.0, 0.5]))
+        assert dist.size == 3
+        assert gse_analytic(dist, 2) == gse_analytic(CustomFinite([0.5, 0.5]), 2) == math.log(2)
 
     def test_sample_counts_canonical_form(self):
         with pytest.raises(ValueError):
@@ -199,7 +210,7 @@ class TestPmfAt:
     def test_uniform_and_custom(self):
         assert pmf_at(UniformFinite(4), 3) == 0.25
         assert pmf_at(UniformFinite(4), 5) == 0.0
-        custom = CustomFinite(DiscretePmf(np.array([0.3, 0.7])))
+        custom = CustomFinite(np.array([0.3, 0.7]))
         assert pmf_at(custom, 2) == 0.7
         assert pmf_at(custom, 3) == 0.0
 
@@ -232,7 +243,7 @@ class TestPmfAt:
 class TestTruncationIndex:
     def test_finite_support_is_its_own_cutoff(self):
         assert truncation_index(UniformFinite(10), 3, 1e-10) == 10
-        custom = CustomFinite(DiscretePmf(np.array([0.9, 0.1])))
+        custom = CustomFinite(np.array([0.9, 0.1]))
         assert truncation_index(custom, 2, 1e-6) == 2
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
@@ -579,7 +590,7 @@ class TestBlockDraw:
 
 
 ROW_KERNEL_FAMILIES = [Zeta(1.5), Geometric(0.3), UniformFinite(7),
-                       CustomFinite(DiscretePmf(np.array([0.4, 0.25, 0.15, 0.12, 0.08])))]
+                       CustomFinite(np.array([0.4, 0.25, 0.15, 0.12, 0.08]))]
 
 
 class TestRowKernel:
@@ -609,9 +620,9 @@ class TestRowKernel:
 class TestConfig:
     def test_round_trip(self):
         for dist in ALL_FAMILIES:
-            again = parse_distribution(distribution_config(dist))
+            again = parse_distribution(dist.config())
             if isinstance(dist, CustomFinite):
-                npt.assert_allclose(again.pmf.probs, dist.pmf.probs)
+                npt.assert_allclose(again.probs, dist.probs)
             else:
                 assert again == dist
 

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsentropy import (
-    DiscretePmf,
+    DEFAULT_CORPUS_SEED,
+    CustomFinite,
     Geometric,
     UniformFinite,
     Zeta,
@@ -16,9 +17,11 @@ from gsentropy import (
     gse,
     gse_analytic,
     gse_analytic_info,
+    pmf_corpus,
     shannon_entropy,
     sigma_sq_true,
 )
+from gsentropy.entropy import DEFAULT_EPS
 
 from _reference import (
     H1_ZETA15,
@@ -48,7 +51,7 @@ class TestCdotc:
         # inverse-fourth-power law; the ratio structure survives truncation
         ks = np.arange(1, 401, dtype=np.int64)
         head = Zeta(2.0).pmf_array(ks)
-        pmf = DiscretePmf(head / head.sum())
+        pmf = CustomFinite(head / head.sum())
         q = cdotc(pmf, 2).pmf.probs
         npt.assert_allclose(q / q[0], ks.astype(float) ** -4.0, rtol=1e-12)
 
@@ -58,7 +61,7 @@ class TestCdotc:
             npt.assert_allclose(q, np.full(7, 1 / 7), atol=1e-15)
 
     def test_order_one_returns_input_unchanged(self):
-        pmf = DiscretePmf(np.array([0.2, 0.8]))
+        pmf = CustomFinite(np.array([0.2, 0.8]))
         out = cdotc(pmf, 1)
         assert out.pmf is pmf
         assert out.collision_mass == 1.0
@@ -88,7 +91,7 @@ class TestCdotc:
         npt.assert_allclose(twice, once, atol=1e-12)
 
     def test_deep_underflow_regime(self):
-        pmf = DiscretePmf(np.array([1.0 - 1e-280, 1e-280 / 2, 1e-280 / 2]))
+        pmf = CustomFinite(np.array([1.0 - 1e-280, 1e-280 / 2, 1e-280 / 2]))
         q = cdotc(pmf, 10).pmf.probs
         assert abs(q.sum() - 1.0) <= 1e-12
         assert q[0] > 1.0 - 1e-12
@@ -112,7 +115,7 @@ class TestGse:
 
     @given(pmfs_with_zeros())
     def test_zero_entries_drop_out(self, pmf):
-        squeezed = DiscretePmf(pmf.probs[pmf.probs > 0])
+        squeezed = CustomFinite(pmf.probs[pmf.probs > 0])
         for m in (1, 2, 3):
             assert abs(gse(pmf, m) - gse(squeezed, m)) <= 1e-12
 
@@ -124,7 +127,7 @@ class TestGse:
     def test_permutation_invariance(self, pmf, rnd):
         order = list(range(pmf.size))
         rnd.shuffle(order)
-        shuffled = DiscretePmf(pmf.probs[np.asarray(order)])
+        shuffled = CustomFinite(pmf.probs[np.asarray(order)])
         for m in (1, 2, 4):
             assert abs(gse(pmf, m) - gse(shuffled, m)) <= 1e-12
 
@@ -135,7 +138,7 @@ class TestGse:
     @given(interior_pmfs())
     def test_bounded_by_log_support(self, pmf):
         for m in (1, 2, 3):
-            assert -1e-12 <= gse(pmf, m) <= math.log(pmf.support_size) + 1e-12
+            assert -1e-12 <= gse(pmf, m) <= math.log(pmf.size) + 1e-12
 
     @pytest.mark.parametrize("m", [True, False, 2.0, np.float64(2.0), 2.5, "2"])
     def test_order_must_be_an_integer(self, m):
@@ -165,6 +168,28 @@ class TestShannonEntropy:
 
     def test_heavy_tail_still_finite(self):
         assert abs(shannon_entropy(Zeta(1.5)) - H1_ZETA15) <= 1e-9
+
+
+def assert_family_route(p):
+    """gse, shannon_entropy and sigma_sq_true of a raw vector p have the bits
+    of the CustomFinite family's own h_m and sigma_sq, at m = 1..8."""
+    dist = CustomFinite(p)
+    assert shannon_entropy(p).hex() == dist.h_m(1, DEFAULT_EPS)[0].hex()
+    for m in range(1, 9):
+        assert gse(p, m).hex() == dist.h_m(m, DEFAULT_EPS)[0].hex()
+        assert sigma_sq_true(p, m).hex() == dist.sigma_sq(m, DEFAULT_EPS).hex()
+
+
+class TestOneRoute:
+    # an explicit vector is the CustomFinite law: no second code path
+    @pytest.mark.parametrize("seed", [DEFAULT_CORPUS_SEED, 7, 11])
+    def test_corpus_vectors(self, seed):
+        for pmf in pmf_corpus(seed):
+            assert_family_route(pmf.probs)
+
+    @given(pmfs_with_zeros())
+    def test_vectors_with_zeros(self, pmf):
+        assert_family_route(pmf.probs)
 
 
 class TestGseAnalytic:

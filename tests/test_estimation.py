@@ -8,7 +8,6 @@ from scipy import stats
 
 from gsentropy import (
     CustomFinite,
-    DiscretePmf,
     Geometric,
     SampleCounts,
     UniformFinite,
@@ -118,7 +117,7 @@ class TestSigmaSqTrue:
 
     def test_analytic_finite_kinds_route_through_finite_path(self):
         assert sigma_sq_true(UniformFinite(5), 3) == 0.0
-        two_point = CustomFinite(DiscretePmf(np.array([0.3, 0.7])))
+        two_point = CustomFinite(np.array([0.3, 0.7]))
         assert abs(sigma_sq_true(two_point, 2) - SIG2_POINT37) <= 1e-12
 
 
@@ -206,7 +205,7 @@ class TestConfidenceInterval:
                 confidence_interval(counts, 2, bad)
 
     def test_halfwidth_scales_like_inverse_sqrt_n(self):
-        dist = CustomFinite(DiscretePmf(np.array([0.2, 0.3, 0.5])))
+        dist = CustomFinite(np.array([0.2, 0.3, 0.5]))
 
         def halfwidth(n, seed):
             ci = confidence_interval(sample(dist, n, seed), 2, 0.05)
@@ -226,7 +225,7 @@ class TestGseEstimateBundle:
         assert abs(est.sigma_hat - math.sqrt(SIG2_POINT37)) <= 1e-9
 
     def test_consistency_with_growing_n(self):
-        dist = CustomFinite(DiscretePmf(np.array([0.2, 0.3, 0.5])))
+        dist = CustomFinite(np.array([0.2, 0.3, 0.5]))
         h_true = gse_analytic(dist, 2)
         s2_true = sigma_sq_true(dist, 2)
         for n, seed in ((1_000, 21), (10_000, 22), (100_000, 23)):

@@ -12,11 +12,9 @@ import pytest
 
 from gsentropy import (
     CustomFinite,
-    DiscretePmf,
     Geometric,
     UniformFinite,
     Zeta,
-    distribution_config,
     draw,
     gse_analytic_info,
     pmf_at,
@@ -35,7 +33,7 @@ FAMILIES = {
     "uniform-1": UniformFinite(1),
     "uniform-7": UniformFinite(7),
     "uniform-1e6": UniformFinite(10**6),
-    "custom-5": CustomFinite(DiscretePmf(np.array([0.4, 0.0, 0.3, 0.2, 0.1]))),
+    "custom-5": CustomFinite(np.array([0.4, 0.0, 0.3, 0.2, 0.1])),
 }
 
 
@@ -180,7 +178,7 @@ def test_family_values_are_pinned(name):
     assert per_m == pinned["per_m"]
     assert _pin(shannon_entropy, d) == pinned["shannon"]
     assert tuple(_pin(pmf_at, d, k) for k in (1, 2, 7, 1000)) == pinned["pmf_at"]
-    assert distribution_config(d) == pinned["config"]
+    assert d.config() == pinned["config"]
     digests = tuple(hashlib.sha256(draw(d, 1000, seed).tobytes()).hexdigest() for seed in (0, 2022))
     assert digests == pinned["draw"]
 

@@ -185,19 +185,25 @@ def test_parse_grid_raises_only_value_error(spec):
     assert all(b > a for a, b in zip(grid, grid[1:]))
 
 
+# seeds below 0 are refused; those past 2^64 are valid numpy seeds
+corpus_seeds = st.integers(0, 3) | st.integers(-(10**401), -1) | st.integers(2**64, 10**401)
+
+
 @FUZZ
-@given(st.integers(-3, 3) | st.integers(-(10**401), -4), m_range_specs)
-@example(0, "1..2")  # an empty corpus
-@example(-3, "1..2")
-@example(2, "1.." + "1" * 401)
-@example(1, f"1..{2**53}")
-def test_verify_exits_0_or_2_without_traceback(size, spec):
+@given(st.integers(-3, 3) | st.integers(-(10**401), -4), m_range_specs, corpus_seeds)
+@example(0, "1..2", 0)  # an empty corpus
+@example(-3, "1..2", 0)
+@example(2, "1.." + "1" * 401, 0)
+@example(1, f"1..{2**53}", 0)
+@example(1, "1..2", -1)
+@example(1, "1..2", 2**64)
+def test_verify_exits_0_or_2_without_traceback(size, spec, seed):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["verify", f"--corpus-size={size}", f"--m-range={spec}"])
+        code = main(["verify", f"--corpus-size={size}", f"--m-range={spec}", f"--corpus-seed={seed}"])
     if code == 0:
         assert err.getvalue() == ""
-        assert out.getvalue().startswith(f"corpus: {size} pmfs")
+        assert out.getvalue().startswith(f"corpus: {size} pmfs, seed {seed}")
         assert out.getvalue().count("[PASS]") == 5
     else:
         assert code == 2

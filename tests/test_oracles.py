@@ -4,7 +4,6 @@ import pytest
 
 from gsentropy import (
     CustomFinite,
-    DiscretePmf,
     Geometric,
     UniformFinite,
     Zeta,
@@ -140,12 +139,12 @@ class TestDeltaVarianceOracle:
 
 class TestMcVarianceOracle:
     def test_two_point_law_matches_delta_method(self):
-        dist = CustomFinite(DiscretePmf(np.array([0.3, 0.7])))
+        dist = CustomFinite(np.array([0.3, 0.7]))
         var = mc_variance_oracle(dist, 2, n=4000, reps=400, seed=2024)
         assert abs(var - SIG2_POINT37) <= 0.25 * SIG2_POINT37
 
     def test_uniform_variance_collapses(self):
-        var = mc_variance_oracle(CustomFinite(DiscretePmf(np.full(4, 0.25))), 2,
+        var = mc_variance_oracle(CustomFinite(np.full(4, 0.25)), 2,
                                  n=20_000, reps=200, seed=5)
         assert var <= 0.01
 
@@ -182,7 +181,7 @@ class TestMcVarianceOracle:
         (Zeta(1.01), 3, 100, 200, 11),
         (Geometric(0.3), 1, 50, 2000, 5),
         (UniformFinite(1), 2, 20, 100, 1),
-        (CustomFinite(DiscretePmf(np.array([0.3, 0.7]))), 2, 500, 300, -1),
+        (CustomFinite(np.array([0.3, 0.7])), 2, 500, 300, -1),
         (UniformFinite(3), 2, 1, 100, 0),
     ], ids=["zeta1.5", "zeta1.5-row-blocks", "zeta1.05", "zeta1.01-m3", "geometric-m1",
             "uniform1", "custom", "uniform3-n1"])
