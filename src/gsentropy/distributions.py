@@ -561,15 +561,17 @@ class UniformFinite(AnalyticDistribution):
         return {"kind": "uniform", "K": self.K}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CustomFinite(AnalyticDistribution):
     """An explicit probability vector over categories 1..K.  Zero entries
-    are permitted; size is K, zeros included."""
+    are permitted; size is K, zeros included.  probs is a read-only copy,
+    so a later write to the caller's array changes neither the law nor its
+    hash; laws with equal entries are equal and hash alike."""
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probability vector must be 1-d and nonempty")
         # NaN fails both bounds; entries of at most 1 cannot sum to inf
@@ -578,7 +580,15 @@ class CustomFinite(AnalyticDistribution):
         total = float(probs.sum())
         if abs(total - 1.0) > PMF_ATOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1 within {PMF_ATOL}")
+        probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CustomFinite) and np.array_equal(self.probs, other.probs)
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.probs + 0.0).tobytes())
 
     @property
     def size(self) -> int:

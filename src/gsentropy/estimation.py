@@ -42,8 +42,10 @@ from .distributions import (
     AnalyticDistribution,
     CustomFinite,
     SampleCounts,
+    _WHOLE,
     _check_eps,
     _check_order,
+    _spread,
     collision_log_weights,
     h_sigma_sq,
 )
@@ -114,10 +116,15 @@ def sigma_sq_literal(pmf, m: int) -> float:
     """
     pmf = as_pmf(pmf)
     m = _check_order(m)
-    p = pmf.probs[pmf.probs > 0.0]
-    log_q, q, h, _ = collision_log_weights(p, m)
-    inner = (m * m / p) * q * (log_q + float(h[0]))
-    return float(np.sum(inner * inner))
+    return float(np.sum(_literal_squares(pmf.probs[pmf.probs > 0.0], m)))
+
+
+def _literal_squares(p: np.ndarray, m: int, starts=_WHOLE) -> np.ndarray:
+    """The squared terms that sigma_sq_literal sums, over each segment of a
+    strictly positive 1-d p, from one collision_log_weights call."""
+    log_q, q, h, _ = collision_log_weights(p, m, starts)
+    inner = (m * m / p) * q * (log_q + _spread(h, starts, p.size))
+    return inner * inner
 
 
 def sigma_hat_sq(counts: SampleCounts, m: int) -> float:

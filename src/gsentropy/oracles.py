@@ -9,16 +9,27 @@ separate so they can check one another:
   3. the Monte Carlo Var[sqrt(n) (H_hat_m - H_m)] of the coverage engine's replicates.
 
 The gradient itself is double-checked against central finite differences
-on the simplex.  ``run_verification`` bundles all of it into the report
-behind the command-line ``verify`` subcommand, in one pass over (order,
-pmf): each order's finite differences, and the corpus's closed-form
-variances, come from one call of the segment kernel in ``distributions``,
-and each (order, pmf) from one run of the oracles' own weight pass,
-``_collision_weights``.  The corpus is valid by construction.
+on the simplex.  The oracles work on K-groups: R pmfs with the same number
+of categories K, stacked as an (R, K) matrix.  Their weight pass runs along
+the rows with axis reductions, and every dot (H, g^T Sigma g, sum p g) is a
+stacked BLAS matmul, so each row has the bits of a lone 1-d call;
+``analytic_gradient``, ``fd_gradient`` and ``delta_variance_oracle`` are the
+same pass on a group of one.  A row that enters a dot starts on a 16-byte
+boundary, as a fresh 1-d array does: OpenBLAS's SSE2 dot peels an element to
+reach that boundary, so a dot's bits depend on where its row starts.
+
+``run_verification`` bundles all of it into the report behind the
+command-line ``verify`` subcommand.  It sorts the corpus into K-groups and
+builds each group's covariances and finite-difference stack once for all
+orders; each (group, order) then takes one weight pass and one call of the
+segment kernel in ``distributions`` for the finite differences.  The
+corpus's closed-form variances, and the inside-the-square diagnostic, come
+from one kernel call an order.  The corpus is valid by construction.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +44,7 @@ from .distributions import (
 )
 from .coverage import _replicate_estimates
 from .entropy import as_pmf, gse_analytic
-from .estimation import sigma_sq_literal, sigma_sq_true
+from .estimation import _literal_squares, sigma_sq_literal, sigma_sq_true
 
 DEFAULT_CORPUS_SEED = 20260810
 DEFAULT_CORPUS_SIZE = 100
@@ -52,25 +63,81 @@ def _positive_pmf(pmf) -> CustomFinite:
     return pmf
 
 
-def _collision_weights(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(ln q, m q / p, H) of a strictly positive p at order m; H is an np.dot."""
+def _aligned(x: np.ndarray) -> np.ndarray:
+    """x, or a copy of it, whose rows each start on a 16-byte boundary."""
+    if (x.strides[1] == 8 and (x.shape[0] == 1 or x.strides[0] % 16 == 0)
+            and x.ctypes.data % 16 == 0):
+        return x
+    r, k = x.shape
+    out = np.empty((r, k + k % 2))[:, :k]  # a fresh buffer starts on the boundary
+    out[...] = x
+    return out
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each row of a with the same row of b, as one stacked matmul."""
+    return np.matmul(_aligned(a)[:, None, :], _aligned(b)[:, :, None])[:, 0, 0]
+
+
+def _collision_weights(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ln q, m q / p, H) of each row of a strictly positive (R, K) p at
+    order m; each H is a dot."""
     w = m * np.log(p)
-    w -= w.max()
-    log_q = w - np.log(np.sum(np.exp(w)))
+    w -= w.max(axis=1, keepdims=True)
+    log_q = w - np.log(np.sum(np.exp(w), axis=1, keepdims=True))
     q = np.exp(log_q)
-    return log_q, m * q / p, float(-np.dot(q, log_q))
+    return log_q, m * q / p, -_row_dots(q, log_q)
 
 
-def _free_gradient(log_q: np.ndarray, ratio: np.ndarray, h: float) -> np.ndarray:
-    """The K-1 free partial derivatives from one _collision_weights pass."""
-    return (log_q[-1] - log_q[:-1]) * ratio[:-1] - (ratio[:-1] - ratio[-1]) * (h + log_q[-1])
+def _free_gradient(log_q: np.ndarray, ratio: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The K-1 free partial derivatives of each row from one _collision_weights pass."""
+    last = log_q[:, -1:]
+    return (last - log_q[:, :-1]) * ratio[:, :-1] - (ratio[:, :-1] - ratio[:, -1:]) * (h[:, None] + last)
 
 
-def _quadratic_form(p: np.ndarray, g: np.ndarray) -> float:
-    """g^T Sigma g with the explicit (K-1)x(K-1) multinomial covariance of p."""
-    v = p[:-1]
-    cov = np.diag(v) - np.outer(v, v)
-    return float(g @ cov @ g)
+def _covariance(p: np.ndarray) -> np.ndarray:
+    """The explicit (K-1)x(K-1) multinomial covariance diag(v) - v v^T of
+    each row of p, v = p[:-1]; each matrix starts on a 16-byte boundary."""
+    r, k = p.shape
+    size = (k - 1) ** 2
+    cov = np.zeros((r, size + size % 2))[:, :size].reshape(r, k - 1, k - 1)
+    v = p[:, :-1]
+    free = np.arange(k - 1)
+    cov[:, free, free] = v
+    cov -= v[:, :, None] * v[:, None, :]
+    return cov
+
+
+def _quadratic_form(cov: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g^T Sigma g of each row, as (g @ cov) @ g."""
+    g = _aligned(g)
+    return _row_dots(np.matmul(g[:, None, :], cov)[:, 0, :], g)
+
+
+def _fd_stack(p: np.ndarray, h: float) -> np.ndarray:
+    """The (R, 2(K-1), K) stack of perturbed copies of each row of p: copy i
+    moves p_i by +h and copy K-1+i by -h, and p_K absorbs each move."""
+    r, k = p.shape
+    free = k - 1
+    stack = np.repeat(p, 2 * free, axis=0).reshape(r, 2 * free, k)
+    copies = np.arange(2 * free)
+    step = np.repeat([h, -h], free)
+    stack[:, copies, copies % free] += step
+    stack[:, :, -1] -= step
+    return stack
+
+
+def _fd_differences(stack: np.ndarray, m: int, h: float) -> np.ndarray:
+    """Central differences (H+ - H-) / (2h) of each row of a _fd_stack.
+
+    Every copy is a segment of one collision_log_weights call, so each H has
+    the bits of a lone gse call on that copy.  Every copy must lie in the
+    open simplex, as fd_gradient checks.
+    """
+    r, copies, k = stack.shape
+    entropies = collision_log_weights(stack.ravel(), m, np.arange(0, stack.size, k))[2]
+    entropies = entropies.reshape(r, copies)
+    return (entropies[:, : copies // 2] - entropies[:, copies // 2:]) / (2.0 * h)
 
 
 def analytic_gradient(pmf, m: int) -> np.ndarray:
@@ -82,33 +149,8 @@ def analytic_gradient(pmf, m: int) -> np.ndarray:
         dH/dp_i = (ln q_K - ln q_i) m q_i / p_i
                   - m (q_i / p_i - q_K / p_K) (H + ln q_K).
     """
-    pmf = _positive_pmf(pmf)
-    return _free_gradient(*_collision_weights(pmf.probs, _check_order(m)))
-
-
-def _fd_gradients(ps: list[np.ndarray], m: int, h: float) -> list[np.ndarray]:
-    """Central differences (H+ - H-) / (2h) of every probability vector in ps.
-
-    Row i of a vector's block moves p_i by +h and row K-1+i by -h, and p_K
-    absorbs each move.  All rows are segments of one collision_log_weights
-    call, so each H has the bits of a lone gse call on that row.  Every row
-    must lie in the open simplex, as fd_gradient checks.
-    """
-    blocks = []
-    for p in ps:
-        free = p.size - 1
-        rows = np.arange(2 * free)
-        step = np.repeat([h, -h], free)
-        block = np.tile(p, (2 * free, 1))
-        block[rows, rows % free] += step
-        block[:, -1] -= step
-        blocks.append(block.ravel())
-    sizes = np.array([p.size for p in ps])
-    row_sizes = np.repeat(sizes, 2 * (sizes - 1))
-    starts = np.concatenate(([0], np.cumsum(row_sizes[:-1])))
-    entropies = collision_log_weights(np.concatenate(blocks), m, starts)[2]
-    return [(e[: e.size // 2] - e[e.size // 2:]) / (2.0 * h)
-            for e in np.split(entropies, np.cumsum(2 * (sizes - 1))[:-1])]
+    p = _positive_pmf(pmf).probs[None]
+    return _free_gradient(*_collision_weights(p, _check_order(m)))[0]
 
 
 def fd_gradient(pmf, m: int, h: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -124,13 +166,14 @@ def fd_gradient(pmf, m: int, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     p = pmf.probs
     if np.any(p[:-1] + h >= 1.0) or np.any(p[:-1] - h <= 0.0) or p[-1] - h <= 0.0:
         raise ValueError(f"step {h} leaves the simplex for {p}")
-    return _fd_gradients([p], m, h)[0]
+    return _fd_differences(_fd_stack(p[None], h), m, h)[0]
 
 
 def delta_variance_oracle(pmf, m: int) -> float:
     """grad^T Sigma grad with the explicit (K-1)x(K-1) multinomial covariance."""
-    pmf = _positive_pmf(pmf)
-    return _quadratic_form(pmf.probs, analytic_gradient(pmf, m))
+    p = _positive_pmf(pmf).probs[None]
+    g = _free_gradient(*_collision_weights(p, _check_order(m)))
+    return float(_quadratic_form(_covariance(p), g)[0])
 
 
 def mc_variance_oracle(dist: AnalyticDistribution, m: int, n: int, reps: int, seed: int) -> float:
@@ -190,13 +233,58 @@ class VerificationReport:
         return all(check.passed for check in self.checks)
 
 
-def _sigma_sq_sweeps(probs: list[np.ndarray], orders) -> dict[int, list[float]]:
+def _segments(probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors of probs end to end, and the index at which each begins."""
+    return np.concatenate(probs), np.cumsum([0] + [p.size for p in probs[:-1]])
+
+
+def _sigma_sq_sweeps(probs: list[np.ndarray], orders) -> dict[int, np.ndarray]:
     """sigma_m^2 of every vector in probs at each order, from one h_sigma_sq
     call an order with a segment a vector; each value has the bits of a lone
     sigma_sq_true call."""
-    flat = np.concatenate(probs)
-    starts = np.cumsum([0] + [p.size for p in probs[:-1]])
-    return {m: h_sigma_sq(flat, m, starts)[1].tolist() for m in orders}
+    flat, starts = _segments(probs)
+    return {m: h_sigma_sq(flat, m, starts)[1] for m in orders}
+
+
+def _k_groups(probs: list[np.ndarray]):
+    """(rows, entries, K) of each run of same-size vectors in probs: the
+    run's slice of probs, and of the vectors end to end."""
+    first = offset = 0
+    for k, run in itertools.groupby(p.size for p in probs):
+        r = sum(1 for _ in run)
+        yield slice(first, first + r), slice(offset, offset + r * k), k
+        first += r
+        offset += r * k
+
+
+def _literal_sweep(probs: list[np.ndarray]) -> np.ndarray:
+    """sigma_sq_literal at m = 2 of every vector in probs, from one kernel
+    call; each K-group's sums run along rows, as np.sum of a lone vector
+    does, so each value has the bits of a lone call."""
+    flat, starts = _segments(probs)
+    squares = _literal_squares(flat, 2, starts)
+    return np.concatenate([squares[entries].reshape(-1, k).sum(axis=1)
+                           for _, entries, k in _k_groups(probs)])
+
+
+def _group_pass(p: np.ndarray, orders, h: float):
+    """For each order m: (m, gradient, finite differences, g^T Sigma g, sum_k p_k g_k)
+    of every row of the (R, K) group p.  The covariances and the
+    finite-difference stack are built once for all orders."""
+    p = _aligned(p)
+    cov = _covariance(p)
+    stack = _fd_stack(p, h)
+    for m in orders:
+        log_q, ratio, entropy = _collision_weights(p, m)
+        g = _free_gradient(log_q, ratio, entropy)
+        yield (m, g, _fd_differences(stack, m, h), _quadratic_form(cov, g),
+               _row_dots(p, -ratio * (log_q + entropy[:, None])))
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """x ** 2 of each value as a lone float: libm's pow, which x * x, the
+    array square, does not always equal."""
+    return np.array([x ** 2 for x in values.tolist()])
 
 
 def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
@@ -207,39 +295,35 @@ def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
     if not m_values:  # no order would pass every check vacuously
         raise ValueError("m_values must hold at least one order")
     corpus = pmf_corpus(seed=corpus_seed, size=corpus_size)
-    probs = [pmf.probs for pmf in corpus]
+    # sorted by size, each K-group is one run; no check depends on the order
+    probs = sorted((pmf.probs for pmf in corpus), key=len)
     sigma_sq = _sigma_sq_sweeps(probs, {1, 2, *m_values})
+    literal = _literal_sweep(probs)
 
-    # one weight pass per (order, pmf) gives the gradient against the finite
+    # one weight pass per (group, order) gives the gradient against the finite
     # differences, the quadratic form against the series sigma^2, and the full
-    # gradient's mean-zero sum; a max does not depend on the loop order
-    worst_fd = worst_quad = worst_mean = 0.0
-    for m in m_values:
-        for p, f, direct in zip(probs, _fd_gradients(probs, m, DEFAULT_FD_STEP), sigma_sq[m]):
-            log_q, ratio, h = _collision_weights(p, m)
-            a = _free_gradient(log_q, ratio, h)
-            gap = np.abs(a - f) / np.maximum(1.0, 1e2 * np.abs(a))
+    # gradient's mean-zero sum; m = 1 must reduce to the classical plug-in
+    # entropy variance
+    worst_fd = worst_quad = worst_mean = worst_m1 = 0.0
+    non_uniform_rows = np.empty(len(probs), dtype=bool)
+    for rows, _, _ in _k_groups(probs):
+        p = _aligned(np.stack(probs[rows]))
+        for m, g, fd, quad, mean_zero in _group_pass(p, m_values, DEFAULT_FD_STEP):
+            gap = np.abs(g - fd) / np.maximum(1.0, 1e2 * np.abs(g))
             worst_fd = max(worst_fd, float(gap.max()))
-            quad = _quadratic_form(p, a)
-            worst_quad = max(worst_quad, abs(direct - quad) / max(abs(quad), 1e-30))
-            worst_mean = max(worst_mean, abs(float(np.dot(p, -ratio * (log_q + h)))))
-
-    # m = 1 must reduce to the classical plug-in entropy variance
-    worst_m1 = 0.0
-    for p, direct in zip(probs, sigma_sq[1]):
+            gap = np.abs(sigma_sq[m][rows] - quad) / np.maximum(np.abs(quad), 1e-30)
+            worst_quad = max(worst_quad, float(gap.max()))
+            worst_mean = max(worst_mean, float(np.abs(mean_zero).max()))
         log_p = np.log(p)
-        classical = float(np.dot(p, log_p**2) - np.dot(p, log_p) ** 2)
-        worst_m1 = max(worst_m1, abs(direct - classical))
+        classical = _row_dots(p, log_p**2) - _squares(_row_dots(p, log_p))
+        worst_m1 = max(worst_m1, float(np.abs(sigma_sq[1][rows] - classical).max()))
+        non_uniform_rows[rows] = np.ptp(p, axis=1) > 1e-12
 
     # diagnostic: the inside-the-square weighting disagrees on non-uniform pmfs
-    disagreements = non_uniform = 0
-    for pmf, corrected in zip(corpus, sigma_sq[2]):
-        if np.ptp(pmf.probs) <= 1e-12:
-            continue
-        non_uniform += 1
-        literal = sigma_sq_literal(pmf, 2)
-        if abs(literal - corrected) > 1e-8 * max(corrected, 1e-30):
-            disagreements += 1
+    corrected = sigma_sq[2]
+    disagree = np.abs(literal - corrected) > 1e-8 * np.maximum(corrected, 1e-30)
+    disagreements = int(np.count_nonzero(disagree & non_uniform_rows))
+    non_uniform = int(np.count_nonzero(non_uniform_rows))
     probe = np.array([0.3, 0.7])
     example = f"corrected {sigma_sq_true(probe, 2):.6f} vs literal {sigma_sq_literal(probe, 2):.6f}"
 

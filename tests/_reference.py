@@ -226,16 +226,27 @@ def delta_variance_per_pmf(p, m):
     return float(g @ cov @ g)
 
 
+def mean_zero_per_pmf(p, m):
+    """sum_k p_k g_k of one pmf's full gradient g_k = -(m q_k / p_k)(ln q_k + H)."""
+    w = m * np.log(p)
+    w -= w.max()
+    log_q = w - np.log(np.sum(np.exp(w)))
+    q = np.exp(log_q)
+    h = float(-np.dot(q, log_q))
+    return float(np.dot(p, -(m * q / p) * (log_q + h)))
+
+
 def run_verification_loops(corpus_seed, corpus_size, m_values):
     """The verify battery as one loop per check, each recomputing its pmf's
-    weights: the report the library's one-pass loop must reproduce exactly.
+    weights: the report the library's K-group pass must reproduce exactly.
 
-    Like fd_gradient_loop it calls the library, for the corpus, the kernel
-    sweeps of finite differences and closed-form variances (checked bit for
-    bit in test_oracles), the literal diagnostic and the report types.
+    Like fd_gradient_loop it calls the library, for the corpus, one
+    fd_gradient a pmf and the kernel sweep of closed-form variances (both
+    checked bit for bit in test_oracles), the literal diagnostic and the
+    report types.
     """
-    from gsentropy import VerificationReport, pmf_corpus, sigma_sq_literal, sigma_sq_true
-    from gsentropy.oracles import DEFAULT_FD_STEP, CheckResult, _fd_gradients, _sigma_sq_sweeps
+    from gsentropy import VerificationReport, fd_gradient, pmf_corpus, sigma_sq_literal, sigma_sq_true
+    from gsentropy.oracles import CheckResult, _sigma_sq_sweeps
 
     m_values = tuple(m_values)
     corpus = pmf_corpus(seed=corpus_seed, size=corpus_size)
@@ -244,15 +255,16 @@ def run_verification_loops(corpus_seed, corpus_size, m_values):
 
     worst = 0.0
     for m in m_values:
-        for p, f in zip(probs, _fd_gradients(probs, m, DEFAULT_FD_STEP)):
-            a = analytic_gradient_per_pmf(p, m)
+        for pmf in corpus:
+            a = analytic_gradient_per_pmf(pmf.probs, m)
+            f = fd_gradient(pmf, m)
             gap = np.abs(a - f) / np.maximum(1.0, 1e2 * np.abs(a))
             worst = max(worst, float(gap.max()))
     checks.append(CheckResult(
         "gradient vs finite differences (tol max(1e-6, 1e-4|g|))",
         worst <= 1e-6, f"worst normalized gap {worst:.3e}"))
 
-    sigma_sq = _sigma_sq_sweeps(probs, {1, 2, *m_values})
+    sigma_sq = {m: v.tolist() for m, v in _sigma_sq_sweeps(probs, {1, 2, *m_values}).items()}
 
     worst = 0.0
     for m in m_values:
@@ -275,13 +287,7 @@ def run_verification_loops(corpus_seed, corpus_size, m_values):
     worst = 0.0
     for p in probs:
         for m in m_values:
-            w = m * np.log(p)
-            w -= w.max()
-            log_q = w - np.log(np.sum(np.exp(w)))
-            q = np.exp(log_q)
-            h = float(-np.dot(q, log_q))
-            g = -(m * q / p) * (log_q + h)
-            worst = max(worst, abs(float(np.dot(p, g))))
+            worst = max(worst, abs(mean_zero_per_pmf(p, m)))
     checks.append(CheckResult(
         "mean-zero identity sum p_k g_k = 0 (abs tol 1e-12)",
         worst <= 1e-12, f"worst absolute value {worst:.3e}"))

@@ -621,10 +621,28 @@ class TestConfig:
     def test_round_trip(self):
         for dist in ALL_FAMILIES:
             again = parse_distribution(dist.config())
-            if isinstance(dist, CustomFinite):
-                npt.assert_allclose(again.probs, dist.probs)
-            else:
-                assert again == dist
+            assert again == dist
+
+    def test_custom_laws_compare_and_hash_by_entries(self):
+        law = CustomFinite([0.5, 0.5])
+        again = parse_distribution({"kind": "custom", "probs": [0.5, 0.5]})
+        assert law == again and hash(law) == hash(again)
+        assert len({law, again, CustomFinite(np.array([0.5, 0.5]))}) == 1
+        assert CustomFinite([-0.0, 1.0]) == CustomFinite([0.0, 1.0])
+        assert hash(CustomFinite([-0.0, 1.0])) == hash(CustomFinite([0.0, 1.0]))
+        assert law != CustomFinite([0.25, 0.75])
+        assert law != CustomFinite([0.5, 0.5, 0.0])
+        assert law != UniformFinite(2)
+
+    def test_custom_law_keeps_its_own_read_only_copy(self):
+        probs = np.array([0.5, 0.5])
+        law = CustomFinite(probs)
+        before = hash(law)
+        probs[:] = [0.25, 0.75]
+        assert law.probs.tolist() == [0.5, 0.5] and hash(law) == before
+        assert law == CustomFinite([0.5, 0.5])
+        with pytest.raises(ValueError):
+            law.probs[0] = 0.25
 
     def test_json_string(self):
         assert parse_distribution('{"kind":"zeta","s":1.5}') == Zeta(1.5)

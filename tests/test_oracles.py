@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,7 +22,16 @@ from gsentropy import (
     sigma_sq_true,
 )
 
-from gsentropy.oracles import DEFAULT_CORPUS_SEED, _fd_gradients, _sigma_sq_sweeps
+from gsentropy.oracles import (
+    DEFAULT_CORPUS_SEED,
+    DEFAULT_FD_STEP,
+    _fd_differences,
+    _fd_stack,
+    _group_pass,
+    _k_groups,
+    _literal_sweep,
+    _sigma_sq_sweeps,
+)
 
 from _reference import (
     SIG2_POINT37,
@@ -25,6 +39,7 @@ from _reference import (
     delta_variance_per_pmf,
     fd_gradient_loop,
     mc_variance_loop,
+    mean_zero_per_pmf,
     run_verification_loops,
 )
 
@@ -89,6 +104,47 @@ class TestSharedWeightPass:
         assert run_verification(seed, size, tuple(orders)) == run_verification_loops(seed, size, orders)
 
 
+class TestGroupedPass:
+    # seed 11 at size 25 has K-groups of one pmf (K = 2, 6, 9, 10, 11)
+    @pytest.mark.parametrize("seed, size", [(DEFAULT_CORPUS_SEED, 100), (7, 100), (11, 100), (11, 25)])
+    def test_groups_are_lone_calls(self, seed, size):
+        corpus = sorted(pmf_corpus(seed=seed, size=size), key=lambda pmf: pmf.size)
+        probs = [pmf.probs for pmf in corpus]
+        groups = list(_k_groups(probs))
+        assert sum(rows.stop - rows.start for rows, _, _ in groups) == len(corpus)
+        assert len({k for _, _, k in groups}) == len(groups)
+        for rows, _, _ in groups:
+            for m, g, fd, quad, mean_zero in _group_pass(np.stack(probs[rows]), ORDERS, DEFAULT_FD_STEP):
+                for pmf, *values in zip(corpus[rows], g, fd, quad, mean_zero):
+                    p = pmf.probs
+                    assert values[0].tobytes() == analytic_gradient_per_pmf(p, m).tobytes()
+                    assert values[1].tobytes() == fd_gradient_loop(pmf, m, DEFAULT_FD_STEP).tobytes()
+                    assert float(values[2]).hex() == delta_variance_per_pmf(p, m).hex()
+                    assert float(values[3]).hex() == mean_zero_per_pmf(p, m).hex()
+        literal = _literal_sweep(probs)
+        assert [float(x).hex() for x in literal] == [sigma_sq_literal(pmf, 2).hex() for pmf in corpus]
+
+    def test_one_pmf_groups_are_covered(self):
+        sizes = [rows.stop - rows.start for rows, _, _ in _k_groups(
+            sorted((pmf.probs for pmf in pmf_corpus(seed=11, size=25)), key=len))]
+        assert 1 in sizes and max(sizes) > 1
+
+
+def test_grouped_pass_holds_under_the_sse2_blas_kernel():
+    # OpenBLAS's SSE2-era dot peels an element to reach 16-byte alignment, so
+    # a group's row whose dot started off that boundary would differ from a
+    # lone 1-d call there; every row of the grouped pass starts on it.
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
+    tests = Path(__file__).resolve().parent
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{tests / 'test_oracles.py'}::TestSharedWeightPass",
+         f"{tests / 'test_oracles.py'}::TestGroupedPass"],
+        cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0 and "13 passed" in run.stdout, run.stdout + run.stderr
+
+
 class TestFdGradient:
     def test_step_off_the_simplex_is_an_error(self):
         with pytest.raises(ValueError):
@@ -102,16 +158,19 @@ class TestFdGradient:
     @pytest.mark.parametrize("h", [1e-4, 1e-6, 1e-8])
     @pytest.mark.parametrize("seed", [DEFAULT_CORPUS_SEED, 7, 11])
     def test_stacked_differences_are_the_per_vector_loop(self, seed, h):
-        # fd_gradient and the corpus sweep of run_verification both stack the
+        # fd_gradient and each K-group of run_verification both stack the
         # perturbed vectors as kernel segments; neither may move a bit
-        corpus = pmf_corpus(seed=seed)
+        corpus = sorted(pmf_corpus(seed=seed), key=lambda pmf: pmf.size)
+        groups = [(corpus[rows], _fd_stack(np.stack([pmf.probs for pmf in corpus[rows]]), h))
+                  for rows, _, _ in _k_groups([pmf.probs for pmf in corpus])]
         for m in ORDERS:
-            sweep = _fd_gradients([pmf.probs for pmf in corpus], m, h)
-            assert len(sweep) == len(corpus)
-            for pmf, stacked in zip(corpus, sweep):
-                loop = fd_gradient_loop(pmf, m, h)
-                assert np.array_equal(fd_gradient(pmf, m, h), loop)
-                assert np.array_equal(stacked, loop)
+            for group, stack in groups:
+                sweep = _fd_differences(stack, m, h)
+                assert len(sweep) == len(group)
+                for pmf, stacked in zip(group, sweep):
+                    loop = fd_gradient_loop(pmf, m, h)
+                    assert np.array_equal(fd_gradient(pmf, m, h), loop)
+                    assert np.array_equal(stacked, loop)
 
 
 class TestDeltaVarianceOracle:
@@ -200,7 +259,7 @@ class TestSigmaSqSweeps:
         sweeps = _sigma_sq_sweeps([pmf.probs for pmf in corpus], ORDERS)
         assert sorted(sweeps) == list(ORDERS)
         for m in ORDERS:
-            assert sweeps[m] == [sigma_sq_true(pmf, m) for pmf in corpus]
+            assert sweeps[m].tolist() == [sigma_sq_true(pmf, m) for pmf in corpus]
 
 
 class TestVerificationReport:
