@@ -56,10 +56,10 @@ def _load_distribution(spec: str):
 
 
 def _parse_grid(spec: str) -> list[int]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must look like start:stop:step, got {spec!r}")
-    start, stop, step = (int(p) for p in parts)
+    try:  # a wrong count of parts fails the unpacking, a bad part int()
+        start, stop, step = map(int, spec.split(":"))
+    except ValueError:
+        raise ValueError(f"grid must look like start:stop:step, got {spec!r}") from None
     if start < 2 or stop < start or step < 1:
         raise ValueError(f"unusable grid {spec!r}")
     # as for orders: past 2^53 a sample size would be rounded as a float, and a
@@ -70,12 +70,14 @@ def _parse_grid(spec: str) -> list[int]:
 
 
 def _parse_m_range(spec: str) -> tuple[int, ...]:
-    if ".." in spec:
-        lo, hi = (_check_order(int(p)) for p in spec.split("..", 1))
-        if hi < lo:
-            raise ValueError(f"unusable order range {spec!r}")
-        return tuple(_capped(range(lo, hi + 1), "order range", spec))
-    return (_check_order(int(spec)),)
+    try:
+        ends = [int(p) for p in spec.split("..", 1)]
+    except ValueError:
+        raise ValueError(f"order range must look like m or lo..hi, got {spec!r}") from None
+    lo, hi = _check_order(ends[0]), _check_order(ends[-1])
+    if hi < lo:
+        raise ValueError(f"unusable order range {spec!r}")
+    return tuple(_capped(range(lo, hi + 1), "order range", spec))
 
 
 def _capped(span: range, what: str, spec: str) -> range:

@@ -159,6 +159,8 @@ def normal_quantile(p: float) -> float:
 def _two_sided_z(alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(f"alpha must exceed 2**-53, got {alpha!r}: 1 - alpha/2 rounds to 1")
     return normal_quantile(1.0 - alpha / 2.0)
 
 

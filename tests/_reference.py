@@ -155,6 +155,26 @@ def mp_zeta_h_sigma_sq(s, m):
         return float(mpmath.log(z_t) + c), float(m * m * mpmath.zeta(s) / z_t**2 * series)
 
 
+def mp_free_gradient(p, m):
+    """dH_m/dp_i of the float vector p along each free coordinate i (p_K
+    absorbs the move), by mpmath's numerical derivative at 50 digits of
+    H_m = -sum q ln q, q = p^m / sum p^m, written out from the definition."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        base = [mpmath.mpf(float(x)) for x in p]
+
+        def entropy(i, t):
+            moved = list(base)
+            moved[i] += t
+            moved[-1] -= t
+            weights = [x**m for x in moved]
+            total = mpmath.fsum(weights)
+            return -mpmath.fsum(w / total * mpmath.log(w / total) for w in weights)
+
+        return np.array([float(mpmath.diff(lambda t: entropy(i, t), 0)) for i in range(len(base) - 1)])
+
+
 def normal_quantile_bisect(p, tol=1e-12):
     """Root-find Phi(x) = p on erf alone, independent of the library path."""
     lo, hi = -40.0, 40.0
@@ -204,18 +224,22 @@ def fd_gradient_loop(pmf, m, h):
     return out
 
 
-def analytic_gradient_per_pmf(p, m):
-    """The K-1 free partial derivatives of one pmf, each step written out:
-    the per-pmf route that the oracles' shared weight pass must reproduce
-    bit for bit."""
+def full_gradient_per_pmf(p, m):
+    """The full gradient g_k = -(m q_k / p_k)(ln q_k + H) of one pmf, each
+    step written out: the per-pmf route that the oracles' shared weight pass
+    must reproduce bit for bit."""
     w = m * np.log(p)
     w -= w.max()
-    log_norm = np.log(np.sum(np.exp(w)))
-    log_q = w - log_norm
+    log_q = w - np.log(np.sum(np.exp(w)))
     q = np.exp(log_q)
     h = float(-np.dot(q, log_q))
-    ratio = m * q / p
-    return (log_q[-1] - log_q[:-1]) * ratio[:-1] - (ratio[:-1] - ratio[-1]) * (h + log_q[-1])
+    return -(m * q / p) * (log_q + h)
+
+
+def analytic_gradient_per_pmf(p, m):
+    """The K-1 free partial derivatives g_i - g_K of one pmf."""
+    g = full_gradient_per_pmf(p, m)
+    return g[:-1] - g[-1]
 
 
 def delta_variance_per_pmf(p, m):
@@ -227,13 +251,8 @@ def delta_variance_per_pmf(p, m):
 
 
 def mean_zero_per_pmf(p, m):
-    """sum_k p_k g_k of one pmf's full gradient g_k = -(m q_k / p_k)(ln q_k + H)."""
-    w = m * np.log(p)
-    w -= w.max()
-    log_q = w - np.log(np.sum(np.exp(w)))
-    q = np.exp(log_q)
-    h = float(-np.dot(q, log_q))
-    return float(np.dot(p, -(m * q / p) * (log_q + h)))
+    """sum_k p_k g_k of one pmf's full gradient."""
+    return float(np.dot(p, full_gradient_per_pmf(p, m)))
 
 
 def run_verification_loops(corpus_seed, corpus_size, m_values):

@@ -142,6 +142,19 @@ def test_parameter_at_its_bound_is_answered(capsys, command, argv):
     assert code == 0 and not err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [["estimate", "--data"],
+                                     ["coverage", "--grid", "10:10:1", "--reps", "2", "--dist"]])
+def test_alpha_whose_level_rounds_to_one_is_named(capsys, tmp_path, command):
+    # for alpha <= 2^-53, 1 - alpha/2 rounds to 1.0; the quantile's own
+    # message would blame a 1.0 that the user never gave
+    data = tmp_path / "counts.csv"
+    data.write_text("category,count\na,3\nb,7\n", encoding="utf-8")
+    spec = {"estimate": str(data), "coverage": '{"kind":"uniform","K":2}'}[command[0]]
+    code, out, err = run(capsys, *command, spec, "--alpha", "1e-320")
+    assert code == 2 and out == ""
+    assert err == "error: alpha must exceed 2**-53, got 1e-320: 1 - alpha/2 rounds to 1\n"
+
+
 class TestEstimate:
     @pytest.fixture()
     def counts_csv(self, tmp_path):
@@ -325,6 +338,13 @@ class TestCoverage:
                            "--grid", "10-20-10", "--reps", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["2:x:1", ":10:1", "10:20:", "10-20-10", "10:20", "1:2:3:4"])
+    def test_malformed_grid_names_its_form(self, capsys, grid):
+        code, out, err = run(capsys, "coverage", "--dist", '{"kind":"uniform","K":2}',
+                             "--grid", grid, "--reps", "5")
+        assert code == 2 and out == ""
+        assert err == f"error: grid must look like start:stop:step, got {grid!r}\n"
+
     @pytest.mark.parametrize("grid", ["10:" + "1" * 401 + ":10", f"10:{2**53 + 1}:{2**52}"])
     def test_grid_stop_past_2_to_the_53_is_usage_error(self, capsys, grid):
         # a stop past 2^53 must not reach range(), whose C ssize_t a 401-digit one overflows
@@ -384,6 +404,12 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--corpus-size", "2", "--m-range", spec)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", ["..3", "1..", "1..x", "1...3", "x", ""])
+    def test_malformed_order_range_names_its_form(self, capsys, spec):
+        code, out, err = run(capsys, "verify", "--corpus-size", "1", "--m-range", spec)
+        assert code == 2 and out == ""
+        assert err == f"error: order range must look like m or lo..hi, got {spec!r}\n"
 
     @pytest.mark.parametrize("spec", [f"1..{2**53}", "1..1000001"])
     def test_order_range_of_more_than_a_million_orders_is_usage_error(self, capsys, spec):

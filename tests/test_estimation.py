@@ -204,6 +204,17 @@ class TestConfidenceInterval:
             with pytest.raises(ValueError):
                 confidence_interval(counts, 2, bad)
 
+    @pytest.mark.parametrize("alpha", [2.0**-53, 1e-300, 1e-320])
+    def test_alpha_whose_level_rounds_to_one_is_named(self, alpha):
+        # 1 - alpha/2 is 1.0 here; the quantile's own message would blame a 1.0
+        # that the caller never gave
+        with pytest.raises(ValueError, match=r"alpha must exceed 2\*\*-53"):
+            confidence_interval(SampleCounts([1, 2], [5, 3]), 2, alpha)
+
+    def test_smallest_alpha_with_a_level_below_one_is_answered(self):
+        ci = confidence_interval(SampleCounts([1, 2], [5, 3]), 2, 2.0**-52)
+        assert ci.lower < ci.upper and ci.level == 1.0 - 2.0**-52
+
     def test_halfwidth_scales_like_inverse_sqrt_n(self):
         dist = CustomFinite(np.array([0.2, 0.3, 0.5]))
 

@@ -40,6 +40,7 @@ from _reference import (
     fd_gradient_loop,
     mc_variance_loop,
     mean_zero_per_pmf,
+    mp_free_gradient,
     run_verification_loops,
 )
 
@@ -69,6 +70,19 @@ class TestAnalyticGradient:
         a = analytic_gradient([0.2, 0.3, 0.5], 2)
         f = fd_gradient([0.2, 0.3, 0.5], 2, h=1e-6)
         assert np.all(np.abs(a - f) <= _grad_tol(a))
+
+    # skewed pmfs at high orders, where a free partial (about 3e-10 at
+    # (0.9807, 0.0193), m = 8) is lost by any formula that gets it as the
+    # difference of two large terms
+    @pytest.mark.parametrize("p, m", [
+        ((0.9807, 0.0193), 6),
+        ((0.9807, 0.0193), 8),
+        ((0.001, 0.998, 0.001), 8),
+    ])
+    def test_skewed_pmfs_match_the_mpmath_derivative(self, p, m):
+        exact = mp_free_gradient(p, m)
+        a = analytic_gradient(np.array(p), m)
+        assert np.all(np.abs(a - exact) <= 1e-12 * np.abs(exact).max()), (a, exact)
 
     def test_rejects_zero_probabilities(self):
         with pytest.raises(ValueError):
@@ -268,6 +282,12 @@ class TestVerificationReport:
         for check in report.checks:
             assert check.passed, f"{check.name}: {check.detail}"
         assert report.passed
+
+    def test_large_corpus_passes_at_high_orders(self):
+        # its skewed two-point pmfs at orders 6..8 need free partials of
+        # about 1e-10 to full relative precision
+        report = run_verification(corpus_size=2000, m_values=tuple(range(1, 9)))
+        assert report.passed, report.checks
 
     def test_report_is_reproducible(self):
         a = run_verification(corpus_size=10, m_values=(1, 2))
