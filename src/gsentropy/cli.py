@@ -32,6 +32,7 @@ from .coverage import (
 from .distributions import NonConvergenceError, Zeta, _check_order, parse_distribution
 from .entropy import DEFAULT_EPS, gse_analytic_info, shannon_entropy
 from .estimation import (
+    _SIGNED_DIGITS,
     _interval,
     _two_sided_z,
     gse_estimate,
@@ -55,9 +56,18 @@ def _load_distribution(spec: str):
     return parse_distribution(text)
 
 
+def _ints(parts: list[str]) -> list[int]:
+    """int() of each part, which must be an optional sign and ASCII digits,
+    spaces around it aside, as the counts-CSV reader requires; int() alone
+    would also take digit separators and non-ASCII digits."""
+    if not all(_SIGNED_DIGITS.fullmatch(part.strip()) for part in parts):
+        raise ValueError(f"not plain integers: {parts!r}")
+    return [int(part) for part in parts]
+
+
 def _parse_grid(spec: str) -> list[int]:
-    try:  # a wrong count of parts fails the unpacking, a bad part int()
-        start, stop, step = map(int, spec.split(":"))
+    try:  # a wrong count of parts fails the unpacking, a bad part _ints()
+        start, stop, step = _ints(spec.split(":"))
     except ValueError:
         raise ValueError(f"grid must look like start:stop:step, got {spec!r}") from None
     if start < 2 or stop < start or step < 1:
@@ -71,7 +81,7 @@ def _parse_grid(spec: str) -> list[int]:
 
 def _parse_m_range(spec: str) -> tuple[int, ...]:
     try:
-        ends = [int(p) for p in spec.split("..", 1)]
+        ends = _ints(spec.split("..", 1))
     except ValueError:
         raise ValueError(f"order range must look like m or lo..hi, got {spec!r}") from None
     lo, hi = _check_order(ends[0]), _check_order(ends[-1])
@@ -133,10 +143,14 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    # the options are checked, in gse_estimate's order, before the reader
+    # reads what may be a large file
+    m = _check_order(args.m)
+    z = _two_sided_z(args.alpha)
     reader = read_raw_labels if args.raw else read_counts_csv
     counts, _ = reader(args.data)
-    est = gse_estimate(counts, args.m)
-    ci = _interval(est.h_hat, est.sigma_hat, est.n, _two_sided_z(args.alpha), args.alpha)
+    est = gse_estimate(counts, m)
+    ci = _interval(est.h_hat, est.sigma_hat, est.n, z, args.alpha)
 
     if args.format == "json":
         payload = {

@@ -131,11 +131,12 @@ def _spread(values: np.ndarray, starts, size: int) -> np.ndarray:
     return values if values.size == 1 else np.repeat(values, np.diff(starts, append=size))
 
 
-def collision_log_weights(p: np.ndarray, m: int,
+def collision_log_weights(p: np.ndarray, m: int | np.ndarray,
                           starts=_WHOLE) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ln q, q, H_m, ln sum p^m) of q_k = p_k^m / sum p_i^m over each segment
     of a strictly positive 1-d p; segments begin at the indices starts
     (default: p is one segment), and H_m and ln sum p^m hold one value each.
+    m is one order, or an array of one order per element of p.
 
     Shifting w = m ln p by its segment maximum means nothing underflows, and
     H_m = ln W - sum q w keeps uniform inputs exactly at ln K.  Every sum and

@@ -23,12 +23,18 @@ boundary, as a fresh 1-d array does: OpenBLAS's SSE2 dot peels an element to
 reach that boundary, so a dot's bits depend on where its row starts.
 
 ``run_verification`` bundles all of it into the report behind the
-command-line ``verify`` subcommand.  It sorts the corpus into K-groups and
-builds each group's covariances and finite-difference stack once for all
-orders; each (group, order) then takes one weight pass and one call of the
-segment kernel in ``distributions`` for the finite differences.  The
-corpus's closed-form variances, and the inside-the-square diagnostic, come
-from one kernel call an order.  The corpus is valid by construction.
+command-line ``verify`` subcommand.  It sorts the corpus into K-groups, and
+each group takes one pass for all M orders at once, the orders stacked on a
+leading axis: the weight pass runs on (M, R, K) arrays, and one call of the
+segment kernel in ``distributions`` takes every order's finite differences,
+on the group's finite-difference stack tiled M times with an order per
+element.  A group whose M x R x 2(K-1) x K finite-difference entries pass
+``_SLICE_ENTRIES`` is cut into row slices that hold at most that many, so
+memory stays bounded on large corpora; on the default corpus every group is
+one slice.  Each check then reads a group's stacked arrays at once.  The
+corpus's closed-form variances, and the inside-the-square
+diagnostic, come from one kernel call an order.  The corpus is drawn as
+plain arrays, valid by construction.
 """
 
 from __future__ import annotations
@@ -56,6 +62,10 @@ DEFAULT_FD_STEP = 1e-6
 CORPUS_K_MIN = 2
 CORPUS_K_MAX = 12
 CORPUS_MIN_PROB = 0.01
+# the most finite-difference entries, M x rows x 2(K-1) x K, that one slice
+# of a K-group's oracle pass holds: 256 KiB an array, which keeps the
+# segment kernel's temporaries in cache
+_SLICE_ENTRIES = 1 << 15
 
 
 def _positive_pmf(pmf) -> CustomFinite:
@@ -68,29 +78,34 @@ def _positive_pmf(pmf) -> CustomFinite:
 
 
 def _aligned(x: np.ndarray) -> np.ndarray:
-    """x, or a copy of it, whose rows each start on a 16-byte boundary."""
-    if (x.strides[1] == 8 and (x.shape[0] == 1 or x.strides[0] % 16 == 0)
+    """x, or a copy of it, whose rows (along the last axis) each start on a
+    16-byte boundary."""
+    if (x.strides[-1] == 8
+            and all(n == 1 or s % 16 == 0 for n, s in zip(x.shape[:-1], x.strides[:-1]))
             and x.ctypes.data % 16 == 0):
         return x
-    r, k = x.shape
-    out = np.empty((r, k + k % 2))[:, :k]  # a fresh buffer starts on the boundary
+    k = x.shape[-1]
+    out = np.empty(x.shape[:-1] + (k + k % 2,))[..., :k]  # a fresh buffer starts on the boundary
     out[...] = x
     return out
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.dot of each row of a with the same row of b, as one stacked matmul."""
-    return np.matmul(_aligned(a)[:, None, :], _aligned(b)[:, :, None])[:, 0, 0]
+    """np.dot of each row of a with the same row of b, the leading axes
+    broadcast, as one stacked matmul."""
+    return np.matmul(_aligned(a)[..., None, :], _aligned(b)[..., :, None])[..., 0, 0]
 
 
-def _full_gradient(p: np.ndarray, m: int) -> np.ndarray:
-    """The full gradient -(m q / p)(ln q + H) of the order-m entropy at each
-    row of a strictly positive (R, K) p; each H is a dot."""
+def _full_gradient(p: np.ndarray, orders) -> np.ndarray:
+    """The (M, R, K) full gradient -(m q / p)(ln q + H) of the order-m
+    entropy at each row of a strictly positive (R, K) p, for each of the M
+    orders; each H is a dot."""
+    m = np.array(orders)[:, None, None]
     w = m * np.log(p)
-    w -= w.max(axis=1, keepdims=True)
-    log_q = w - np.log(np.sum(np.exp(w), axis=1, keepdims=True))
+    w -= w.max(axis=-1, keepdims=True)
+    log_q = w - np.log(np.sum(np.exp(w), axis=-1, keepdims=True))
     q = np.exp(log_q)
-    return -(m * q / p) * (log_q - _row_dots(q, log_q)[:, None])
+    return -(m * q / p) * (log_q - _row_dots(q, log_q)[..., None])
 
 
 def _covariance(p: np.ndarray) -> np.ndarray:
@@ -107,35 +122,39 @@ def _covariance(p: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_form(cov: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g^T Sigma g of each row, as (g @ cov) @ g."""
+    """g^T Sigma g of each row, as (g @ cov) @ g; g's leading axes broadcast
+    against cov's."""
     g = _aligned(g)
-    return _row_dots(np.matmul(g[:, None, :], cov)[:, 0, :], g)
+    return _row_dots(np.matmul(g[..., None, :], cov)[..., 0, :], g)
 
 
 def _fd_stack(p: np.ndarray, h: float) -> np.ndarray:
     """The (R, 2(K-1), K) stack of perturbed copies of each row of p: copy i
     moves p_i by +h and copy K-1+i by -h, and p_K absorbs each move."""
-    r, k = p.shape
-    free = k - 1
-    stack = np.repeat(p, 2 * free, axis=0).reshape(r, 2 * free, k)
-    copies = np.arange(2 * free)
-    step = np.repeat([h, -h], free)
-    stack[:, copies, copies % free] += step
-    stack[:, :, -1] -= step
-    return stack
+    free = p.shape[1] - 1
+    moves = np.zeros((2, free, free + 1))
+    ix = np.arange(free)
+    moves[0, ix, ix] = moves[1, :, -1] = h
+    moves[1, ix, ix] = moves[0, :, -1] = -h
+    # p_K + -h is p_K - h, and p_j + 0.0 is p_j
+    return p[:, None, :] + moves.reshape(2 * free, free + 1)
 
 
-def _fd_differences(stack: np.ndarray, m: int, h: float) -> np.ndarray:
-    """Central differences (H+ - H-) / (2h) of each row of a _fd_stack.
+def _fd_differences(stack: np.ndarray, m, h: float) -> np.ndarray:
+    """Central differences (H+ - H-) / (2h) of each row of a _fd_stack at
+    order m, or at each order of an (M,) array m on a leading axis.
 
-    Every copy is a segment of one collision_log_weights call, so each H has
-    the bits of a lone gse call on that copy.  Every copy must lie in the
-    open simplex, as fd_gradient checks.
+    Every copy at every order is a segment of one collision_log_weights
+    call, so each H has the bits of a lone gse call on that copy.  Every
+    copy must lie in the open simplex, as fd_gradient checks.
     """
     r, copies, k = stack.shape
-    entropies = collision_log_weights(stack.ravel(), m, np.arange(0, stack.size, k))[2]
-    entropies = entropies.reshape(r, copies)
-    return (entropies[:, : copies // 2] - entropies[:, copies // 2:]) / (2.0 * h)
+    m = np.asarray(m)
+    orders = np.repeat(m, stack.size)
+    entropies = collision_log_weights(np.tile(stack.ravel(), m.size), orders,
+                                      np.arange(0, orders.size, k))[2]
+    entropies = entropies.reshape(m.shape + (r, copies))
+    return (entropies[..., : copies // 2] - entropies[..., copies // 2:]) / (2.0 * h)
 
 
 def analytic_gradient(pmf, m: int) -> np.ndarray:
@@ -146,8 +165,8 @@ def analytic_gradient(pmf, m: int) -> np.ndarray:
 
         dH/dp_i = g_i - g_K.
     """
-    g = _full_gradient(_positive_pmf(pmf).probs[None], _check_order(m))
-    return (g[:, :-1] - g[:, -1:])[0]
+    g = _full_gradient(_positive_pmf(pmf).probs[None], [_check_order(m)])[0, 0]
+    return g[:-1] - g[-1]
 
 
 def fd_gradient(pmf, m: int, h: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -169,7 +188,7 @@ def fd_gradient(pmf, m: int, h: float = DEFAULT_FD_STEP) -> np.ndarray:
 def delta_variance_oracle(pmf, m: int) -> float:
     """grad^T Sigma grad with the explicit (K-1)x(K-1) multinomial covariance."""
     p = _positive_pmf(pmf).probs[None]
-    g = _full_gradient(p, _check_order(m))
+    g = _full_gradient(p, [_check_order(m)])[0]
     return float(_quadratic_form(_covariance(p), g[:, :-1] - g[:, -1:])[0])
 
 
@@ -192,6 +211,20 @@ def mc_variance_oracle(dist: AnalyticDistribution, m: int, n: int, reps: int, se
 # ---------------------------------------------------------------------------
 
 
+def _corpus_probs(seed: int, size: int) -> list[np.ndarray]:
+    """The probability vectors of pmf_corpus(seed, size), as plain arrays."""
+    size = _count(size, "corpus size", 1)
+    rng = np.random.default_rng(_count(seed, "corpus seed", 0))
+    alphas = [np.full(k, 2.0) for k in range(CORPUS_K_MAX + 1)]
+    probs: list[np.ndarray] = []
+    while len(probs) < size:
+        k = int(rng.integers(CORPUS_K_MIN, CORPUS_K_MAX + 1))
+        p = rng.dirichlet(alphas[k])
+        if p.min() >= CORPUS_MIN_PROB:
+            probs.append(p)
+    return probs
+
+
 def pmf_corpus(seed: int = DEFAULT_CORPUS_SEED, size: int = DEFAULT_CORPUS_SIZE) -> list[CustomFinite]:
     """Reproducible corpus of random interior simplex points.
 
@@ -200,15 +233,7 @@ def pmf_corpus(seed: int = DEFAULT_CORPUS_SEED, size: int = DEFAULT_CORPUS_SIZE)
     differences stay inside the simplex and 1/p_k terms stay well
     conditioned.
     """
-    size = _count(size, "corpus size", 1)
-    rng = np.random.default_rng(_count(seed, "corpus seed", 0))
-    corpus: list[CustomFinite] = []
-    while len(corpus) < size:
-        k = int(rng.integers(CORPUS_K_MIN, CORPUS_K_MAX + 1))
-        p = rng.dirichlet(np.full(k, 2.0))
-        if p.min() >= CORPUS_MIN_PROB:
-            corpus.append(CustomFinite(p))
-    return corpus
+    return [CustomFinite(p) for p in _corpus_probs(seed, size)]
 
 
 @dataclass(frozen=True)
@@ -264,17 +289,27 @@ def _literal_sweep(probs: list[np.ndarray]) -> np.ndarray:
                            for _, entries, k in _k_groups(probs)])
 
 
+def _slice_pass(p: np.ndarray, orders: list[int], h: float):
+    """(gradient, finite differences, g^T Sigma g, sum_k p_k g_k) of every
+    row of the (R, K) p at every order, each stacked on a leading order axis."""
+    full = _full_gradient(p, orders)
+    g = full[..., :-1] - full[..., -1:]
+    fd = _fd_differences(_fd_stack(p, h), orders, h)
+    return g, fd, _quadratic_form(_covariance(p), g), _row_dots(p, full)
+
+
 def _group_pass(p: np.ndarray, orders, h: float):
-    """For each order m: (m, gradient, finite differences, g^T Sigma g, sum_k p_k g_k)
-    of every row of the (R, K) group p.  The covariances and the
-    finite-difference stack are built once for all orders."""
+    """(gradient, finite differences, g^T Sigma g, sum_k p_k g_k) of every row
+    of the (R, K) group p at every order, each stacked on a leading order
+    axis.  Each slice of rows takes one weight pass and one segment-kernel
+    call for all M orders; it holds M x rows x 2(K-1) x K finite-difference
+    entries, at most _SLICE_ENTRIES unless one row alone holds more."""
     p = _aligned(p)
-    cov = _covariance(p)
-    stack = _fd_stack(p, h)
-    for m in orders:
-        full = _full_gradient(p, m)
-        g = full[:, :-1] - full[:, -1:]
-        yield m, g, _fd_differences(stack, m, h), _quadratic_form(cov, g), _row_dots(p, full)
+    r, k = p.shape
+    orders = list(orders)
+    step = max(1, _SLICE_ENTRIES // (len(orders) * 2 * (k - 1) * k))
+    slices = zip(*(_slice_pass(p[start:start + step], orders, h) for start in range(0, r, step)))
+    return [np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0] for parts in slices]
 
 
 def _squares(values: np.ndarray) -> np.ndarray:
@@ -290,10 +325,10 @@ def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
     m_values = tuple(map(_check_order, m_values))
     if not m_values:  # no order would pass every check vacuously
         raise ValueError("m_values must hold at least one order")
-    corpus = pmf_corpus(seed=corpus_seed, size=corpus_size)
     # sorted by size, each K-group is one run; no check depends on the order
-    probs = sorted((pmf.probs for pmf in corpus), key=len)
+    probs = sorted(_corpus_probs(corpus_seed, corpus_size), key=len)
     sigma_sq = _sigma_sq_sweeps(probs, {1, 2, *m_values})
+    series = np.stack([sigma_sq[m] for m in m_values])
     literal = _literal_sweep(probs)
 
     # one full gradient per (group, order) feeds three checks; m = 1 must
@@ -302,12 +337,12 @@ def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
     non_uniform_rows = np.empty(len(probs), dtype=bool)
     for rows, _, _ in _k_groups(probs):
         p = _aligned(np.stack(probs[rows]))
-        for m, g, fd, quad, mean_zero in _group_pass(p, m_values, DEFAULT_FD_STEP):
-            gap = np.abs(g - fd) / np.maximum(1.0, 1e2 * np.abs(g))
-            worst_fd = max(worst_fd, float(gap.max()))
-            gap = np.abs(sigma_sq[m][rows] - quad) / np.maximum(np.abs(quad), 1e-30)
-            worst_quad = max(worst_quad, float(gap.max()))
-            worst_mean = max(worst_mean, float(np.abs(mean_zero).max()))
+        g, fd, quad, mean_zero = _group_pass(p, m_values, DEFAULT_FD_STEP)
+        gap = np.abs(g - fd) / np.maximum(1.0, 1e2 * np.abs(g))
+        worst_fd = max(worst_fd, float(gap.max()))
+        gap = np.abs(series[:, rows] - quad) / np.maximum(np.abs(quad), 1e-30)
+        worst_quad = max(worst_quad, float(gap.max()))
+        worst_mean = max(worst_mean, float(np.abs(mean_zero).max()))
         log_p = np.log(p)
         classical = _row_dots(p, log_p**2) - _squares(_row_dots(p, log_p))
         worst_m1 = max(worst_m1, float(np.abs(sigma_sq[1][rows] - classical).max()))

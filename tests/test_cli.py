@@ -205,6 +205,19 @@ class TestEstimate:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("raw", [True, False])
+    @pytest.mark.parametrize("option, message", [
+        (("--alpha", "1.5"), "error: alpha must lie in (0, 1), got 1.5\n"),
+        (("--m", "0"), "error: collision order m must be an integer >= 1, got 0\n"),
+    ], ids=["alpha", "order"])
+    def test_options_are_checked_before_the_file_is_read(self, capsys, raw, option, message):
+        # a bad option must not wait for a large file to be read, nor hide
+        # behind the file's own error
+        code, out, err = run(capsys, "estimate", "--data", "/nonexistent", *option,
+                             *(["--raw"] if raw else []))
+        assert code == 2 and out == ""
+        assert err == message
+
     def test_single_category_flags_degenerate(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("category,count\nonly,9\n", encoding="utf-8")
@@ -338,12 +351,25 @@ class TestCoverage:
                            "--grid", "10-20-10", "--reps", "5")
         assert code == 2
 
-    @pytest.mark.parametrize("grid", ["2:x:1", ":10:1", "10:20:", "10-20-10", "10:20", "1:2:3:4"])
+    # int() alone would also read digit separators and non-ASCII digits
+    @pytest.mark.parametrize("grid", ["2:x:1", ":10:1", "10:20:", "10-20-10", "10:20", "1:2:3:4",
+                                      "1_0:2_0:1_0", "10:٢٠:10", "１０:20:10"])
     def test_malformed_grid_names_its_form(self, capsys, grid):
         code, out, err = run(capsys, "coverage", "--dist", '{"kind":"uniform","K":2}',
                              "--grid", grid, "--reps", "5")
         assert code == 2 and out == ""
         assert err == f"error: grid must look like start:stop:step, got {grid!r}\n"
+
+    @pytest.mark.parametrize("grid, points", [
+        ("10:30:10", [10, 20, 30]),
+        ("+10:+30:+10", [10, 20, 30]),
+        (" 10 : 30 :10 ", [10, 20, 30]),
+        ("\t2:3:1\n", [2, 3]),
+    ])
+    def test_ascii_grids_parse_as_before(self, grid, points):
+        from gsentropy.cli import _parse_grid
+
+        assert _parse_grid(grid) == points
 
     @pytest.mark.parametrize("grid", ["10:" + "1" * 401 + ":10", f"10:{2**53 + 1}:{2**52}"])
     def test_grid_stop_past_2_to_the_53_is_usage_error(self, capsys, grid):
@@ -398,18 +424,33 @@ class TestVerify:
         assert err == f"error: corpus seed must be an integer >= 0, got {seed}\n"
 
     @pytest.mark.parametrize("spec", ["1.." + "1" * 401, "1" * 401 + "..1", "1" * 401,
-                                      f"1..{2**53 + 1}", "0..2", "0", "3..2"])
+                                      f"1..{2**53 + 1}", "0..2", "0", "3..2", "+0"])
     def test_unusable_order_range_is_usage_error(self, capsys, spec):
         # an end past 2^53 must not reach range(), whose C ssize_t a 401-digit one overflows
         code, out, err = run(capsys, "verify", "--corpus-size", "2", "--m-range", spec)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("spec", ["..3", "1..", "1..x", "1...3", "x", ""])
+    # int() alone would also read digit separators and non-ASCII digits
+    @pytest.mark.parametrize("spec", ["..3", "1..", "1..x", "1...3", "x", "",
+                                      "١..٣", "1_0..12", "５", "1..３", "1_2"])
     def test_malformed_order_range_names_its_form(self, capsys, spec):
         code, out, err = run(capsys, "verify", "--corpus-size", "1", "--m-range", spec)
         assert code == 2 and out == ""
         assert err == f"error: order range must look like m or lo..hi, got {spec!r}\n"
+
+    @pytest.mark.parametrize("spec, orders", [
+        ("1..4", (1, 2, 3, 4)),
+        ("3", (3,)),
+        ("+2..+3", (2, 3)),
+        (" 2 .. 3 ", (2, 3)),
+        ("\t5\n", (5,)),
+        ("007..8", (7, 8)),
+    ])
+    def test_ascii_order_ranges_parse_as_before(self, spec, orders):
+        from gsentropy.cli import _parse_m_range
+
+        assert _parse_m_range(spec) == orders
 
     @pytest.mark.parametrize("spec", [f"1..{2**53}", "1..1000001"])
     def test_order_range_of_more_than_a_million_orders_is_usage_error(self, capsys, spec):

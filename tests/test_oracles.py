@@ -22,6 +22,7 @@ from gsentropy import (
     sigma_sq_true,
 )
 
+from gsentropy import oracles
 from gsentropy.oracles import (
     DEFAULT_CORPUS_SEED,
     DEFAULT_FD_STEP,
@@ -122,13 +123,24 @@ class TestGroupedPass:
     # seed 11 at size 25 has K-groups of one pmf (K = 2, 6, 9, 10, 11)
     @pytest.mark.parametrize("seed, size", [(DEFAULT_CORPUS_SEED, 100), (7, 100), (11, 100), (11, 25)])
     def test_groups_are_lone_calls(self, seed, size):
+        self._assert_groups_are_lone_calls(seed, size, ORDERS)
+
+    @pytest.mark.parametrize("seed, size", [(DEFAULT_CORPUS_SEED, 100), (11, 25)])
+    def test_one_order_groups_are_lone_calls(self, seed, size):
+        # a stack of one order is the pass of that order alone
+        self._assert_groups_are_lone_calls(seed, size, (3,))
+
+    @staticmethod
+    def _assert_groups_are_lone_calls(seed, size, orders):
         corpus = sorted(pmf_corpus(seed=seed, size=size), key=lambda pmf: pmf.size)
         probs = [pmf.probs for pmf in corpus]
         groups = list(_k_groups(probs))
         assert sum(rows.stop - rows.start for rows, _, _ in groups) == len(corpus)
         assert len({k for _, _, k in groups}) == len(groups)
         for rows, _, _ in groups:
-            for m, g, fd, quad, mean_zero in _group_pass(np.stack(probs[rows]), ORDERS, DEFAULT_FD_STEP):
+            stacked = _group_pass(np.stack(probs[rows]), orders, DEFAULT_FD_STEP)
+            assert [a.shape[0] for a in stacked] == [len(orders)] * 4
+            for m, g, fd, quad, mean_zero in zip(orders, *stacked):
                 for pmf, *values in zip(corpus[rows], g, fd, quad, mean_zero):
                     p = pmf.probs
                     assert values[0].tobytes() == analytic_gradient_per_pmf(p, m).tobytes()
@@ -137,6 +149,29 @@ class TestGroupedPass:
                     assert float(values[3]).hex() == mean_zero_per_pmf(p, m).hex()
         literal = _literal_sweep(probs)
         assert [float(x).hex() for x in literal] == [sigma_sq_literal(pmf, 2).hex() for pmf in corpus]
+
+    # 1: a slice a row; 200: slices of 1 to 12 rows, as K falls from 12 to 2
+    @pytest.mark.parametrize("entries", [1, 200])
+    def test_row_slices_are_the_one_slice_pass(self, monkeypatch, entries):
+        orders = (1, 2, 3, 4)
+        probs = sorted((pmf.probs for pmf in pmf_corpus(seed=3, size=300)), key=len)
+        groups = [np.stack(probs[rows]) for rows, _, _ in _k_groups(probs)]
+        monkeypatch.setattr(oracles, "_SLICE_ENTRIES", 2**62)
+        whole = run_verification(3, 300, orders)
+        whole_passes = [_group_pass(p, orders, DEFAULT_FD_STEP) for p in groups]
+        monkeypatch.setattr(oracles, "_SLICE_ENTRIES", entries)
+        for p in groups:  # every K-group spans several slices
+            r, k = p.shape
+            assert r > max(1, entries // (len(orders) * 2 * (k - 1) * k))
+        assert run_verification(3, 300, orders) == whole
+        for p, passes in zip(groups, whole_passes):
+            for sliced, one in zip(_group_pass(p, orders, DEFAULT_FD_STEP), passes, strict=True):
+                assert sliced.shape == one.shape and sliced.tobytes() == one.tobytes()
+
+    def test_default_corpus_groups_fit_in_one_slice(self):
+        probs = sorted((pmf.probs for pmf in pmf_corpus()), key=len)
+        for rows, _, k in _k_groups(probs):
+            assert 4 * (rows.stop - rows.start) * 2 * (k - 1) * k <= oracles._SLICE_ENTRIES
 
     def test_one_pmf_groups_are_covered(self):
         sizes = [rows.stop - rows.start for rows, _, _ in _k_groups(
@@ -156,7 +191,7 @@ def test_grouped_pass_holds_under_the_sse2_blas_kernel():
          f"{tests / 'test_oracles.py'}::TestGroupedPass"],
         cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert run.returncode == 0 and "13 passed" in run.stdout, run.stdout + run.stderr
+    assert run.returncode == 0 and "18 passed" in run.stdout, run.stdout + run.stderr
 
 
 class TestFdGradient:
