@@ -65,6 +65,14 @@ def _ints(parts: list[str]) -> list[int]:
     return [int(part) for part in parts]
 
 
+def _int(text: str) -> int:
+    """The integer options' type: _ints' rule, in argparse's own words."""
+    try:
+        return _ints([text])[0]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_grid(spec: str) -> list[int]:
     try:  # a wrong count of parts fails the unpacking, a bad part _ints()
         start, stop, step = _ints(spec.split(":"))
@@ -230,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="exact entropy of a distribution")
     p.add_argument("--dist", required=True,
                    help='inline JSON like {"kind":"zeta","s":1.5} or a path to a JSON file')
-    p.add_argument("--m", type=int, default=2, help="collision order (default 2)")
+    p.add_argument("--m", type=_int, default=2, help="collision order (default 2)")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS,
                    help="series evaluation tolerance (default %(default)g)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -239,26 +247,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="plug-in estimate from a data file")
     p.add_argument("--data", required=True, help="counts CSV (category,count) or raw labels")
     p.add_argument("--raw", action="store_true", help="treat the file as one label per line")
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_int, default=2)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("coverage", help="Monte Carlo coverage sweep")
     p.add_argument("--dist", required=True)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_int, default=2)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--reps", type=int, default=5000)
+    p.add_argument("--reps", type=_int, default=5000)
     p.add_argument("--grid", default=None,
                    help="start:stop:step sample sizes (default {}:{}:{})".format(*DEFAULT_GRID))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--svg", default=None, help="optional SVG plot path")
     p.set_defaults(func=_cmd_coverage)
 
     p = sub.add_parser("verify", help="run the oracle battery")
-    p.add_argument("--corpus-seed", type=int, default=DEFAULT_CORPUS_SEED)
-    p.add_argument("--corpus-size", type=int, default=DEFAULT_CORPUS_SIZE)
+    p.add_argument("--corpus-seed", type=_int, default=DEFAULT_CORPUS_SEED)
+    p.add_argument("--corpus-size", type=_int, default=DEFAULT_CORPUS_SIZE)
     p.add_argument("--m-range", default="1..4", help="orders to sweep, e.g. 1..4")
     p.set_defaults(func=_cmd_verify)
 

@@ -126,9 +126,23 @@ def _check_eps(eps: float) -> float:
 _WHOLE = np.zeros(1, dtype=np.intp)
 
 
-def _spread(values: np.ndarray, starts, size: int) -> np.ndarray:
-    """One value a segment, over the segment's elements; a single segment broadcasts."""
-    return values if values.size == 1 else np.repeat(values, np.diff(starts, append=size))
+def _spread(values: np.ndarray, lengths) -> np.ndarray:
+    """One value a segment, over the segment's elements, given the segment
+    lengths; None (a single segment) broadcasts."""
+    return values if lengths is None else np.repeat(values, lengths)
+
+
+def _segment_weights(p: np.ndarray, m: int | np.ndarray, starts):
+    """collision_log_weights' four arrays, and the segment lengths that
+    _spread takes (None for a single segment), found once a call."""
+    lengths = None if len(starts) == 1 else np.diff(starts, append=p.size)
+    w = m * np.log(p)
+    shift = np.maximum.reduceat(w, starts)
+    w -= _spread(shift, lengths)
+    log_norm = np.log(np.add.reduceat(np.exp(w), starts))
+    log_q = w - _spread(log_norm, lengths)
+    q = np.exp(log_q)
+    return (log_q, q, log_norm - np.add.reduceat(q * w, starts), shift + log_norm), lengths
 
 
 def collision_log_weights(p: np.ndarray, m: int | np.ndarray,
@@ -142,20 +156,14 @@ def collision_log_weights(p: np.ndarray, m: int | np.ndarray,
     H_m = ln W - sum q w keeps uniform inputs exactly at ln K.  Every sum and
     max is a reduceat over the segment alone, so a segment's values have the
     same bits wherever it sits in p, and no BLAS call sets their order."""
-    w = m * np.log(p)
-    shift = np.maximum.reduceat(w, starts)
-    w -= _spread(shift, starts, w.size)
-    log_norm = np.log(np.add.reduceat(np.exp(w), starts))
-    log_q = w - _spread(log_norm, starts, w.size)
-    q = np.exp(log_q)
-    return log_q, q, log_norm - np.add.reduceat(q * w, starts), shift + log_norm
+    return _segment_weights(p, m, starts)[0]
 
 
 def h_sigma_sq(p: np.ndarray, m: int, starts=_WHOLE) -> tuple[np.ndarray, np.ndarray]:
     """(H_m, sigma_m^2) of each segment of a strictly positive 1-d p, as in
     collision_log_weights: sigma^2 = sum p_k g_k^2, g_k = -(m q_k / p_k) (ln q_k + H_m)."""
-    log_q, q, h, _ = collision_log_weights(p, m, starts)
-    g = -(m * q / p) * (log_q + _spread(h, starts, p.size))
+    (log_q, q, h, _), lengths = _segment_weights(p, m, starts)
+    g = -(m * q / p) * (log_q + _spread(h, lengths))
     return h, np.add.reduceat(p * (g * g), starts)
 
 

@@ -45,8 +45,8 @@ from .distributions import (
     _WHOLE,
     _check_eps,
     _check_order,
+    _segment_weights,
     _spread,
-    collision_log_weights,
     h_sigma_sq,
 )
 from .entropy import DEFAULT_EPS, as_pmf
@@ -121,9 +121,9 @@ def sigma_sq_literal(pmf, m: int) -> float:
 
 def _literal_squares(p: np.ndarray, m: int, starts=_WHOLE) -> np.ndarray:
     """The squared terms that sigma_sq_literal sums, over each segment of a
-    strictly positive 1-d p, from one collision_log_weights call."""
-    log_q, q, h, _ = collision_log_weights(p, m, starts)
-    inner = (m * m / p) * q * (log_q + _spread(h, starts, p.size))
+    strictly positive 1-d p, from one pass of collision_log_weights."""
+    (log_q, q, h, _), lengths = _segment_weights(p, m, starts)
+    inner = (m * m / p) * q * (log_q + _spread(h, lengths))
     return inner * inner
 
 

@@ -11,16 +11,16 @@ separate so they can check one another:
 One full gradient g_k = -(m q_k / p_k)(ln q_k + H) feeds three checks: its
 free partials g_i - g_K against central finite differences on the simplex,
 the quadratic form on them against the series (no partial is a difference
-of large terms: the worst relative gap is 2.4e-15 on the default corpus,
-1.3e-14 on 20000 pmfs at orders 1..8), and the mean-zero sum sum_k p_k g_k.
+of large terms: the worst relative gap is 2.3e-15 on the default corpus,
+1.4e-14 on 20000 pmfs at orders 1..8), and the mean-zero sum sum_k p_k g_k.
 The oracles work on K-groups: R pmfs with the same number of categories K,
 stacked as an (R, K) matrix.  Their weight pass runs along the rows with
-axis reductions, and every dot (H, g^T Sigma g, sum p g) is a stacked BLAS
-matmul, so each row has the bits of a lone 1-d call;
+axis reductions, and every dot (H, g^T Sigma g, sum p g) is a cumulative
+sum taken left to right along its row, with no BLAS call, so each row has
+the bits of a lone call and the report is the same on every BLAS core;
 ``analytic_gradient``, ``fd_gradient`` and ``delta_variance_oracle`` are the
-same pass on a group of one.  A row that enters a dot starts on a 16-byte
-boundary, as a fresh 1-d array does: OpenBLAS's SSE2 dot peels an element to
-reach that boundary, so a dot's bits depend on where its row starts.
+same pass on a group of one.  numpy's SIMD loops (AVX-512 or not) can still
+move the last digits of the report's rounding-noise gaps.
 
 ``run_verification`` bundles all of it into the report behind the
 command-line ``verify`` subcommand.  It sorts the corpus into K-groups, and
@@ -77,23 +77,11 @@ def _positive_pmf(pmf) -> CustomFinite:
     return pmf
 
 
-def _aligned(x: np.ndarray) -> np.ndarray:
-    """x, or a copy of it, whose rows (along the last axis) each start on a
-    16-byte boundary."""
-    if (x.strides[-1] == 8
-            and all(n == 1 or s % 16 == 0 for n, s in zip(x.shape[:-1], x.strides[:-1]))
-            and x.ctypes.data % 16 == 0):
-        return x
-    k = x.shape[-1]
-    out = np.empty(x.shape[:-1] + (k + k % 2,))[..., :k]  # a fresh buffer starts on the boundary
-    out[...] = x
-    return out
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.dot of each row of a with the same row of b, the leading axes
-    broadcast, as one stacked matmul."""
-    return np.matmul(_aligned(a)[..., None, :], _aligned(b)[..., :, None])[..., 0, 0]
+    """The dot of each row of a with the same row of b, the leading axes
+    broadcast, summed left to right along the row; a copy, so that no
+    result keeps its rows' running sums alive."""
+    return np.cumsum(a * b, axis=-1)[..., -1].copy()
 
 
 def _full_gradient(p: np.ndarray, orders) -> np.ndarray:
@@ -110,10 +98,9 @@ def _full_gradient(p: np.ndarray, orders) -> np.ndarray:
 
 def _covariance(p: np.ndarray) -> np.ndarray:
     """The explicit (K-1)x(K-1) multinomial covariance diag(v) - v v^T of
-    each row of p, v = p[:-1]; each matrix starts on a 16-byte boundary."""
+    each row of p, v = p[:-1]."""
     r, k = p.shape
-    size = (k - 1) ** 2
-    cov = np.zeros((r, size + size % 2))[:, :size].reshape(r, k - 1, k - 1)
+    cov = np.zeros((r, k - 1, k - 1))
     v = p[:, :-1]
     free = np.arange(k - 1)
     cov[:, free, free] = v
@@ -122,10 +109,10 @@ def _covariance(p: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_form(cov: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g^T Sigma g of each row, as (g @ cov) @ g; g's leading axes broadcast
+    """g^T Sigma g of each row: g^T Sigma summed left to right down the
+    matrix axis, then its row dot with g; g's leading axes broadcast
     against cov's."""
-    g = _aligned(g)
-    return _row_dots(np.matmul(g[..., None, :], cov)[..., 0, :], g)
+    return _row_dots(np.cumsum(g[..., :, None] * cov, axis=-2)[..., -1, :], g)
 
 
 def _fd_stack(p: np.ndarray, h: float) -> np.ndarray:
@@ -303,19 +290,13 @@ def _group_pass(p: np.ndarray, orders, h: float):
     of the (R, K) group p at every order, each stacked on a leading order
     axis.  Each slice of rows takes one weight pass and one segment-kernel
     call for all M orders; it holds M x rows x 2(K-1) x K finite-difference
-    entries, at most _SLICE_ENTRIES unless one row alone holds more."""
-    p = _aligned(p)
+    entries, at most _SLICE_ENTRIES unless one row alone holds more.  Every
+    sum runs along a row, so how the rows are sliced moves no bit."""
     r, k = p.shape
     orders = list(orders)
     step = max(1, _SLICE_ENTRIES // (len(orders) * 2 * (k - 1) * k))
     slices = zip(*(_slice_pass(p[start:start + step], orders, h) for start in range(0, r, step)))
     return [np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0] for parts in slices]
-
-
-def _squares(values: np.ndarray) -> np.ndarray:
-    """x ** 2 of each value as a lone float: libm's pow, which x * x, the
-    array square, does not always equal."""
-    return np.array([x ** 2 for x in values.tolist()])
 
 
 def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
@@ -336,7 +317,7 @@ def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
     worst_fd = worst_quad = worst_mean = worst_m1 = 0.0
     non_uniform_rows = np.empty(len(probs), dtype=bool)
     for rows, _, _ in _k_groups(probs):
-        p = _aligned(np.stack(probs[rows]))
+        p = np.stack(probs[rows])
         g, fd, quad, mean_zero = _group_pass(p, m_values, DEFAULT_FD_STEP)
         gap = np.abs(g - fd) / np.maximum(1.0, 1e2 * np.abs(g))
         worst_fd = max(worst_fd, float(gap.max()))
@@ -344,7 +325,7 @@ def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
         worst_quad = max(worst_quad, float(gap.max()))
         worst_mean = max(worst_mean, float(np.abs(mean_zero).max()))
         log_p = np.log(p)
-        classical = _row_dots(p, log_p**2) - _squares(_row_dots(p, log_p))
+        classical = _row_dots(p, log_p**2) - _row_dots(p, log_p) ** 2
         worst_m1 = max(worst_m1, float(np.abs(sigma_sq[1][rows] - classical).max()))
         non_uniform_rows[rows] = np.ptp(p, axis=1) > 1e-12
 

@@ -11,7 +11,9 @@ nsum for the geometric series.  The mp_* functions recompute H_m and
 sigma_m^2 in mpmath for any parameter; mpmath is imported when they run.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -224,6 +226,13 @@ def fd_gradient_loop(pmf, m, h):
     return out
 
 
+def ordered_dot(a, b):
+    """sum a_i b_i of two 1-d vectors, added left to right as Python floats:
+    the order the oracles' cumulative sums take.  The builtin sum compensates
+    from Python 3.12 on, and an initial 0.0 would turn a -0.0 into 0.0."""
+    return functools.reduce(operator.add, (x * y for x, y in zip(map(float, a), map(float, b))))
+
+
 def full_gradient_per_pmf(p, m):
     """The full gradient g_k = -(m q_k / p_k)(ln q_k + H) of one pmf, each
     step written out: the per-pmf route that the oracles' shared weight pass
@@ -232,7 +241,7 @@ def full_gradient_per_pmf(p, m):
     w -= w.max()
     log_q = w - np.log(np.sum(np.exp(w)))
     q = np.exp(log_q)
-    h = float(-np.dot(q, log_q))
+    h = -ordered_dot(q, log_q)
     return -(m * q / p) * (log_q + h)
 
 
@@ -247,12 +256,12 @@ def delta_variance_per_pmf(p, m):
     g = analytic_gradient_per_pmf(p, m)
     v = p[:-1]
     cov = np.diag(v) - np.outer(v, v)
-    return float(g @ cov @ g)
+    return ordered_dot([ordered_dot(g, column) for column in cov.T], g)
 
 
 def mean_zero_per_pmf(p, m):
     """sum_k p_k g_k of one pmf's full gradient."""
-    return float(np.dot(p, full_gradient_per_pmf(p, m)))
+    return ordered_dot(p, full_gradient_per_pmf(p, m))
 
 
 def run_verification_loops(corpus_seed, corpus_size, m_values):
@@ -297,7 +306,8 @@ def run_verification_loops(corpus_seed, corpus_size, m_values):
     worst = 0.0
     for p, direct in zip(probs, sigma_sq[1]):
         log_p = np.log(p)
-        classical = float(np.dot(p, log_p**2) - np.dot(p, log_p) ** 2)
+        h = ordered_dot(p, log_p)
+        classical = ordered_dot(p, log_p**2) - h * h
         worst = max(worst, abs(direct - classical))
     checks.append(CheckResult(
         "m=1 reduction to sum p ln^2 p - H^2 (abs tol 1e-12)",

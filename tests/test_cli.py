@@ -155,6 +155,42 @@ def test_alpha_whose_level_rounds_to_one_is_named(capsys, tmp_path, command):
     assert err == "error: alpha must exceed 2**-53, got 1e-320: 1 - alpha/2 rounds to 1\n"
 
 
+# each integer option, after a command line that it completes; a coverage
+# run that got past the parser would be one replicate at one sample size
+_COVERAGE = ["coverage", "--dist", '{"kind":"uniform","K":4}', "--grid", "10:10:1"]
+_INTEGER_OPTIONS = [
+    (["compute", "--dist", '{"kind":"uniform","K":4}'], "--m"),
+    (["estimate", "--data", "/nonexistent"], "--m"),
+    ([*_COVERAGE, "--reps", "1"], "--m"),
+    (_COVERAGE, "--reps"),
+    ([*_COVERAGE, "--reps", "1"], "--seed"),
+    (["verify", "--corpus-size", "1"], "--corpus-seed"),
+    (["verify"], "--corpus-size"),
+]
+_INTEGER_IDS = [f"{command[0]}{option}" for command, option in _INTEGER_OPTIONS]
+
+
+# int() alone would also read digit separators and non-ASCII digits
+@pytest.mark.parametrize("value", ["1_0", "٢", "５"])
+@pytest.mark.parametrize("command, option", _INTEGER_OPTIONS, ids=_INTEGER_IDS)
+def test_integer_option_must_be_ascii_digits(capsys, command, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, option, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith(f" error: argument {option}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("value, number", [("7", 7), ("+7", 7), ("-7", -7), (" 7 ", 7),
+                                           ("\t007\n", 7), ("-0", 0)])
+@pytest.mark.parametrize("command, option", _INTEGER_OPTIONS, ids=_INTEGER_IDS)
+def test_integer_option_takes_signed_and_padded_ascii(command, option, value, number):
+    from gsentropy.cli import build_parser
+
+    args = build_parser().parse_args([*command, f"{option}={value}"])
+    assert getattr(args, option[2:].replace("-", "_")) == number
+
+
 class TestEstimate:
     @pytest.fixture()
     def counts_csv(self, tmp_path):

@@ -180,9 +180,8 @@ class TestGroupedPass:
 
 
 def test_grouped_pass_holds_under_the_sse2_blas_kernel():
-    # OpenBLAS's SSE2-era dot peels an element to reach 16-byte alignment, so
-    # a group's row whose dot started off that boundary would differ from a
-    # lone 1-d call there; every row of the grouped pass starts on it.
+    # the oracles make no BLAS call, so OpenBLAS's SSE2-era core must leave
+    # every bit of the grouped pass and of its per-pmf references as it is
     env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
     tests = Path(__file__).resolve().parent
     run = subprocess.run(
@@ -192,6 +191,25 @@ def test_grouped_pass_holds_under_the_sse2_blas_kernel():
         cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0 and "18 passed" in run.stdout, run.stdout + run.stderr
+
+
+def test_report_is_the_same_on_every_blas_core():
+    # every oracle dot is a left-to-right sum, so no BLAS core can move a
+    # digit of the report, the 2000-pmf corpus's K-group row slices included
+    script = ("from gsentropy.cli import main\n"
+              "main(['verify'])\n"
+              "main(['verify', '--corpus-size', '2000', '--m-range', '1..8'])\n")
+    root = Path(__file__).resolve().parents[1]
+    base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), base.get("PYTHONPATH")]))
+    reports = []
+    for core in (None, "Prescott", "Sandybridge"):
+        env = base if core is None else {**base, "OPENBLAS_CORETYPE": core}
+        run = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0 and run.stdout.count("[PASS]") == 10, run.stdout + run.stderr
+        reports.append(run.stdout)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 class TestFdGradient:
