@@ -637,6 +637,8 @@ def finite_pmf(dist: AnalyticDistribution) -> CustomFinite:
 def pmf_at(dist: AnalyticDistribution, k: int) -> float:
     """Pointwise probability P(X = k) for category k >= 1."""
     k = _count(k, "category index k", 1)
+    if k > _INT64_MAX:
+        raise ValueError(f"category index k must be at most 2**63 - 1, got {k}")
     return float(dist.pmf_array(np.asarray([k], dtype=np.int64))[0])
 
 

@@ -62,8 +62,7 @@ def gse(pmf, m: int) -> float:
     Uses the identity H = ln W - sum q_k w_k with shifted weights w, which
     keeps uniform inputs exactly at ln K and never underflows.
     """
-    p = as_pmf(pmf).probs
-    return float(collision_log_weights(p[p > 0.0], _check_order(m))[2][0])
+    return as_pmf(pmf).h_m(_check_order(m), DEFAULT_EPS)[0]
 
 
 def shannon_entropy(target, eps: float = DEFAULT_EPS) -> float:

@@ -116,15 +116,15 @@ def sigma_sq_literal(pmf, m: int) -> float:
     """
     pmf = as_pmf(pmf)
     m = _check_order(m)
-    return float(np.sum(_literal_squares(pmf.probs[pmf.probs > 0.0], m)))
+    return float(_literal_sigma_sq(pmf.probs[pmf.probs > 0.0], m)[0])
 
 
-def _literal_squares(p: np.ndarray, m: int, starts=_WHOLE) -> np.ndarray:
-    """The squared terms that sigma_sq_literal sums, over each segment of a
-    strictly positive 1-d p, from one pass of collision_log_weights."""
+def _literal_sigma_sq(p: np.ndarray, m: int, starts=_WHOLE) -> np.ndarray:
+    """sigma_sq_literal of each segment of a strictly positive 1-d p, as in
+    h_sigma_sq: sum_k ((m^2 / p_k) q_k (ln q_k + H_m))^2."""
     (log_q, q, h, _), lengths = _segment_weights(p, m, starts)
     inner = (m * m / p) * q * (log_q + _spread(h, lengths))
-    return inner * inner
+    return np.add.reduceat(inner * inner, starts)
 
 
 def sigma_hat_sq(counts: SampleCounts, m: int) -> float:
@@ -273,6 +273,10 @@ def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
 def write_counts_csv(counts: SampleCounts, path: Union[str, Path],
                      labels: Sequence[str] | None = None) -> None:
     """Write `category,count` rows that re-ingest to the same estimates; category k as labels[k - 1]."""
+    # categories increase, so the first and the last bound them all
+    first, last = counts.categories[[0, -1]].tolist()
+    if labels is not None and not 1 <= first <= last <= len(labels):
+        raise ValueError(f"categories {first}..{last} must lie in 1..{len(labels)} to have labels")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(COUNTS_HEADER)

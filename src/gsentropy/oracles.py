@@ -23,18 +23,18 @@ same pass on a group of one.  numpy's SIMD loops (AVX-512 or not) can still
 move the last digits of the report's rounding-noise gaps.
 
 ``run_verification`` bundles all of it into the report behind the
-command-line ``verify`` subcommand.  It sorts the corpus into K-groups, and
-each group takes one pass for all M orders at once, the orders stacked on a
-leading axis: the weight pass runs on (M, R, K) arrays, and one call of the
-segment kernel in ``distributions`` takes every order's finite differences,
-on the group's finite-difference stack tiled M times with an order per
-element.  A group whose M x R x 2(K-1) x K finite-difference entries pass
-``_SLICE_ENTRIES`` is cut into row slices that hold at most that many, so
-memory stays bounded on large corpora; on the default corpus every group is
-one slice.  Each check then reads a group's stacked arrays at once.  The
-corpus's closed-form variances, and the inside-the-square
-diagnostic, come from one kernel call an order.  The corpus is drawn as
-plain arrays, valid by construction.
+command-line ``verify`` subcommand.  It sorts the corpus by size and runs one
+loop over the row slices of each K-group: a slice holds at most
+``_SLICE_ENTRIES`` finite-difference entries (M x rows x 2(K-1) x K for M
+orders), so memory stays bounded on large corpora, and on the default corpus
+every group is one slice.  Each slice takes one pass for all M orders at
+once, the orders stacked on a leading axis: the weight pass runs on
+(M, rows, K) arrays, one call of the segment kernel in ``distributions``
+takes every order's finite differences, and the worst gaps are updated from
+the slice's arrays.  The corpus's closed-form variances, and the
+inside-the-square diagnostic, are the kernel's segment sums over the corpus
+end to end, one call an order.  The corpus is drawn as plain arrays, valid
+by construction.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .distributions import (
 )
 from .coverage import _replicate_estimates
 from .entropy import as_pmf, gse_analytic
-from .estimation import _literal_squares, sigma_sq_literal, sigma_sq_true
+from .estimation import _literal_sigma_sq, sigma_sq_literal, sigma_sq_true
 
 DEFAULT_CORPUS_SEED = 20260810
 DEFAULT_CORPUS_SIZE = 100
@@ -242,61 +242,37 @@ class VerificationReport:
         return all(check.passed for check in self.checks)
 
 
-def _segments(probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The vectors of probs end to end, and the index at which each begins."""
-    return np.concatenate(probs), np.cumsum([0] + [p.size for p in probs[:-1]])
+def _sigma_sq_sweeps(probs: list[np.ndarray], orders) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """sigma_m^2 of every vector in probs at each order, and sigma_sq_literal
+    at m = 2, from one kernel call each on the vectors end to end, a segment
+    a vector; each value has the bits of a lone call."""
+    flat = np.concatenate(probs)
+    starts = np.cumsum([0] + [p.size for p in probs[:-1]])
+    return {m: h_sigma_sq(flat, m, starts)[1] for m in orders}, _literal_sigma_sq(flat, 2, starts)
 
 
-def _sigma_sq_sweeps(probs: list[np.ndarray], orders) -> dict[int, np.ndarray]:
-    """sigma_m^2 of every vector in probs at each order, from one h_sigma_sq
-    call an order with a segment a vector; each value has the bits of a lone
-    sigma_sq_true call."""
-    flat, starts = _segments(probs)
-    return {m: h_sigma_sq(flat, m, starts)[1] for m in orders}
-
-
-def _k_groups(probs: list[np.ndarray]):
-    """(rows, entries, K) of each run of same-size vectors in probs: the
-    run's slice of probs, and of the vectors end to end."""
-    first = offset = 0
+def _row_slices(probs: list[np.ndarray], n_orders: int):
+    """(rows, K) of each row slice of each K-group of probs, sorted by size:
+    a slice holds n_orders x rows x 2(K-1) x K finite-difference entries, at
+    most _SLICE_ENTRIES unless one row alone holds more."""
+    start = 0
     for k, run in itertools.groupby(p.size for p in probs):
-        r = sum(1 for _ in run)
-        yield slice(first, first + r), slice(offset, offset + r * k), k
-        first += r
-        offset += r * k
+        stop = start + sum(1 for _ in run)
+        step = max(1, _SLICE_ENTRIES // (n_orders * 2 * (k - 1) * k))
+        for first in range(start, stop, step):
+            yield slice(first, min(first + step, stop)), k
+        start = stop
 
 
-def _literal_sweep(probs: list[np.ndarray]) -> np.ndarray:
-    """sigma_sq_literal at m = 2 of every vector in probs, from one kernel
-    call; each K-group's sums run along rows, as np.sum of a lone vector
-    does, so each value has the bits of a lone call."""
-    flat, starts = _segments(probs)
-    squares = _literal_squares(flat, 2, starts)
-    return np.concatenate([squares[entries].reshape(-1, k).sum(axis=1)
-                           for _, entries, k in _k_groups(probs)])
-
-
-def _slice_pass(p: np.ndarray, orders: list[int], h: float):
+def _slice_pass(p: np.ndarray, orders: tuple[int, ...], h: float):
     """(gradient, finite differences, g^T Sigma g, sum_k p_k g_k) of every
-    row of the (R, K) p at every order, each stacked on a leading order axis."""
+    row of the (R, K) p at every order, each stacked on a leading order axis:
+    one weight pass and one segment-kernel call for all M orders.  Every sum
+    runs along a row, so how the rows are sliced moves no bit."""
     full = _full_gradient(p, orders)
     g = full[..., :-1] - full[..., -1:]
     fd = _fd_differences(_fd_stack(p, h), orders, h)
     return g, fd, _quadratic_form(_covariance(p), g), _row_dots(p, full)
-
-
-def _group_pass(p: np.ndarray, orders, h: float):
-    """(gradient, finite differences, g^T Sigma g, sum_k p_k g_k) of every row
-    of the (R, K) group p at every order, each stacked on a leading order
-    axis.  Each slice of rows takes one weight pass and one segment-kernel
-    call for all M orders; it holds M x rows x 2(K-1) x K finite-difference
-    entries, at most _SLICE_ENTRIES unless one row alone holds more.  Every
-    sum runs along a row, so how the rows are sliced moves no bit."""
-    r, k = p.shape
-    orders = list(orders)
-    step = max(1, _SLICE_ENTRIES // (len(orders) * 2 * (k - 1) * k))
-    slices = zip(*(_slice_pass(p[start:start + step], orders, h) for start in range(0, r, step)))
-    return [np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0] for parts in slices]
 
 
 def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
@@ -308,17 +284,16 @@ def run_verification(corpus_seed: int = DEFAULT_CORPUS_SEED,
         raise ValueError("m_values must hold at least one order")
     # sorted by size, each K-group is one run; no check depends on the order
     probs = sorted(_corpus_probs(corpus_seed, corpus_size), key=len)
-    sigma_sq = _sigma_sq_sweeps(probs, {1, 2, *m_values})
+    sigma_sq, literal = _sigma_sq_sweeps(probs, {1, 2, *m_values})
     series = np.stack([sigma_sq[m] for m in m_values])
-    literal = _literal_sweep(probs)
 
-    # one full gradient per (group, order) feeds three checks; m = 1 must
+    # one full gradient per (row, order) feeds three checks; m = 1 must
     # reduce to the classical plug-in entropy variance
     worst_fd = worst_quad = worst_mean = worst_m1 = 0.0
     non_uniform_rows = np.empty(len(probs), dtype=bool)
-    for rows, _, _ in _k_groups(probs):
+    for rows, _ in _row_slices(probs, len(m_values)):
         p = np.stack(probs[rows])
-        g, fd, quad, mean_zero = _group_pass(p, m_values, DEFAULT_FD_STEP)
+        g, fd, quad, mean_zero = _slice_pass(p, m_values, DEFAULT_FD_STEP)
         gap = np.abs(g - fd) / np.maximum(1.0, 1e2 * np.abs(g))
         worst_fd = max(worst_fd, float(gap.max()))
         gap = np.abs(series[:, rows] - quad) / np.maximum(np.abs(quad), 1e-30)

@@ -229,6 +229,14 @@ class TestPmfAt:
         with pytest.raises(ValueError):
             pmf_at(UniformFinite(3), k)
 
+    @pytest.mark.parametrize("dist", [Zeta(1.5), Geometric(0.3), UniformFinite(3), CustomFinite([0.3, 0.7])],
+                             ids=["zeta", "geometric", "uniform", "custom"])
+    def test_category_index_is_at_most_int64_max(self, dist):
+        assert 0.0 <= pmf_at(dist, 2**63 - 1) < 1e-28
+        for k in (2**63, 2**64):
+            with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+                pmf_at(dist, k)
+
     def test_numpy_integer_category(self):
         assert pmf_at(UniformFinite(4), np.int64(3)) == pmf_at(UniformFinite(4), 3) == 0.25
 

@@ -42,6 +42,7 @@ from _reference import (
     Z_995,
     classical_entropy_variance,
     geometric_sigma_sq_closed_form,
+    mp_sigma_sq_literal,
     normal_quantile_bisect,
 )
 from conftest import interior_pmfs
@@ -132,6 +133,17 @@ class TestSigmaSqLiteral:
         classical = classical_entropy_variance(p)
         assert abs(sigma_sq_literal(p, 1) - classical) > 0.1
         assert abs(sigma_sq_true(p, 1) - classical) <= 1e-12
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_the_mpmath_formula(self, small_corpus, m, zeros):
+        pytest.importorskip("mpmath")
+        for pmf in small_corpus:
+            p = pmf.probs
+            if zeros:  # zeros first, inside and last carry no term
+                p = np.insert(p, [0, p.size // 2, p.size], 0.0)
+            exact = mp_sigma_sq_literal(p, m)
+            assert abs(sigma_sq_literal(p, m) - exact) <= 1e-13 * exact, (p, m)
 
 
 class TestSigmaHatSq:
@@ -307,6 +319,14 @@ class TestCountsIO:
         assert _pairs(counts2, labels2) == _pairs(counts, labels)
         assert gse_plugin(counts2, 2) == gse_plugin(counts, 2)
         assert sigma_hat_sq(counts2, 2) == sigma_hat_sq(counts, 2)
+
+    # category 0 would read labels[-1]; category 2 of one label, an IndexError
+    @pytest.mark.parametrize("categories, labels", [([0, 1], ["a", "b"]), ([1, 2], ["a"])])
+    def test_a_category_without_a_label_is_refused_before_writing(self, tmp_path, categories, labels):
+        out = tmp_path / "counts.csv"
+        with pytest.raises(ValueError, match=f"must lie in 1..{len(labels)}"):
+            write_counts_csv(SampleCounts(categories, [3, 4]), out, labels)
+        assert not out.exists()
 
     @pytest.mark.parametrize("bom", ["", "\ufeff"])  # a UTF-8 byte-order mark is not data
     def test_duplicate_labels_aggregate_and_zeros_drop(self, tmp_path, bom):

@@ -28,10 +28,9 @@ from gsentropy.oracles import (
     DEFAULT_FD_STEP,
     _fd_differences,
     _fd_stack,
-    _group_pass,
-    _k_groups,
-    _literal_sweep,
+    _row_slices,
     _sigma_sq_sweeps,
+    _slice_pass,
 )
 
 from _reference import (
@@ -112,6 +111,7 @@ class TestSharedWeightPass:
         (7, 20, range(1, 7)),
         (11, 50, range(1, 9)),
         (3, 300, range(1, 5)),
+        (5, 60, (3, 5)),  # no order 1 or 2: the sweeps' extra orders alone
     ])
     def test_report_is_the_check_by_check_loops(self, seed, size, orders):
         # one weight pass per (order, pmf) feeds three checks; the report,
@@ -134,20 +134,23 @@ class TestGroupedPass:
     def _assert_groups_are_lone_calls(seed, size, orders):
         corpus = sorted(pmf_corpus(seed=seed, size=size), key=lambda pmf: pmf.size)
         probs = [pmf.probs for pmf in corpus]
-        groups = list(_k_groups(probs))
-        assert sum(rows.stop - rows.start for rows, _, _ in groups) == len(corpus)
-        assert len({k for _, _, k in groups}) == len(groups)
-        for rows, _, _ in groups:
-            stacked = _group_pass(np.stack(probs[rows]), orders, DEFAULT_FD_STEP)
+        slices = list(_row_slices(probs, len(orders)))
+        # the slices tile the corpus in order, each within one K-group
+        assert [rows.start for rows, _ in slices] == [0] + [rows.stop for rows, _ in slices[:-1]]
+        assert slices[-1][0].stop == len(corpus)
+        assert [k for _, k in slices] == sorted(k for _, k in slices)
+        for rows, k in slices:
+            assert {pmf.size for pmf in corpus[rows]} == {k}
+            stacked = _slice_pass(np.stack(probs[rows]), tuple(orders), DEFAULT_FD_STEP)
             assert [a.shape[0] for a in stacked] == [len(orders)] * 4
             for m, g, fd, quad, mean_zero in zip(orders, *stacked):
-                for pmf, *values in zip(corpus[rows], g, fd, quad, mean_zero):
+                for pmf, *values in zip(corpus[rows], g, fd, quad, mean_zero, strict=True):
                     p = pmf.probs
                     assert values[0].tobytes() == analytic_gradient_per_pmf(p, m).tobytes()
                     assert values[1].tobytes() == fd_gradient_loop(pmf, m, DEFAULT_FD_STEP).tobytes()
                     assert float(values[2]).hex() == delta_variance_per_pmf(p, m).hex()
                     assert float(values[3]).hex() == mean_zero_per_pmf(p, m).hex()
-        literal = _literal_sweep(probs)
+        _, literal = _sigma_sq_sweeps(probs, orders)
         assert [float(x).hex() for x in literal] == [sigma_sq_literal(pmf, 2).hex() for pmf in corpus]
 
     # 1: a slice a row; 200: slices of 1 to 12 rows, as K falls from 12 to 2
@@ -155,27 +158,37 @@ class TestGroupedPass:
     def test_row_slices_are_the_one_slice_pass(self, monkeypatch, entries):
         orders = (1, 2, 3, 4)
         probs = sorted((pmf.probs for pmf in pmf_corpus(seed=3, size=300)), key=len)
-        groups = [np.stack(probs[rows]) for rows, _, _ in _k_groups(probs)]
         monkeypatch.setattr(oracles, "_SLICE_ENTRIES", 2**62)
         whole = run_verification(3, 300, orders)
-        whole_passes = [_group_pass(p, orders, DEFAULT_FD_STEP) for p in groups]
+        groups = {k: rows for rows, k in _row_slices(probs, len(orders))}
+        assert sum(rows.stop - rows.start for rows in groups.values()) == len(probs)
+        one_slice = {k: _slice_pass(np.stack(probs[rows]), orders, DEFAULT_FD_STEP)
+                     for k, rows in groups.items()}
         monkeypatch.setattr(oracles, "_SLICE_ENTRIES", entries)
-        for p in groups:  # every K-group spans several slices
-            r, k = p.shape
-            assert r > max(1, entries // (len(orders) * 2 * (k - 1) * k))
+        slices = list(_row_slices(probs, len(orders)))
+        for k, rows in groups.items():  # every K-group spans several slices
+            step = max(1, entries // (len(orders) * 2 * (k - 1) * k))
+            assert rows.stop - rows.start > step
+            assert [part for part, kk in slices if kk == k] == [
+                slice(start, min(start + step, rows.stop)) for start in range(rows.start, rows.stop, step)]
         assert run_verification(3, 300, orders) == whole
-        for p, passes in zip(groups, whole_passes):
-            for sliced, one in zip(_group_pass(p, orders, DEFAULT_FD_STEP), passes, strict=True):
-                assert sliced.shape == one.shape and sliced.tobytes() == one.tobytes()
+        for rows, k in slices:
+            at = slice(rows.start - groups[k].start, rows.stop - groups[k].start)
+            sliced = _slice_pass(np.stack(probs[rows]), orders, DEFAULT_FD_STEP)
+            for part, one in zip(sliced, one_slice[k], strict=True):
+                assert part.shape == one[:, at].shape and part.tobytes() == one[:, at].tobytes()
 
     def test_default_corpus_groups_fit_in_one_slice(self):
         probs = sorted((pmf.probs for pmf in pmf_corpus()), key=len)
-        for rows, _, k in _k_groups(probs):
+        slices = list(_row_slices(probs, 4))
+        assert len({k for _, k in slices}) == len(slices)
+        for rows, k in slices:
             assert 4 * (rows.stop - rows.start) * 2 * (k - 1) * k <= oracles._SLICE_ENTRIES
 
     def test_one_pmf_groups_are_covered(self):
-        sizes = [rows.stop - rows.start for rows, _, _ in _k_groups(
-            sorted((pmf.probs for pmf in pmf_corpus(seed=11, size=25)), key=len))]
+        slices = list(_row_slices(sorted((pmf.probs for pmf in pmf_corpus(seed=11, size=25)), key=len), 4))
+        assert len({k for _, k in slices}) == len(slices)  # a slice a K-group
+        sizes = [rows.stop - rows.start for rows, _ in slices]
         assert 1 in sizes and max(sizes) > 1
 
 
@@ -190,7 +203,7 @@ def test_grouped_pass_holds_under_the_sse2_blas_kernel():
          f"{tests / 'test_oracles.py'}::TestGroupedPass"],
         cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert run.returncode == 0 and "18 passed" in run.stdout, run.stdout + run.stderr
+    assert run.returncode == 0 and "19 passed" in run.stdout, run.stdout + run.stderr
 
 
 def test_report_is_the_same_on_every_blas_core():
@@ -225,11 +238,11 @@ class TestFdGradient:
     @pytest.mark.parametrize("h", [1e-4, 1e-6, 1e-8])
     @pytest.mark.parametrize("seed", [DEFAULT_CORPUS_SEED, 7, 11])
     def test_stacked_differences_are_the_per_vector_loop(self, seed, h):
-        # fd_gradient and each K-group of run_verification both stack the
+        # fd_gradient and each row slice of run_verification both stack the
         # perturbed vectors as kernel segments; neither may move a bit
         corpus = sorted(pmf_corpus(seed=seed), key=lambda pmf: pmf.size)
         groups = [(corpus[rows], _fd_stack(np.stack([pmf.probs for pmf in corpus[rows]]), h))
-                  for rows, _, _ in _k_groups([pmf.probs for pmf in corpus])]
+                  for rows, _ in _row_slices([pmf.probs for pmf in corpus], len(ORDERS))]
         for m in ORDERS:
             for group, stack in groups:
                 sweep = _fd_differences(stack, m, h)
@@ -323,7 +336,7 @@ class TestSigmaSqSweeps:
     @pytest.mark.parametrize("seed", [DEFAULT_CORPUS_SEED, 7, 11])
     def test_sweep_is_sigma_sq_true(self, seed):
         corpus = pmf_corpus(seed=seed)
-        sweeps = _sigma_sq_sweeps([pmf.probs for pmf in corpus], ORDERS)
+        sweeps, _ = _sigma_sq_sweeps([pmf.probs for pmf in corpus], ORDERS)
         assert sorted(sweeps) == list(ORDERS)
         for m in ORDERS:
             assert sweeps[m].tolist() == [sigma_sq_true(pmf, m) for pmf in corpus]
