@@ -46,7 +46,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NON_CONVERGENT = 3
-# the most orders or grid points a --m-range or --grid span may hold
+# the most orders or grid points a --m-range or --grid span may hold, and the
+# most pmfs a --corpus-size may ask for: each is refused before it is built
 MAX_SPAN = 10**6
 
 def _load_distribution(spec: str):
@@ -114,19 +115,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     dist = _load_distribution(args.dist)
     h_m, terms = gse_analytic_info(dist, args.m, args.eps)
     sigma_sq = sigma_sq_true(dist, args.m, args.eps)
-    try:
-        shannon = shannon_entropy(dist, args.eps)
-        shannon_note = None
-    except NonConvergenceError as exc:
-        shannon = None
-        shannon_note = str(exc)
+    shannon = shannon_entropy(dist, args.eps)
 
     if args.format == "json":
         payload = {
             "m": args.m,
             "h_m": h_m,
             "shannon": shannon,
-            "shannon_error": shannon_note,
             "sigma_m": math.sqrt(sigma_sq),
             "sigma_sq_m": sigma_sq,
             "truncation_terms": terms,
@@ -136,10 +131,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
     print(f"order m            : {args.m}")
     print(f"H_m                : {_fmt(h_m)}")
-    if shannon is None:
-        print(f"Shannon H          : not finitely computable ({shannon_note})")
-    else:
-        print(f"Shannon H          : {_fmt(shannon)}")
+    print(f"Shannon H          : {_fmt(shannon)}")
     print(f"sigma_m            : {_fmt(math.sqrt(sigma_sq))}")
     print(f"truncation terms   : {terms}")
     # below s = 2 the tail-decay conditions behind the plain Shannon
@@ -216,6 +208,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.corpus_size > MAX_SPAN:
+        raise ValueError(f"corpus size must be at most {MAX_SPAN}, got {args.corpus_size}")
     report = run_verification(corpus_seed=args.corpus_seed,
                               corpus_size=args.corpus_size,
                               m_values=_parse_m_range(args.m_range))
@@ -281,8 +275,8 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGENT
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # a MemoryError may carry no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -167,6 +167,15 @@ def h_sigma_sq(p: np.ndarray, m: int, starts=_WHOLE) -> tuple[np.ndarray, np.nda
     return h, np.add.reduceat(p * (g * g), starts)
 
 
+def _literal_sigma_sq(p: np.ndarray, m: int, starts=_WHOLE) -> np.ndarray:
+    """The inside-the-square diagnostic (estimation.sigma_sq_literal) of each
+    segment of a strictly positive 1-d p, as in h_sigma_sq:
+    sum_k ((m^2 / p_k) q_k (ln q_k + H_m))^2."""
+    (log_q, q, h, _), lengths = _segment_weights(p, m, starts)
+    inner = (m * m / p) * q * (log_q + _spread(h, lengths))
+    return np.add.reduceat(inner * inner, starts)
+
+
 # ---------------------------------------------------------------------------
 # zeta-type series: sum_{k>=1} k^{-a} ln^j k
 # ---------------------------------------------------------------------------
@@ -504,7 +513,10 @@ class Geometric(AnalyticDistribution):
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(n)
-        return np.floor(np.log1p(-u) / math.log1p(-self.q)).astype(np.int64) + 1
+        k = np.floor(np.log1p(-u) / math.log1p(-self.q))
+        if k.max() >= 2.0**63:  # the int64 cast would wrap it to a negative value
+            raise ValueError(f"Geometric(q={self.q!r}) drew a value past the int64 bound 2**63 - 1")
+        return k.astype(np.int64) + 1
 
     def h_m(self, m: int, eps: float) -> tuple[float, int]:
         # the m-collision law is Geometric(h): H_m = -ln h - rho ln(rho) / h,

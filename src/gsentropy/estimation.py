@@ -42,11 +42,9 @@ from .distributions import (
     AnalyticDistribution,
     CustomFinite,
     SampleCounts,
-    _WHOLE,
     _check_eps,
     _check_order,
-    _segment_weights,
-    _spread,
+    _literal_sigma_sq,
     h_sigma_sq,
 )
 from .entropy import DEFAULT_EPS, as_pmf
@@ -117,14 +115,6 @@ def sigma_sq_literal(pmf, m: int) -> float:
     pmf = as_pmf(pmf)
     m = _check_order(m)
     return float(_literal_sigma_sq(pmf.probs[pmf.probs > 0.0], m)[0])
-
-
-def _literal_sigma_sq(p: np.ndarray, m: int, starts=_WHOLE) -> np.ndarray:
-    """sigma_sq_literal of each segment of a strictly positive 1-d p, as in
-    h_sigma_sq: sum_k ((m^2 / p_k) q_k (ln q_k + H_m))^2."""
-    (log_q, q, h, _), lengths = _segment_weights(p, m, starts)
-    inner = (m * m / p) * q * (log_q + _spread(h, lengths))
-    return np.add.reduceat(inner * inner, starts)
 
 
 def sigma_hat_sq(counts: SampleCounts, m: int) -> float:

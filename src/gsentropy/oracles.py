@@ -49,12 +49,13 @@ from .distributions import (
     CustomFinite,
     _check_order,
     _count,
+    _literal_sigma_sq,
     collision_log_weights,
     h_sigma_sq,
 )
 from .coverage import _replicate_estimates
 from .entropy import as_pmf, gse_analytic
-from .estimation import _literal_sigma_sq, sigma_sq_literal, sigma_sq_true
+from .estimation import sigma_sq_literal, sigma_sq_true
 
 DEFAULT_CORPUS_SEED = 20260810
 DEFAULT_CORPUS_SIZE = 100

@@ -5,16 +5,22 @@ import numpy as np
 import pytest
 
 from gsentropy import (
+    NonConvergenceError,
     SampleCounts,
+    Zeta,
     confidence_interval,
+    gse_analytic_info,
     gse_plugin,
     parse_distribution,
     read_counts_csv,
     read_raw_labels,
+    shannon_entropy,
     sigma_hat_sq,
+    sigma_sq_true,
     truncation_index,
     write_counts_csv,
 )
+from gsentropy import cli, distributions
 from gsentropy.cli import main
 
 from _reference import H2_ZETA15, SIG2_POINT37, mp_geometric_h_sigma_sq
@@ -50,6 +56,7 @@ class TestCompute:
                            "--format", "json")
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == ["m", "h_m", "shannon", "sigma_m", "sigma_sq_m", "truncation_terms"]
         assert abs(payload["h_m"] - 0.43157722083182143) <= 1e-12
         assert abs(payload["sigma_m"] - math.sqrt(SIG2_POINT37)) <= 1e-9
         assert payload["truncation_terms"] == 2
@@ -99,6 +106,27 @@ class TestCompute:
                            "--eps", "1e-300")
         assert code == 3
         assert "non-convergence" in err
+
+    @pytest.mark.parametrize("budget", [4_000, 16_000])
+    def test_shannon_converges_wherever_h_m_and_sigma_do(self, monkeypatch, budget):
+        # gse compute takes H_m and sigma_m^2 before Shannon's H and has no
+        # fallback for a Shannon value it cannot evaluate: at m = 1 H_m is
+        # the same call, and at m >= 2 sigma_sq_true evaluates zeta(s) at
+        # 1/100 of Shannon's tolerance, so its budget binds first.  Small
+        # budgets put the grid on both sides of that bound.
+        monkeypatch.setattr(distributions, "MAX_SERIES_TERMS", budget)
+        reached = 0
+        for s in (1.001, 1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 10.0):
+            for m in (1, 2, 3, 4):
+                for eps in np.logspace(-24, -10, 57).tolist():
+                    try:
+                        gse_analytic_info(Zeta(s), m, eps)
+                        sigma_sq_true(Zeta(s), m, eps)
+                    except NonConvergenceError:
+                        continue
+                    shannon_entropy(Zeta(s), eps)  # a NonConvergenceError fails the test
+                    reached += 1
+        assert 0 < reached < 8 * 4 * 57
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_tiny_geometric_parameter_is_answered(self, capsys, m):
@@ -422,6 +450,29 @@ class TestCoverage:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "more than 1000000" in err
 
+    def test_sample_too_large_for_memory_is_usage_error(self, capsys):
+        # 2^53 int64 draws are 2^56 bytes: the allocation fails at once
+        code, out, err = run(capsys, "coverage", "--dist", '{"kind":"zeta","s":1.5}',
+                             "--grid", f"{2**53}:{2**53}:1", "--reps", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_memory_error_without_a_message_is_named(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr(cli, "coverage_sweep", exhausted)
+        code, out, err = run(capsys, "coverage", "--dist", '{"kind":"uniform","K":2}',
+                             "--grid", "10:10:1", "--reps", "1")
+        assert (code, out, err) == (2, "", "error: MemoryError\n")
+
+    def test_geometric_draw_past_int64_is_usage_error(self, capsys):
+        # at q = 1e-300 every draw is past 2^63; they once wrapped to negative
+        # values, and the sweep printed coverage 0.0 at exit 0
+        code, out, err = run(capsys, "coverage", "--dist", '{"kind":"geometric","q":1e-300}',
+                             "--grid", "100:300:100", "--reps", "50")
+        assert code == 2 and out == ""
+        assert err == "error: Geometric(q=1e-300) drew a value past the int64 bound 2**63 - 1\n"
+
     def test_protocol_defaults(self):
         from gsentropy import default_grid
         from gsentropy.cli import build_parser
@@ -451,6 +502,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", f"--corpus-size={size}")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "corpus size" in err
+
+    def test_corpus_past_the_span_bound_is_usage_error(self, capsys, monkeypatch):
+        # refused before any pmf of the corpus is drawn
+        monkeypatch.setattr(cli, "run_verification", None)
+        code, out, err = run(capsys, "verify", "--corpus-size", "1000001")
+        assert code == 2 and out == ""
+        assert err == "error: corpus size must be at most 1000000, got 1000001\n"
 
     @pytest.mark.parametrize("seed", ["-1", str(-(2**64))])
     def test_negative_corpus_seed_is_usage_error(self, capsys, seed):

@@ -227,22 +227,6 @@ def test_coverage_csv_pins_hold_on_other_cpu_paths():
     assert run.returncode == 0 and "4 passed" in run.stdout, run.stdout + run.stderr
 
 
-def test_kernel_pins_hold_under_the_sse2_blas_kernel():
-    # OpenBLAS's SSE2-era dot peels an element to reach 16-byte alignment, so
-    # a sum it ran would depend on where a segment starts; the kernel's sums
-    # are numpy reductions, and its pinned bits hold there too.
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
-    tests = Path(__file__).resolve().parent
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{tests / 'test_distributions.py'}::TestRowKernel",
-         f"{tests / 'test_estimation.py'}::TestCountArrayKernel",
-         f"{tests / 'test_families.py'}::test_family_values_are_pinned[custom-5]"],
-        cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert run.returncode == 0 and "21 passed" in run.stdout, run.stdout + run.stderr
-
-
 class TestArtifacts:
     def test_csv_schema_and_round_trip(self, tmp_path):
         dist = UniformFinite(4)

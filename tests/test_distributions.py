@@ -326,6 +326,17 @@ class TestSampling:
             with pytest.raises(ValueError):
                 call(Geometric(0.3), n, 0)
 
+    def test_geometric_draw_past_int64_is_refused(self):
+        # P(X >= 2^63) is about exp(-q 2^63): 0.4 at q = 1e-19, 1e-4 at 1e-18;
+        # the int64 cast would wrap such a draw to -2^63 + 1
+        for q in (1e-19, 1e-300):
+            with pytest.raises(ValueError, match=re.escape(f"Geometric(q={q!r}) drew a value past "
+                                                           "the int64 bound 2**63 - 1")):
+                draw(Geometric(q), 6, 0)
+        assert draw(Geometric(1e-18), 6, 0).tolist() == [
+            1013246905717725953, 314418614587692609, 41836596488337449,
+            16665740712559645, 1678092836747376129, 2439041642896589825]
+
     @pytest.mark.parametrize("seed", [2.9, 2.0, np.float64(2.0), "2"])
     def test_seed_must_be_an_integer(self, seed):
         # int() would seed 2.9 as 2

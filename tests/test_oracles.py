@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -192,18 +193,57 @@ class TestGroupedPass:
         assert 1 in sizes and max(sizes) > 1
 
 
-def test_grouped_pass_holds_under_the_sse2_blas_kernel():
-    # the oracles make no BLAS call, so OpenBLAS's SSE2-era core must leave
-    # every bit of the grouped pass and of its per-pmf references as it is
+def test_pinned_bits_hold_under_the_sse2_blas_kernel():
+    # neither the segment kernel nor the oracles make a BLAS call, so
+    # OpenBLAS's SSE2-era core must leave every pinned bit of the kernel, of
+    # the grouped oracle pass and of its per-pmf references as it is
     env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
     tests = Path(__file__).resolve().parent
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{tests / 'test_distributions.py'}::TestRowKernel",
+         f"{tests / 'test_estimation.py'}::TestCountArrayKernel",
+         f"{tests / 'test_families.py'}::test_family_values_are_pinned[custom-5]",
          f"{tests / 'test_oracles.py'}::TestSharedWeightPass",
          f"{tests / 'test_oracles.py'}::TestGroupedPass"],
         cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert run.returncode == 0 and "19 passed" in run.stdout, run.stdout + run.stderr
+    assert run.returncode == 0 and "40 passed" in run.stdout, run.stdout + run.stderr
+
+
+# what would hand a sum to BLAS: the @ operator, these calls, numpy.linalg
+_BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def _blas_uses(source: str) -> list[str]:
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _BLAS_CALLS:
+                uses.append(f"line {node.lineno}: {name}()")
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                or isinstance(node, ast.Name) and node.id == "linalg"
+                or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
+                or isinstance(node, (ast.Import, ast.ImportFrom))
+                and any("linalg" in alias.name for alias in node.names)):
+            uses.append(f"line {node.lineno}: linalg")
+    return uses
+
+
+def test_source_makes_no_blas_call():
+    # the pinned bits and the report rest on numpy's own sums: a BLAS call
+    # would let the BLAS core choose the summation order
+    src = Path(__file__).resolve().parents[1] / "src" / "gsentropy"
+    paths = sorted(src.glob("*.py"))
+    assert paths
+    found = {path.name: uses for path in paths if (uses := _blas_uses(path.read_text(encoding="utf-8")))}
+    assert found == {}
+    assert sorted(_blas_uses("y = np.dot(a, b) + a @ b\nx @= c\nnp.linalg.norm(x)\nfrom numpy import linalg\n")) \
+        == ["line 1: @", "line 1: dot()", "line 2: @", "line 3: linalg", "line 4: linalg"]
 
 
 def test_report_is_the_same_on_every_blas_core():
