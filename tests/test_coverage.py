@@ -32,6 +32,8 @@ from gsentropy import (
 )
 from gsentropy.coverage import _BLOCK, COVERAGE_CSV_HEADER, _replicate_estimates, coverage_csv
 
+from conftest import prescott_passed
+
 
 class TestCoverageExperiment:
     def test_degenerate_alphabet_always_covers(self):
@@ -225,6 +227,16 @@ def test_coverage_csv_pins_hold_on_other_cpu_paths():
         cwd=here.parents[1], env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0 and "4 passed" in run.stdout, run.stdout + run.stderr
+
+
+def test_kernel_pins_hold_under_the_sse2_blas_kernel(prescott_run):
+    # the segment kernel's sums are numpy reductions with no BLAS call, so
+    # its pinned bits hold under OpenBLAS's SSE2-era core too; one subprocess
+    # runs this half and the oracles', which test_oracles.py checks
+    assert prescott_run.returncode == 0 and "40 passed" in prescott_run.stdout, \
+        prescott_run.stdout + prescott_run.stderr
+    passed, count = prescott_passed(prescott_run, "test_coverage.py")
+    assert passed == count, prescott_run.stdout
 
 
 class TestArtifacts:

@@ -34,6 +34,7 @@ from gsentropy.oracles import (
     _slice_pass,
 )
 
+from conftest import prescott_passed
 from _reference import (
     SIG2_POINT37,
     analytic_gradient_per_pmf,
@@ -193,22 +194,15 @@ class TestGroupedPass:
         assert 1 in sizes and max(sizes) > 1
 
 
-def test_pinned_bits_hold_under_the_sse2_blas_kernel():
+def test_grouped_pass_holds_under_the_sse2_blas_kernel(prescott_run):
     # neither the segment kernel nor the oracles make a BLAS call, so
-    # OpenBLAS's SSE2-era core must leave every pinned bit of the kernel, of
-    # the grouped oracle pass and of its per-pmf references as it is
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
-    tests = Path(__file__).resolve().parent
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{tests / 'test_distributions.py'}::TestRowKernel",
-         f"{tests / 'test_estimation.py'}::TestCountArrayKernel",
-         f"{tests / 'test_families.py'}::test_family_values_are_pinned[custom-5]",
-         f"{tests / 'test_oracles.py'}::TestSharedWeightPass",
-         f"{tests / 'test_oracles.py'}::TestGroupedPass"],
-        cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert run.returncode == 0 and "40 passed" in run.stdout, run.stdout + run.stderr
+    # OpenBLAS's SSE2-era core must leave every bit of the grouped pass and
+    # of its per-pmf references as it is; one subprocess runs this half and
+    # the kernel's, which test_coverage.py checks
+    assert prescott_run.returncode == 0 and "40 passed" in prescott_run.stdout, \
+        prescott_run.stdout + prescott_run.stderr
+    passed, count = prescott_passed(prescott_run, "test_oracles.py")
+    assert passed == count, prescott_run.stdout
 
 
 # what would hand a sum to BLAS: the @ operator, these calls, numpy.linalg
