@@ -32,7 +32,7 @@ print("     n   observed  H_hat_2   sigma_hat   interval            covers?")
 for n in (100, 1_000, 10_000, 100_000):
     counts = sample(dist, n, seed=2027 + n)
     est = gse_estimate(counts, 2)
-    ci = confidence_interval(counts, 2, alpha=0.05)
+    ci = confidence_interval(est, alpha=0.05)
     covers = "yes" if ci.contains(truth) else "NO"
     print(f"{n:7d}   {est.support_observed:5d}    {est.h_hat:.6f}  {est.sigma_hat:.6f}"
           f"   [{ci.lower:.4f}, {ci.upper:.4f}]   {covers}")
@@ -55,6 +55,6 @@ print("sigma_hat = 0, so the interval collapses to a point and is flagged:")
 from gsentropy import SampleCounts  # noqa: E402
 
 flat = SampleCounts([1, 2, 3], [5, 5, 5])
-ci = confidence_interval(flat, 2, alpha=0.05)
+ci = confidence_interval(gse_estimate(flat, 2), alpha=0.05)
 print(f"  counts 5/5/5 -> interval [{ci.lower:.6f}, {ci.upper:.6f}], "
       f"degenerate = {ci.degenerate}")

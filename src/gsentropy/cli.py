@@ -33,8 +33,8 @@ from .distributions import NonConvergenceError, Zeta, _check_order, parse_distri
 from .entropy import DEFAULT_EPS, gse_analytic_info, shannon_entropy
 from .estimation import (
     _SIGNED_DIGITS,
-    _interval,
     _two_sided_z,
+    confidence_interval,
     gse_estimate,
     read_counts_csv,
     read_raw_labels,
@@ -143,14 +143,15 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    # the options are checked, in gse_estimate's order, before the reader
-    # reads what may be a large file
+    # the options are checked, m then alpha as gse_estimate and
+    # confidence_interval check them, before the reader reads what may be a
+    # large file
     m = _check_order(args.m)
-    z = _two_sided_z(args.alpha)
+    _two_sided_z(args.alpha)
     reader = read_raw_labels if args.raw else read_counts_csv
     counts, _ = reader(args.data)
     est = gse_estimate(counts, m)
-    ci = _interval(est.h_hat, est.sigma_hat, est.n, z, args.alpha)
+    ci = confidence_interval(est, args.alpha)
 
     if args.format == "json":
         payload = {

@@ -228,8 +228,8 @@ def series_terms_needed(a: float, j: int, tol: float) -> int:
     return n
 
 
-def power_log_series(a: float, j: int, tol: float = 1e-13) -> float:
-    """sum_{k>=1} k^{-a} ln^j k to absolute tolerance tol, for a > 1, j in 0..2.
+def power_log_series(a: float, j: int, tol: float = 1e-13) -> tuple[float, int]:
+    """(sum_{k>=1} k^{-a} ln^j k to absolute tolerance tol, N), for a > 1, j in 0..2.
 
     Partial sum to N plus an integral tail correction with two
     Euler-Maclaurin refinement terms; N is chosen so the certified remainder
@@ -243,14 +243,14 @@ def power_log_series(a: float, j: int, tol: float = 1e-13) -> float:
     f = x**-a * (L**j if j else 1.0)
     fprime = x ** (-a - 1.0) * ((j * L ** (j - 1) if j else 0.0) - a * (L**j if j else 1.0))
     tail = _tail_integral(a, j, x) + 0.5 * f - fprime / 12.0 + _em_third_derivative(a, j, x) / 720.0
-    return head + tail
+    return head + tail, n
 
 
 def riemann_zeta(s: float, tol: float = 1e-13) -> float:
     """The Riemann zeta function for real s > 1, absolute error below tol."""
     if not (math.isfinite(s) and s > 1.0):
         raise ValueError(f"zeta(s) requires s > 1, got {s!r}")
-    return power_log_series(s, 0, tol)
+    return power_log_series(s, 0, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +467,9 @@ class Zeta(AnalyticDistribution):
         """
         t = m * self.s
         tol = min(eps * 0.1, 1e-13)
-        z = power_log_series(t, 0, tol)
-        s1 = power_log_series(t, 1, tol)
-        terms = max(series_terms_needed(t, 0, tol), series_terms_needed(t, 1, tol))
-        return math.log(z) + t * s1 / z, terms
+        z, terms_0 = power_log_series(t, 0, tol)
+        s1, terms_1 = power_log_series(t, 1, tol)
+        return math.log(z) + t * s1 / z, max(terms_0, terms_1)
 
     def sigma_sq(self, m: int, eps: float) -> float:
         """Closed-form expansion over the series S_j(a) = sum k^{-a} ln^j k.
@@ -483,13 +482,14 @@ class Zeta(AnalyticDistribution):
         t = m * s
         a = 2.0 * t - s
         tol = min(eps * 1e-3, 1e-13)
-        h, _ = self.h_m(m, min(eps * 1e-2, 1e-12))
-        z_s = riemann_zeta(s, tol)
         z_t = riemann_zeta(t, tol)
-        c = h - math.log(z_t)
-        s0 = power_log_series(a, 0, tol)
-        s1 = power_log_series(a, 1, tol)
-        s2 = power_log_series(a, 2, tol)
+        # H_m as h_m forms it, less ln zeta(t): this keeps sigma^2's bits, which
+        # the shorter t S_1(t) / zeta(t) changes in the last place
+        c = (math.log(z_t) + t * power_log_series(t, 1, tol)[0] / z_t) - math.log(z_t)
+        z_s = riemann_zeta(s, tol)
+        s0 = power_log_series(a, 0, tol)[0]
+        s1 = power_log_series(a, 1, tol)[0]
+        s2 = power_log_series(a, 2, tol)[0]
         return (m * m * z_s / z_t**2) * (c * c * s0 - 2.0 * c * t * s1 + t * t * s2)
 
     def config(self) -> dict:
@@ -513,7 +513,8 @@ class Geometric(AnalyticDistribution):
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(n)
-        k = np.floor(np.log1p(-u) / math.log1p(-self.q))
+        with np.errstate(over="ignore"):  # past a subnormal q the quotient is inf, refused below
+            k = np.floor(np.log1p(-u) / math.log1p(-self.q))
         if k.max() >= 2.0**63:  # the int64 cast would wrap it to a negative value
             raise ValueError(f"Geometric(q={self.q!r}) drew a value past the int64 bound 2**63 - 1")
         return k.astype(np.int64) + 1

@@ -154,22 +154,16 @@ def _two_sided_z(alpha: float) -> float:
     return normal_quantile(1.0 - alpha / 2.0)
 
 
-def _interval(h_hat: float, sigma_hat: float, n: int, z: float, alpha: float) -> ConfidenceInterval:
-    half = z * sigma_hat / math.sqrt(n)
-    return ConfidenceInterval(lower=h_hat - half, upper=h_hat + half, level=1.0 - alpha,
-                              degenerate=(sigma_hat == 0.0))
-
-
-def confidence_interval(counts: SampleCounts, m: int, alpha: float) -> ConfidenceInterval:
-    """Asymptotic (1 - alpha) interval h_hat -/+ z_{alpha/2} sigma_hat / sqrt(n).
+def confidence_interval(est: GseEstimate, alpha: float) -> ConfidenceInterval:
+    """Asymptotic (1 - alpha) interval h_hat -/+ z_{alpha/2} sigma_hat / sqrt(n) of an estimate.
 
     A sample that is empirically uniform over its support (or a single
     category) has sigma_hat = 0; the zero-width interval is reported with
     the degenerate flag set instead of being widened ad hoc.
     """
-    z = _two_sided_z(alpha)
-    est = gse_estimate(counts, m)
-    return _interval(est.h_hat, est.sigma_hat, est.n, z, alpha)
+    half = _two_sided_z(alpha) * est.sigma_hat / math.sqrt(est.n)
+    return ConfidenceInterval(lower=est.h_hat - half, upper=est.h_hat + half, level=1.0 - alpha,
+                              degenerate=(est.sigma_hat == 0.0))
 
 
 # ---------------------------------------------------------------------------

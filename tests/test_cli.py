@@ -10,6 +10,7 @@ from gsentropy import (
     Zeta,
     confidence_interval,
     gse_analytic_info,
+    gse_estimate,
     gse_plugin,
     parse_distribution,
     read_counts_csv,
@@ -146,6 +147,27 @@ class TestCompute:
             assert code == 0
             assert json.loads(out)["truncation_terms"] == truncation_index(parse_distribution(spec), m, 1e-10)
 
+    @pytest.mark.parametrize("m", ["1", "2", "3"])
+    def test_zeta_series_are_each_evaluated_once(self, capsys, monkeypatch, m):
+        # H_m and Shannon's H take zeta(t) and S_1(t) each, sigma_m^2 zeta(t),
+        # S_1(t), zeta(s) and S_0..S_2(2t - s); every series counts its own terms
+        calls = {"power_log_series": 0, "series_terms_needed": 0, "h_m": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, name, call)
+
+        counted(distributions, "power_log_series")
+        counted(distributions, "series_terms_needed")
+        counted(Zeta, "h_m")
+        code, _, _ = run(capsys, "compute", "--dist", '{"kind":"zeta","s":1.5}', "--m", m)
+        assert code == 0
+        assert calls == {"power_log_series": 10, "series_terms_needed": 10, "h_m": 2}
+
 
 @pytest.mark.parametrize("argv", [
     ["--dist", '{"kind":"zeta","s":1025}'],
@@ -260,7 +282,7 @@ class TestEstimate:
                            "--alpha", str(alpha), "--format", "json")
         assert code == 0
         counts, _ = read_counts_csv(path)
-        ci = confidence_interval(counts, m, alpha)
+        ci = confidence_interval(gse_estimate(counts, m), alpha)
         assert json.loads(out)["interval"] == {"lower": ci.lower, "upper": ci.upper,
                                                "level": ci.level, "degenerate": ci.degenerate}
 
@@ -402,13 +424,17 @@ class TestCoverage:
         assert "coverage min" in out
 
     def test_stdout_csv(self, capsys):
-        code, out, err = run(
-            capsys, "coverage", "--dist", '{"kind":"uniform","K":2}',
-            "--grid", "10:20:10", "--reps", "20", "--seed", "1",
-        )
-        assert code == 0
-        assert out.startswith("n,m,reps,coverage,se,seed")
-        assert "coverage min" in err
+        for dist, grid, reps, verdict in [
+            ('{"kind":"uniform","K":2}', "10:20:10", "20", "all points within 3 binomial SEs of 0.95 from n = 10"),
+            # 50 categories at n <= 400: every sample misses some, and no interval covers ln 50
+            ('{"kind":"uniform","K":50}', "200:400:200", "200",
+             "no grid point starts an all-within-3-SE run of the nominal level"),
+        ]:
+            code, out, err = run(capsys, "coverage", "--dist", dist, "--grid", grid, "--reps", reps, "--seed", "1")
+            assert code == 0
+            assert out.startswith("n,m,reps,coverage,se,seed")
+            assert "coverage min" in err
+            assert err.splitlines()[-1] == verdict
 
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "coverage", "--dist", '{"kind":"uniform","K":2}',
@@ -467,11 +493,13 @@ class TestCoverage:
 
     def test_geometric_draw_past_int64_is_usage_error(self, capsys):
         # at q = 1e-300 every draw is past 2^63; they once wrapped to negative
-        # values, and the sweep printed coverage 0.0 at exit 0
-        code, out, err = run(capsys, "coverage", "--dist", '{"kind":"geometric","q":1e-300}',
-                             "--grid", "100:300:100", "--reps", "50")
-        assert code == 2 and out == ""
-        assert err == "error: Geometric(q=1e-300) drew a value past the int64 bound 2**63 - 1\n"
+        # values, and the sweep printed coverage 0.0 at exit 0.  At the
+        # subnormal 5e-324 the draw's quotient overflows, with no warning
+        for q, grid, reps in [("1e-300", "100:300:100", "50"), ("5e-324", "10:20:10", "5")]:
+            code, out, err = run(capsys, "coverage", "--dist", f'{{"kind":"geometric","q":{q}}}',
+                                 "--grid", grid, "--reps", reps)
+            assert code == 2 and out == ""
+            assert err == f"error: Geometric(q={q}) drew a value past the int64 bound 2**63 - 1\n"
 
     def test_protocol_defaults(self):
         from gsentropy import default_grid

@@ -25,6 +25,7 @@ from gsentropy import (
     default_grid,
     derive_seed,
     gse_analytic,
+    gse_estimate,
     sample,
     stable_from,
     write_coverage_csv,
@@ -68,8 +69,8 @@ class TestCoverageExperiment:
         # small uniform samples are often exactly uniform: zero-width
         # intervals whose hits depend on the last bit of H_hat
         truth = gse_analytic(dist, m)
-        hits = sum(confidence_interval(sample(dist, n, derive_seed(23, r)), m, 0.05).contains(truth)
-                   for r in range(reps))
+        estimates = (gse_estimate(sample(dist, n, derive_seed(23, r)), m) for r in range(reps))
+        hits = sum(confidence_interval(est, 0.05).contains(truth) for est in estimates)
         assert coverage_experiment(dist, m, n, reps=reps, alpha=0.05, seed=23).hits == hits
 
     def test_point_bookkeeping(self):

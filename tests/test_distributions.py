@@ -13,6 +13,7 @@ from scipy import stats
 from gsentropy import (
     CustomFinite,
     Geometric,
+    NonConvergenceError,
     SampleCounts,
     UniformFinite,
     Zeta,
@@ -40,6 +41,7 @@ from gsentropy.distributions import (
     _zeta_chunk,
     h_sigma_sq,
     power_log_series,
+    series_terms_needed,
 )
 
 from _reference import ZETA15_PMF1, ZETA2_PMF1, brute_zeta, zeta_draw_whole_batch
@@ -198,7 +200,18 @@ class TestPowerLogSeries:
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             ref = float((-1) ** j * mpmath.zeta(a, derivative=j))
-        assert abs(power_log_series(a, j) - ref) <= 1e-14 * abs(ref)
+        assert abs(power_log_series(a, j)[0] - ref) <= 1e-14 * abs(ref)
+
+    def test_reports_the_terms_it_sums(self):
+        for a, j, tol in ((1.5, 0, 1e-13), (3.0, 2, 1e-8)):
+            assert power_log_series(a, j, tol)[1] == series_terms_needed(a, j, tol)
+
+    def test_domain(self):
+        for a in (1.0, 0.5):
+            with pytest.raises(NonConvergenceError):
+                power_log_series(a, 0)
+        with pytest.raises(ValueError, match="ln powers 0..2"):
+            power_log_series(2.0, 3)
 
 
 class TestPmfAt:
@@ -329,7 +342,7 @@ class TestSampling:
     def test_geometric_draw_past_int64_is_refused(self):
         # P(X >= 2^63) is about exp(-q 2^63): 0.4 at q = 1e-19, 1e-4 at 1e-18;
         # the int64 cast would wrap such a draw to -2^63 + 1
-        for q in (1e-19, 1e-300):
+        for q in (1e-19, 1e-300, 5e-324):  # at a subnormal q the quotient overflows to inf
             with pytest.raises(ValueError, match=re.escape(f"Geometric(q={q!r}) drew a value past "
                                                            "the int64 bound 2**63 - 1")):
                 draw(Geometric(q), 6, 0)
@@ -707,5 +720,7 @@ class TestConfig:
 
     def test_finite_pmf_of_uniform(self):
         npt.assert_allclose(finite_pmf(UniformFinite(4)).probs, np.full(4, 0.25))
+        custom = CustomFinite([0.3, 0.7])
+        assert finite_pmf(custom) is custom
         with pytest.raises(ValueError):
             finite_pmf(Zeta(1.5))

@@ -190,14 +190,14 @@ class TestNormalQuantile:
 
 class TestConfidenceInterval:
     def test_degenerate_single_category(self):
-        ci = confidence_interval(SampleCounts([1], [10]), 2, 0.05)
+        ci = confidence_interval(gse_estimate(SampleCounts([1], [10]), 2), 0.05)
         assert ci.lower == ci.upper == 0.0
         assert ci.degenerate
         assert ci.contains(0.0)
         assert not ci.contains(0.1)
 
     def test_two_point_frozen_interval(self):
-        ci = confidence_interval(SampleCounts([1, 2], [3, 7]), 2, 0.05)
+        ci = confidence_interval(gse_estimate(SampleCounts([1, 2], [3, 7]), 2), 0.05)
         half = Z_975 * math.sqrt(SIG2_POINT37 / 10.0)
         assert abs(ci.lower - (H2_POINT37 - half)) <= 1e-9
         assert abs(ci.upper - (H2_POINT37 + half)) <= 1e-9
@@ -207,31 +207,31 @@ class TestConfidenceInterval:
     def test_symmetric_about_the_estimate(self):
         counts = SampleCounts([1, 2, 3], [6, 3, 1])
         est = gse_estimate(counts, 2)
-        ci = confidence_interval(counts, 2, 0.10)
+        ci = confidence_interval(est, 0.10)
         assert abs((ci.lower + ci.upper) / 2.0 - est.h_hat) <= 1e-12
 
     def test_domain(self):
         counts = SampleCounts([1, 2], [5, 5])
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
-                confidence_interval(counts, 2, bad)
+                confidence_interval(gse_estimate(counts, 2), bad)
 
     @pytest.mark.parametrize("alpha", [2.0**-53, 1e-300, 1e-320])
     def test_alpha_whose_level_rounds_to_one_is_named(self, alpha):
         # 1 - alpha/2 is 1.0 here; the quantile's own message would blame a 1.0
         # that the caller never gave
         with pytest.raises(ValueError, match=r"alpha must exceed 2\*\*-53"):
-            confidence_interval(SampleCounts([1, 2], [5, 3]), 2, alpha)
+            confidence_interval(gse_estimate(SampleCounts([1, 2], [5, 3]), 2), alpha)
 
     def test_smallest_alpha_with_a_level_below_one_is_answered(self):
-        ci = confidence_interval(SampleCounts([1, 2], [5, 3]), 2, 2.0**-52)
+        ci = confidence_interval(gse_estimate(SampleCounts([1, 2], [5, 3]), 2), 2.0**-52)
         assert ci.lower < ci.upper and ci.level == 1.0 - 2.0**-52
 
     def test_halfwidth_scales_like_inverse_sqrt_n(self):
         dist = CustomFinite(np.array([0.2, 0.3, 0.5]))
 
         def halfwidth(n, seed):
-            ci = confidence_interval(sample(dist, n, seed), 2, 0.05)
+            ci = confidence_interval(gse_estimate(sample(dist, n, seed), 2), 0.05)
             return (ci.upper - ci.lower) / 2.0
 
         ratio = halfwidth(10_000, 5) / halfwidth(40_000, 6)
@@ -293,7 +293,7 @@ class TestCountArrayKernel:
             for m in (1, 2, 3):
                 h_hat, sigma_sq, lower, upper = label_ordered_estimate(counts, m, 0.05)
                 est = gse_estimate(shuffled, m)
-                ci = confidence_interval(shuffled, m, 0.05)
+                ci = confidence_interval(est, 0.05)
                 assert gse_plugin(shuffled, m) == est.h_hat == h_hat
                 assert sigma_hat_sq(shuffled, m) == sigma_sq
                 assert est.sigma_hat == math.sqrt(sigma_sq)

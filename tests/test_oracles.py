@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -265,6 +266,9 @@ class TestFdGradient:
             fd_gradient(np.array([0.9999999, 0.0000001]), 2, h=1e-6)
         with pytest.raises(ValueError):
             fd_gradient(np.array([0.5, 0.5]), 2, h=0.6)
+        for h in (0.0, -1e-6, math.nan):
+            with pytest.raises(ValueError, match="step size must be positive"):
+                fd_gradient(np.array([0.5, 0.5]), 2, h=h)
 
     def test_uniform_is_flat(self):
         npt.assert_allclose(fd_gradient(np.full(4, 0.25), 3), 0.0, atol=1e-6)
