@@ -30,10 +30,10 @@ from .coverage import (
     write_coverage_svg,
 )
 from .distributions import NonConvergenceError, Zeta, _check_order, parse_distribution
-from .entropy import DEFAULT_EPS, gse_analytic_info, shannon_entropy
+from .entropy import gse_analytic_info, shannon_entropy
 from .estimation import (
     _SIGNED_DIGITS,
-    _two_sided_z,
+    _check_alpha,
     confidence_interval,
     gse_estimate,
     read_counts_csv,
@@ -113,9 +113,10 @@ def _fmt(x: float) -> str:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     dist = _load_distribution(args.dist)
-    h_m, terms = gse_analytic_info(dist, args.m, args.eps)
-    sigma_sq = sigma_sq_true(dist, args.m, args.eps)
-    shannon = shannon_entropy(dist, args.eps)
+    h_m, terms = gse_analytic_info(dist, args.m)
+    sigma_sq = sigma_sq_true(dist, args.m)
+    shannon = shannon_entropy(dist)
+    zero_variance = sigma_sq == 0.0
 
     if args.format == "json":
         payload = {
@@ -125,6 +126,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             "sigma_m": math.sqrt(sigma_sq),
             "sigma_sq_m": sigma_sq,
             "truncation_terms": terms,
+            "zero_variance": zero_variance,
         }
         print(json.dumps(payload))
         return EXIT_OK
@@ -134,6 +136,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     print(f"Shannon H          : {_fmt(shannon)}")
     print(f"sigma_m            : {_fmt(math.sqrt(sigma_sq))}")
     print(f"truncation terms   : {terms}")
+    if zero_variance:
+        print("note: sigma_m is 0, so the sqrt(n) limit of the estimate is a point mass; "
+              "the interval's nominal level does not apply.")
     # below s = 2 the tail-decay conditions behind the plain Shannon
     # plug-in CLT fail, which is exactly the regime this estimator targets
     if isinstance(dist, Zeta) and args.m >= 2 and dist.s <= 2.0:
@@ -147,7 +152,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     # confidence_interval check them, before the reader reads what may be a
     # large file
     m = _check_order(args.m)
-    _two_sided_z(args.alpha)
+    _check_alpha(args.alpha)
     reader = read_raw_labels if args.raw else read_counts_csv
     counts, _ = reader(args.data)
     est = gse_estimate(counts, m)
@@ -234,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True,
                    help='inline JSON like {"kind":"zeta","s":1.5} or a path to a JSON file')
     p.add_argument("--m", type=_int, default=2, help="collision order (default 2)")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                   help="series evaluation tolerance (default %(default)g)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_compute)
 

@@ -34,6 +34,9 @@ PMF_ATOL = 1e-12
 # (numerically, not mathematically).
 MAX_SERIES_TERMS = 50_000_000
 
+# Absolute tolerance of every Zeta series; none needs more than 2000 terms at it.
+_SERIES_TOL = 1e-13
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -113,12 +116,6 @@ def _check_order(m: int) -> int:
     if m > 2**53:
         raise ValueError("collision order m must be at most 2**53")
     return m
-
-
-def _check_eps(eps: float) -> float:
-    if not (eps > 0.0):  # NaN fails too
-        raise ValueError(f"tolerance eps must be positive, got {eps!r}")
-    return eps
 
 
 # The default segment starts: all of p is one segment.  An index array, as
@@ -228,7 +225,7 @@ def series_terms_needed(a: float, j: int, tol: float) -> int:
     return n
 
 
-def power_log_series(a: float, j: int, tol: float = 1e-13) -> tuple[float, int]:
+def power_log_series(a: float, j: int, tol: float = _SERIES_TOL) -> tuple[float, int]:
     """(sum_{k>=1} k^{-a} ln^j k to absolute tolerance tol, N), for a > 1, j in 0..2.
 
     Partial sum to N plus an integral tail correction with two
@@ -246,7 +243,7 @@ def power_log_series(a: float, j: int, tol: float = 1e-13) -> tuple[float, int]:
     return head + tail, n
 
 
-def riemann_zeta(s: float, tol: float = 1e-13) -> float:
+def riemann_zeta(s: float, tol: float = _SERIES_TOL) -> float:
     """The Riemann zeta function for real s > 1, absolute error below tol."""
     if not (math.isfinite(s) and s > 1.0):
         raise ValueError(f"zeta(s) requires s > 1, got {s!r}")
@@ -260,8 +257,8 @@ def riemann_zeta(s: float, tol: float = 1e-13) -> float:
 
 class AnalyticDistribution:
     """Base of the families.  Each implements, for validated arguments,
-    pmf_array(int64 ks), draw(n, rng), h_m(m, eps) -> (H_m, series terms),
-    sigma_sq(m, eps) and config().  Finite laws override finite_pmf.
+    pmf_array(int64 ks), draw(n, rng), h_m(m) -> (H_m, series terms),
+    sigma_sq(m) and config().  Finite laws override finite_pmf.
     draw_rows, a block of seeded draws, stacks draw unless the family has a
     faster way to the same rows.
     """
@@ -460,18 +457,17 @@ class Zeta(AnalyticDistribution):
                 self._fill(row, filled, rng)
         return out
 
-    def h_m(self, m: int, eps: float) -> tuple[float, int]:
+    def h_m(self, m: int) -> tuple[float, int]:
         """H_m from the closed-form structure q_k = k^{-t}/zeta(t), t = m s.
 
         H_m = ln zeta(t) + t * (sum k^{-t} ln k) / zeta(t).
         """
         t = m * self.s
-        tol = min(eps * 0.1, 1e-13)
-        z, terms_0 = power_log_series(t, 0, tol)
-        s1, terms_1 = power_log_series(t, 1, tol)
+        z, terms_0 = power_log_series(t, 0)
+        s1, terms_1 = power_log_series(t, 1)
         return math.log(z) + t * s1 / z, max(terms_0, terms_1)
 
-    def sigma_sq(self, m: int, eps: float) -> float:
+    def sigma_sq(self, m: int) -> float:
         """Closed-form expansion over the series S_j(a) = sum k^{-a} ln^j k.
 
         With t = m s, q_k = k^{-t}/zeta(t) and c = H_m - ln zeta(t):
@@ -481,15 +477,14 @@ class Zeta(AnalyticDistribution):
         s = self.s
         t = m * s
         a = 2.0 * t - s
-        tol = min(eps * 1e-3, 1e-13)
-        z_t = riemann_zeta(t, tol)
+        z_t = riemann_zeta(t)
         # H_m as h_m forms it, less ln zeta(t): this keeps sigma^2's bits, which
         # the shorter t S_1(t) / zeta(t) changes in the last place
-        c = (math.log(z_t) + t * power_log_series(t, 1, tol)[0] / z_t) - math.log(z_t)
-        z_s = riemann_zeta(s, tol)
-        s0 = power_log_series(a, 0, tol)[0]
-        s1 = power_log_series(a, 1, tol)[0]
-        s2 = power_log_series(a, 2, tol)[0]
+        c = (math.log(z_t) + t * power_log_series(t, 1)[0] / z_t) - math.log(z_t)
+        z_s = riemann_zeta(s)
+        s0 = power_log_series(a, 0)[0]
+        s1 = power_log_series(a, 1)[0]
+        s2 = power_log_series(a, 2)[0]
         return (m * m * z_s / z_t**2) * (c * c * s0 - 2.0 * c * t * s1 + t * t * s2)
 
     def config(self) -> dict:
@@ -519,7 +514,7 @@ class Geometric(AnalyticDistribution):
             raise ValueError(f"Geometric(q={self.q!r}) drew a value past the int64 bound 2**63 - 1")
         return k.astype(np.int64) + 1
 
-    def h_m(self, m: int, eps: float) -> tuple[float, int]:
+    def h_m(self, m: int) -> tuple[float, int]:
         # the m-collision law is Geometric(h): H_m = -ln h - rho ln(rho) / h,
         # h = 1 - rho, rho = (1-q)^m, from
         # log1p and expm1 so that no digit is lost as q -> 0
@@ -527,7 +522,7 @@ class Geometric(AnalyticDistribution):
         h = -math.expm1(log_rho)
         return -math.log(h) - math.exp(log_rho) * (log_rho / h), 0
 
-    def sigma_sq(self, m: int, eps: float) -> float:
+    def sigma_sq(self, m: int) -> float:
         """sum_k p_k g_k^2 summed in closed form over j = k - 1 >= 0 (terms x^j (j - rho/h)^2).
 
         With rho = (1-q)^m, h = 1 - rho, x = (1-q)^(2m-1) and ratio = h / (1 - x):
@@ -568,12 +563,12 @@ class UniformFinite(AnalyticDistribution):
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.floor(rng.random(n) * self.K).astype(np.int64) + 1
 
-    def h_m(self, m: int, eps: float) -> tuple[float, int]:
+    def h_m(self, m: int) -> tuple[float, int]:
         # np.log, not math.log: the two can differ in the last bit, and a
         # degenerate interval covers only a truth equal to the kernel's ln K
         return float(np.log(float(self.K))), self.K
 
-    def sigma_sq(self, m: int, eps: float) -> float:
+    def sigma_sq(self, m: int) -> float:
         return 0.0
 
     def finite_pmf(self) -> CustomFinite:
@@ -627,11 +622,11 @@ class CustomFinite(AnalyticDistribution):
         cum[-1] = 1.0
         return np.searchsorted(cum, rng.random(n), side="right").astype(np.int64) + 1
 
-    def h_m(self, m: int, eps: float) -> tuple[float, int]:
+    def h_m(self, m: int) -> tuple[float, int]:
         p = self.probs
         return float(collision_log_weights(p[p > 0.0], m)[2][0]), self.size
 
-    def sigma_sq(self, m: int, eps: float) -> float:
+    def sigma_sq(self, m: int) -> float:
         p = self.probs
         return float(h_sigma_sq(p[p > 0.0], m)[1][0])
 
@@ -655,10 +650,10 @@ def pmf_at(dist: AnalyticDistribution, k: int) -> float:
     return float(dist.pmf_array(np.asarray([k], dtype=np.int64))[0])
 
 
-def truncation_index(dist: AnalyticDistribution, m: int, eps: float) -> int:
-    """The number of series terms H_m sums at tolerance eps: the second value
-    of gse_analytic_info, which gse compute prints as its truncation terms."""
-    return dist.h_m(_check_order(m), _check_eps(eps))[1]
+def truncation_index(dist: AnalyticDistribution, m: int) -> int:
+    """The number of series terms H_m sums: the second value of
+    gse_analytic_info, which gse compute prints as its truncation terms."""
+    return dist.h_m(_check_order(m))[1]
 
 
 # ---------------------------------------------------------------------------

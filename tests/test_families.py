@@ -50,7 +50,7 @@ def _pin(fn, *args):
 
 # Recorded before the families owned their pmf, draw, H_m, sigma_m^2 and
 # config.  per_m holds, for m = 1..4, (gse_analytic_info as (H_m, terms),
-# sigma_sq_true, truncation_index at eps 1e-10); pmf_at is at k = 1, 2, 7,
+# sigma_sq_true, truncation_index); pmf_at is at k = 1, 2, 7,
 # 1000; draw is the SHA-256 of draw(d, 1000, seed) for seeds 0 and 2022.
 # custom-5's sigma_m^2 at m = 2 and 3 was re-recorded, one ulp each, when the
 # explicit-pmf kernel's sums moved from the BLAS dot to np.add.reduceat; both
@@ -174,7 +174,7 @@ PINNED = {'zeta-1.01': {'per_m': ((('0x1.a41e8cd967f89p+6', 1000), '0x1.3ec67a55
 def test_family_values_are_pinned(name):
     d, pinned = FAMILIES[name], PINNED[name]
     per_m = tuple((_pin(gse_analytic_info, d, m), _pin(sigma_sq_true, d, m),
-                   _pin(truncation_index, d, m, 1e-10)) for m in (1, 2, 3, 4))
+                   _pin(truncation_index, d, m)) for m in (1, 2, 3, 4))
     assert per_m == pinned["per_m"]
     assert _pin(shannon_entropy, d) == pinned["shannon"]
     assert tuple(_pin(pmf_at, d, k) for k in (1, 2, 7, 1000)) == pinned["pmf_at"]
@@ -187,8 +187,7 @@ def test_family_values_are_pinned(name):
 def test_truncation_index_is_the_terms_h_m_sums(name):
     d = FAMILIES[name]
     for m in (1, 2, 3, 4):
-        for eps in (1e-6, 1e-10, 1e-14):
-            assert truncation_index(d, m, eps) == gse_analytic_info(d, m, eps)[1]
+        assert truncation_index(d, m) == gse_analytic_info(d, m)[1]
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -201,7 +200,7 @@ def test_collision_order_is_at_most_2_to_the_53(name):
         with pytest.raises(ValueError):
             fn(d, 2**53 + 1)
     with pytest.raises(ValueError):
-        truncation_index(d, 2**53 + 1, 1e-10)
+        truncation_index(d, 2**53 + 1)
 
 
 def _tracer():
