@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 
 from gsentropy import (
+    NonConvergenceError,
     SampleCounts,
     Zeta,
     confidence_interval,
+    gse_analytic_info,
     gse_estimate,
     gse_plugin,
     parse_distribution,
     read_counts_csv,
     read_raw_labels,
+    shannon_entropy,
     sigma_hat_sq,
+    sigma_sq_true,
     truncation_index,
     write_counts_csv,
 )
@@ -146,6 +150,26 @@ class TestCompute:
                 code, _, err = run(capsys, "compute", "--dist", '{"kind":"zeta","s":%r}' % s,
                                    "--m", str(m))
                 assert code == 0, err
+
+    @pytest.mark.parametrize("budget", [4_000, 16_000])
+    def test_shannon_converges_wherever_h_m_and_sigma_do(self, monkeypatch, budget):
+        # gse compute takes H_m and sigma_m^2 before Shannon's H and has no
+        # fallback for a Shannon value it cannot evaluate.  At m >= 2 only
+        # Shannon sums S_1(s); at the fixed series tolerance every sum it
+        # takes fits in 2000 terms, so under budgets above that every case
+        # of the grid is answered, Shannon's H included.
+        monkeypatch.setattr(distributions, "MAX_SERIES_TERMS", budget)
+        reached = 0
+        for s in (1.0001, 1.001, 1.01, 1.05, 1.1, 1.2, 1.5, 2.0, 3.0, 10.0):
+            for m in (1, 2, 3, 4):
+                try:
+                    gse_analytic_info(Zeta(s), m)
+                    sigma_sq_true(Zeta(s), m)
+                except NonConvergenceError:
+                    continue
+                shannon_entropy(Zeta(s))  # a NonConvergenceError fails the test
+                reached += 1
+        assert reached == 10 * 4
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_tiny_geometric_parameter_is_answered(self, capsys, m):
