@@ -116,7 +116,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     h_m, terms = gse_analytic_info(dist, args.m)
     sigma_sq = sigma_sq_true(dist, args.m)
     shannon = shannon_entropy(dist)
-    zero_variance = sigma_sq == 0.0
 
     if args.format == "json":
         payload = {
@@ -126,7 +125,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             "sigma_m": math.sqrt(sigma_sq),
             "sigma_sq_m": sigma_sq,
             "truncation_terms": terms,
-            "zero_variance": zero_variance,
         }
         print(json.dumps(payload))
         return EXIT_OK
@@ -136,7 +134,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     print(f"Shannon H          : {_fmt(shannon)}")
     print(f"sigma_m            : {_fmt(math.sqrt(sigma_sq))}")
     print(f"truncation terms   : {terms}")
-    if zero_variance:
+    if sigma_sq == 0.0:
         print("note: sigma_m is 0, so the sqrt(n) limit of the estimate is a point mass; "
               "the interval's nominal level does not apply.")
     # below s = 2 the tail-decay conditions behind the plain Shannon

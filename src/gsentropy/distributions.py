@@ -34,7 +34,9 @@ PMF_ATOL = 1e-12
 # (numerically, not mathematically).
 MAX_SERIES_TERMS = 50_000_000
 
-# Absolute tolerance of every Zeta series; none needs more than 2000 terms at it.
+# Bound on the Euler-Maclaurin remainder of every Zeta series; none needs
+# more than 2000 terms at it.  Rounding in the partial sum, not this bound,
+# sets the accuracy of the values (see the README's numerics notes).
 _SERIES_TOL = 1e-13
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -211,28 +213,28 @@ def _em_third_derivative(a: float, j: int, x: float) -> float:
     return x ** (-a - 3.0) * (-(a + 2.0) * bracket + extra)
 
 
-def series_terms_needed(a: float, j: int, tol: float) -> int:
-    """Partial-sum length for sum k^{-a} ln^j k so the corrected tail is < tol."""
+def series_terms_needed(a: float, j: int) -> int:
+    """Partial-sum length for sum k^{-a} ln^j k so the corrected tail is < _SERIES_TOL."""
     if a <= 1.0:
         raise NonConvergenceError(f"series sum k^(-{a}) ln^{j} k diverges (needs a > 1)")
     n = 1000
-    while abs(_em_third_derivative(a, j, float(n))) / 720.0 > 0.5 * tol:
+    while abs(_em_third_derivative(a, j, float(n))) / 720.0 > 0.5 * _SERIES_TOL:
         n *= 2
         if n > MAX_SERIES_TERMS:
             raise NonConvergenceError(
-                f"series sum k^(-{a}) ln^{j} k needs more than {MAX_SERIES_TERMS} terms for tol={tol}"
+                f"series sum k^(-{a}) ln^{j} k needs more than {MAX_SERIES_TERMS} terms"
             )
     return n
 
 
-def power_log_series(a: float, j: int, tol: float = _SERIES_TOL) -> tuple[float, int]:
-    """(sum_{k>=1} k^{-a} ln^j k to absolute tolerance tol, N), for a > 1, j in 0..2.
+def power_log_series(a: float, j: int) -> tuple[float, int]:
+    """(sum_{k>=1} k^{-a} ln^j k, N), for a > 1, j in 0..2.
 
     Partial sum to N plus an integral tail correction with two
     Euler-Maclaurin refinement terms; N is chosen so the certified remainder
-    bound falls below tol.
+    bound falls below _SERIES_TOL.
     """
-    n = series_terms_needed(a, j, tol)
+    n = series_terms_needed(a, j)
     ks = np.arange(1, n, dtype=np.float64)
     head = float(np.sum(ks**-a * (np.log(ks) ** j if j else 1.0)))
     x = float(n)
@@ -243,11 +245,11 @@ def power_log_series(a: float, j: int, tol: float = _SERIES_TOL) -> tuple[float,
     return head + tail, n
 
 
-def riemann_zeta(s: float, tol: float = _SERIES_TOL) -> float:
-    """The Riemann zeta function for real s > 1, absolute error below tol."""
+def riemann_zeta(s: float) -> float:
+    """The Riemann zeta function for real s > 1, summed by power_log_series."""
     if not (math.isfinite(s) and s > 1.0):
         raise ValueError(f"zeta(s) requires s > 1, got {s!r}")
-    return power_log_series(s, 0, tol)[0]
+    return power_log_series(s, 0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,8 @@ def gse(pmf, m: int) -> float:
 def shannon_entropy(target) -> float:
     """Shannon entropy -sum p_k ln p_k (natural log, 0 ln 0 = 0).
 
-    For Zeta the series are summed to absolute tolerance 1e-13; a series
-    that cannot be summed raises NonConvergenceError rather than returning
+    For Zeta the series are summed by power_log_series; a series that
+    cannot be summed raises NonConvergenceError rather than returning
     a silently truncated number.  Any target that is not a distribution is
     taken as an explicit probability vector.
     """

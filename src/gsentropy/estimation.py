@@ -96,7 +96,7 @@ def sigma_sq_true(target, m: int) -> float:
     """Asymptotic variance of sqrt(n) (H_hat_m - H_m) at the given distribution.
 
     Accepts a distribution, or an explicit probability vector, which is taken
-    as a CustomFinite; Zeta's series are summed to absolute tolerance 1e-13.
+    as a CustomFinite; Zeta's series are summed by power_log_series.
     """
     m = _check_order(m)
     if not isinstance(target, AnalyticDistribution):

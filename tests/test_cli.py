@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gsentropy import (
-    NonConvergenceError,
     SampleCounts,
     Zeta,
     confidence_interval,
@@ -57,8 +56,7 @@ class TestCompute:
                            "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert list(payload) == ["m", "h_m", "shannon", "sigma_m", "sigma_sq_m", "truncation_terms",
-                                 "zero_variance"]
+        assert list(payload) == ["m", "h_m", "shannon", "sigma_m", "sigma_sq_m", "truncation_terms"]
         assert abs(payload["h_m"] - 0.43157722083182143) <= 1e-12
         assert abs(payload["sigma_m"] - math.sqrt(SIG2_POINT37)) <= 1e-9
         assert payload["truncation_terms"] == 2
@@ -75,7 +73,7 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--dist", spec, "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["zero_variance"] is zero and (payload["sigma_sq_m"] == 0.0) is zero
+        assert (payload["sigma_sq_m"] == 0.0) is zero
         code, out, _ = run(capsys, "compute", "--dist", spec)
         assert code == 0
         assert ("note: sigma_m is 0" in out) is zero
@@ -134,42 +132,23 @@ class TestCompute:
         assert code == 3 and out == ""
         assert err.startswith("non-convergence:")
 
-    def test_zeta_series_stay_far_inside_the_term_budget(self, capsys, monkeypatch):
-        # gse compute sums S_j(a), j = 0..2, at a = s, m s and (2m - 1) s, all
-        # above 1 and all to one fixed tolerance.  At that tolerance no a
-        # needs more than 2000 terms, 1/25000 of the budget, so a budget of
-        # 2000 answers every Zeta law.
+    @pytest.mark.parametrize("budget", [2_000, 4_000, 16_000])
+    def test_shannon_converges_wherever_h_m_and_sigma_do(self, monkeypatch, budget):
+        # gse compute takes H_m, sigma_m^2 and Shannon's H, with no fallback
+        # for a value it cannot evaluate.  They sum S_j(a), j = 0..2, at
+        # a = s, m s and (2m - 1) s, all above 1 and all to one fixed
+        # tolerance, at which no a needs more than 2000 terms (1/25000 of the
+        # budget), so any budget from 2000 up answers every Zeta law.
         grid = ((1.0 + np.logspace(-15, 3, 600)).tolist() + np.linspace(1.001, 6.0, 600).tolist()
                 + [1.1, 10.0, 100.0, 1024.0, 2048.0, 1e6, 9e18])
-        tol = distributions._SERIES_TOL
-        worst = max(distributions.series_terms_needed(a, j, tol) for a in grid for j in (0, 1, 2))
+        worst = max(distributions.series_terms_needed(a, j) for a in grid for j in (0, 1, 2))
         assert worst == 2000 and 25_000 * worst <= distributions.MAX_SERIES_TERMS
-        monkeypatch.setattr(distributions, "MAX_SERIES_TERMS", worst)
-        for s in (1.0001, 1.01, 1.05, 1.1, 1.2, 1.3, 1.5, 2.0, 3.0, 10.0):
-            for m in (1, 2, 3, 4):
-                code, _, err = run(capsys, "compute", "--dist", '{"kind":"zeta","s":%r}' % s,
-                                   "--m", str(m))
-                assert code == 0, err
-
-    @pytest.mark.parametrize("budget", [4_000, 16_000])
-    def test_shannon_converges_wherever_h_m_and_sigma_do(self, monkeypatch, budget):
-        # gse compute takes H_m and sigma_m^2 before Shannon's H and has no
-        # fallback for a Shannon value it cannot evaluate.  At m >= 2 only
-        # Shannon sums S_1(s); at the fixed series tolerance every sum it
-        # takes fits in 2000 terms, so under budgets above that every case
-        # of the grid is answered, Shannon's H included.
         monkeypatch.setattr(distributions, "MAX_SERIES_TERMS", budget)
-        reached = 0
-        for s in (1.0001, 1.001, 1.01, 1.05, 1.1, 1.2, 1.5, 2.0, 3.0, 10.0):
+        for s in (1.0001, 1.001, 1.01, 1.05, 1.1, 1.2, 1.3, 1.5, 2.0, 3.0, 10.0):
             for m in (1, 2, 3, 4):
-                try:
-                    gse_analytic_info(Zeta(s), m)
-                    sigma_sq_true(Zeta(s), m)
-                except NonConvergenceError:
-                    continue
-                shannon_entropy(Zeta(s))  # a NonConvergenceError fails the test
-                reached += 1
-        assert reached == 10 * 4
+                gse_analytic_info(Zeta(s), m)
+                sigma_sq_true(Zeta(s), m)
+                shannon_entropy(Zeta(s))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_tiny_geometric_parameter_is_answered(self, capsys, m):

@@ -246,11 +246,13 @@ class TestClosedFormsAgainstMpmath:
         assert abs(sigma_sq_true(Geometric(q), m) - sigma_sq_ref) <= 1e-12 * sigma_sq_ref
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 10, 20])
-    @pytest.mark.parametrize("s", [1.001, 1.01, 1.05, 1.2, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("s", [1.0001, 1.001, 1.01, 1.05, 1.2, 1.5, 2.0, 3.0])
     def test_zeta_near_one_and_at_large_order(self, s, m):
         pytest.importorskip("mpmath")
         h_ref, sigma_sq_ref = mp_zeta_h_sigma_sq(s, m)
-        assert abs(gse_analytic(Zeta(s), m) - h_ref) <= 1e-12
+        # 1e-12, or about two ulps where H is in the thousands (Shannon's H
+        # of Zeta(1.0001) is about 10010, whose ulp is 1.8e-12)
+        assert abs(gse_analytic(Zeta(s), m) - h_ref) <= max(1e-12, 4e-16 * h_ref)
         assert abs(sigma_sq_true(Zeta(s), m) - sigma_sq_ref) <= 1e-12 * sigma_sq_ref
 
 
