@@ -29,7 +29,7 @@ from .coverage import (
     write_coverage_csv,
     write_coverage_svg,
 )
-from .distributions import NonConvergenceError, Zeta, _check_order, parse_distribution
+from .distributions import NonConvergenceError, _check_order, parse_distribution
 from .entropy import gse_analytic_info, shannon_entropy
 from .estimation import (
     _SIGNED_DIGITS,
@@ -137,9 +137,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if sigma_sq == 0.0:
         print("note: sigma_m is 0, so the sqrt(n) limit of the estimate is a point mass; "
               "the interval's nominal level does not apply.")
-    # below s = 2 the tail-decay conditions behind the plain Shannon
-    # plug-in CLT fail, which is exactly the regime this estimator targets
-    if isinstance(dist, Zeta) and args.m >= 2 and dist.s <= 2.0:
+    if args.m >= 2 and not dist.shannon_clt:
         print("note: with a tail this heavy the plain Shannon plug-in lacks asymptotic "
               "normality; the collision-order estimator retains it.")
     return EXIT_OK

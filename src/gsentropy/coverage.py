@@ -18,13 +18,13 @@ first batch of uniforms and runs its rejection test once over the block; a row
 left short of n acceptances goes on from its own stream, re-set to its state
 and advanced past the first batch.  Past n = 4096 Zeta draws row by row.  Its
 later batches, and every batch at large n, stream their uniforms into two
-reused chunk-sized buffers: no array is batch-sized, and the values and the
-stream's end state are those of drawing whole batches.  The block is sorted row
-by row in place, and one sort of (row, n - count) keys orders each row's counts
-descending, sample after sample in one array.  One call of ``h_sigma_sq``, a
-segment a sample, gives every replicate's (H_hat, sigma_hat^2).  A segment's
-bits do not depend on where it sits, so they are those of the one-sample
-estimate: neither the CSV nor the oracle's variance depends on the blocking.
+reused chunk-sized buffers: no array is batch-sized, and the values are those
+of drawing whole batches.  The block is sorted row by row in place, and one
+sort of (row, n - count) keys orders each row's counts descending, sample after
+sample in one array.  One call of ``h_sigma_sq``, a segment a sample, gives
+every replicate's (H_hat, sigma_hat^2).  A segment's bits do not depend on
+where it sits, so they are those of the one-sample estimate: neither the CSV
+nor the oracle's variance depends on the blocking.
 """
 
 from __future__ import annotations
@@ -225,14 +225,15 @@ def write_coverage_svg(result: SweepResult, path: Union[str, Path]) -> None:
 
 def stable_from(result: SweepResult) -> int | None:
     """Smallest grid n from which every later point sits within STABLE_BAND_SE
-    binomial standard errors of the nominal level (None if never)."""
+    binomial standard errors of the nominal level (None if never): the first
+    n of the run of such points that ends the grid."""
     level = 1.0 - result.alpha
-    pts = result.points
-    for i, start in enumerate(pts):
-        if all(abs(p.coverage - level) <= STABLE_BAND_SE * math.sqrt(level * (1 - level) / p.reps)
-               for p in pts[i:]):
-            return start.n
-    return None
+    start = None
+    for p in reversed(result.points):
+        if abs(p.coverage - level) > STABLE_BAND_SE * math.sqrt(level * (1 - level) / p.reps):
+            break
+        start = p.n
+    return start
 
 
 def convergence_gap(result: SweepResult) -> tuple[float, float]:

@@ -265,6 +265,8 @@ class AnalyticDistribution:
     faster way to the same rows.
     """
 
+    shannon_clt = True  # whether the plain Shannon plug-in is asymptotically normal
+
     def draw_rows(self, n: int, rng: np.random.Generator, states: list[tuple[int, int]]) -> np.ndarray:
         """One sample of n per PCG64 (state, inc) pair, as an (R, n) int64
         matrix: row r is draw(n, rng) with rng re-set to states[r].  A block
@@ -330,6 +332,10 @@ class Zeta(AnalyticDistribution):
         if not (1.0 < self.s <= 1024.0):  # NaN fails too
             raise ValueError("Zeta exponent must satisfy 1 < s <= 1024")
 
+    @property
+    def shannon_clt(self) -> bool:  # its tail-decay conditions fail at s <= 2
+        return self.s > 2.0
+
     def pmf_array(self, ks: np.ndarray) -> np.ndarray:
         return ks.astype(np.float64) ** (-self.s) / riemann_zeta(self.s)
 
@@ -345,14 +351,15 @@ class Zeta(AnalyticDistribution):
         consecutive chunks of the batch, each sized from the remaining need,
         and stops as soon as n values are kept, so the output is the first n
         acceptances in stream order.  The uniforms are streamed (``_fill``)
-        into two reused chunk-sized buffers, and rng skips the candidates left
-        untested, so no batch-sized array is made while values and rng's end
-        state are those of drawing every whole batch.  The skips use
-        ``advance``, so a draw that needs one (any batch larger than a chunk,
-        as at n > 4096) needs a PCG64 generator, as ``draw`` and the coverage
-        engine build; any other raises TypeError there.  Candidates above
-        2^62 are dropped (inf and nan fail the comparisons too): the sampled
-        law is truncated there, losing a tail mass of about
+        into two reused chunk-sized buffers, skipping between a batch's u and
+        v, so no batch-sized array is made while the values are those of
+        drawing every whole batch.  Where rng stands afterwards is
+        unspecified, and a 32-bit half-word it held may be dropped.  The skips
+        use ``advance``, so a draw that needs one (any batch larger than a
+        chunk, as at n > 4096) needs a PCG64 generator, as ``draw`` and the
+        coverage engine build; any other raises TypeError there.  Candidates
+        above 2^62 are dropped (inf and nan fail the comparisons too): the
+        sampled law is truncated there, losing a tail mass of about
         2^(62(1-s)) / ((s-1) zeta(s)), which matters only for s near 1.
         """
         out = np.empty(n, dtype=np.int64)
@@ -365,41 +372,31 @@ class Zeta(AnalyticDistribution):
 
         Each batch is read at two cursors a batch apart.  A fill takes the
         rest of the batch if it fits the buffers, else one accept-test chunk:
-        rng draws its u, advances to its v and draws them, then, if the batch
-        goes on, steps back to the next u by advancing the period 2^128 less
-        the batch.  At the batch end rng advances past the v left untested,
-        so every batch leaves rng where drawing all its u and v would.  A
-        batch that fits the buffers whole takes one fill and no advance.
-        advance drops the half of a 64-bit output that rng may hold for
-        32-bit draws; it is put back at the end.
+        rng draws its u, advances to its v and draws them; a later fill of
+        the batch first steps back to its u by advancing the period 2^128
+        less the batch.  A batch that fits the buffers whole takes one fill
+        and no advance.  The values are those of drawing whole batches; where
+        rng ends is not.
         """
         u, v = np.empty(_ZETA_CHUNK), np.empty(_ZETA_CHUNK)
         bg = rng.bit_generator
-        entry = None
         while filled < out.size:
             batch = max(2 * (out.size - filled), 64)
             used = 0
-            while True:
+            while used < batch and filled < out.size:
+                if used:
+                    bg.advance(_PCG64_PERIOD - batch)  # back to this fill's u
                 size = batch - used
                 if size > _ZETA_CHUNK:
                     size = _zeta_chunk(out.size - filled)
                 rng.random(out=u[:size])
                 if size < batch:
-                    if entry is None:
-                        if not isinstance(bg, np.random.PCG64):
-                            raise TypeError(f"a streamed Zeta draw needs PCG64, got {type(bg).__name__}")
-                        entry = bg.state
+                    if not isinstance(bg, np.random.PCG64):
+                        raise TypeError(f"a streamed Zeta draw needs PCG64, got {type(bg).__name__}")
                     bg.advance(batch - size)  # from this fill's u to its v
                 rng.random(out=v[:size])
                 filled = self._accept_into(out, filled, u[:size], v[:size])
                 used += size
-                if used == batch or filled == out.size:
-                    break
-                bg.advance(_PCG64_PERIOD - batch)  # back to the next fill's u
-            if used < batch:
-                bg.advance(batch - used)  # past the v left untested
-        if entry is not None and entry["has_uint32"]:
-            bg.state = {**bg.state, "has_uint32": 1, "uinteger": entry["uinteger"]}
 
     def _accept_into(self, out: np.ndarray, filled: int, u: np.ndarray, v: np.ndarray) -> int:
         """Run the accept test in place on u and v, chunk by chunk, until out

@@ -454,8 +454,9 @@ def zeta_draw_whole_batch(s, n, seed=None, rng=None):
     Same random stream as the library sampler (batches of 2 * still needed
     candidates, at least 64, u before v), written as plain expressions with
     explicit guards, so the library's chunked in-place form can be checked
-    value for value against it.  It draws from rng when one is given (so
-    its end state can be compared), else from the stream of seed.
+    value for value against it.  It draws from rng when one is given (a
+    generator in any state, or of another kind), else from the stream of
+    seed.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -473,3 +474,15 @@ def zeta_draw_whole_batch(s, n, seed=None, rng=None):
             accept = ok & (v * x * (t - 1.0) / (b - 1.0) <= t / b)
         kept.extend(x[accept][: n - len(kept)].astype(np.int64).tolist())
     return np.array(kept, dtype=np.int64)
+
+
+def stable_from_rescan(result, band_se):
+    """stable_from by its definition: for each grid point in order, re-check
+    every later point against the band, and return the first n that passes."""
+    level = 1.0 - result.alpha
+    pts = result.points
+    for i, start in enumerate(pts):
+        if all(abs(p.coverage - level) <= band_se * math.sqrt(level * (1 - level) / p.reps)
+               for p in pts[i:]):
+            return start.n
+    return None

@@ -50,6 +50,19 @@ class TestCompute:
         assert code == 0
         assert "lacks asymptotic normality" not in out
 
+    @pytest.mark.parametrize("spec, note", [
+        ('{"kind":"zeta","s":2.0}', True),
+        ('{"kind":"zeta","s":2.5}', False),
+        ('{"kind":"geometric","q":0.5}', False),
+        ('{"kind":"uniform","K":4}', False),
+        ('{"kind":"custom","probs":[0.3,0.7]}', False),
+    ])
+    def test_heavy_tail_note_is_the_law_s(self, capsys, spec, note):
+        # the note follows the law's own Shannon-CLT regime: Zeta's fails at s <= 2
+        code, out, _ = run(capsys, "compute", "--dist", spec, "--m", "2")
+        assert code == 0
+        assert out.count("note: with a tail this heavy") == int(note)
+
     def test_custom_json_format(self, capsys):
         code, out, _ = run(capsys, "compute", "--dist",
                            '{"kind":"custom","probs":[0.3,0.7]}', "--m", "2",

@@ -14,8 +14,10 @@ from numpy._core._multiarray_umath import __cpu_dispatch__
 from scipy import stats
 
 from gsentropy import (
+    CoveragePoint,
     CustomFinite,
     Geometric,
+    SweepResult,
     UniformFinite,
     Zeta,
     confidence_interval,
@@ -31,8 +33,9 @@ from gsentropy import (
     write_coverage_csv,
     write_coverage_svg,
 )
-from gsentropy.coverage import _BLOCK, COVERAGE_CSV_HEADER, _replicate_estimates, coverage_csv
+from gsentropy.coverage import _BLOCK, COVERAGE_CSV_HEADER, STABLE_BAND_SE, _replicate_estimates, coverage_csv
 
+from _reference import stable_from_rescan
 from conftest import prescott_passed
 
 
@@ -280,3 +283,32 @@ class TestArtifacts:
                                 [200, 400, 800], reps=200, alpha=0.05, seed=71)
         n_star = stable_from(result)
         assert n_star is None or n_star in (200, 400, 800)
+
+    @staticmethod
+    def _curve(alpha, reps, coverages):
+        points = tuple(CoveragePoint(n=10 * (i + 1), m=2, reps=reps, hits=0, coverage=c, se=0.0, seed=0)
+                       for i, c in enumerate(coverages))
+        return SweepResult({}, 2, alpha, 0.0, points)
+
+    def test_stable_from_matches_the_rescan(self):
+        # random curves over hit counts, the nominal level and the band's two
+        # edges, each edge also a float step to either side, so ties occur
+        rng = np.random.default_rng(26)
+        for _ in range(3000):
+            alpha = float(rng.choice([0.05, 0.1, 0.2]))
+            reps = int(rng.choice([1, 5, 20, 100, 1000]))
+            level = 1.0 - alpha
+            band = STABLE_BAND_SE * math.sqrt(level * (1 - level) / reps)
+            edges = [level, level + band, level - band, rng.integers(0, reps + 1) / reps]
+            values = edges + [math.nextafter(e, d) for e in edges[1:3] for d in (-1.0, 2.0)]
+            curve = self._curve(alpha, reps, rng.choice(values, int(rng.integers(0, 31))).tolist())
+            assert stable_from(curve) == stable_from_rescan(curve, STABLE_BAND_SE)
+
+    def test_stable_from_is_one_pass_over_a_long_grid(self):
+        # 10^5 points, one late failure: rescanning every suffix would take hours
+        coverages = [0.95] * 100_000
+        coverages[-3] = 0.5
+        assert stable_from(self._curve(0.05, 1000, coverages)) == 10 * 99_999
+        coverages[-1] = 0.5
+        assert stable_from(self._curve(0.05, 1000, coverages)) is None
+        assert stable_from(self._curve(0.05, 1000, [0.95] * 100_000)) == 10

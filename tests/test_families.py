@@ -203,6 +203,12 @@ def test_collision_order_is_at_most_2_to_the_53(name):
         truncation_index(d, 2**53 + 1)
 
 
+def test_shannon_clt_fails_only_on_a_zeta_tail_of_s_at_most_2():
+    for d in FAMILIES.values():
+        assert d.shannon_clt is (not isinstance(d, Zeta) or d.s > 2.0)
+    assert Zeta(2.0).shannon_clt is False and Zeta(math.nextafter(2.0, 3.0)).shannon_clt is True
+
+
 def _tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
