@@ -333,7 +333,7 @@ class Zeta(AnalyticDistribution):
             raise ValueError("Zeta exponent must satisfy 1 < s <= 1024")
 
     @property
-    def shannon_clt(self) -> bool:  # its tail-decay conditions fail at s <= 2
+    def shannon_clt(self) -> bool:  # the Shannon CLT's tail conditions fail at s <= 2
         return self.s > 2.0
 
     def pmf_array(self, ks: np.ndarray) -> np.ndarray:

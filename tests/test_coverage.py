@@ -305,7 +305,7 @@ class TestArtifacts:
             assert stable_from(curve) == stable_from_rescan(curve, STABLE_BAND_SE)
 
     def test_stable_from_is_one_pass_over_a_long_grid(self):
-        # 10^5 points, one late failure: rescanning every suffix would take hours
+        # 10^5 points with one late failure, where rescanning every suffix is quadratic
         coverages = [0.95] * 100_000
         coverages[-3] = 0.5
         assert stable_from(self._curve(0.05, 1000, coverages)) == 10 * 99_999
