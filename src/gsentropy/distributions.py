@@ -257,6 +257,19 @@ def riemann_zeta(s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Workspace:
+    """Grow-only float64 scratch memory that blocks of draws share."""
+
+    def __init__(self) -> None:
+        self._buf = np.empty(0)
+
+    def matrix(self, rows: int, cols: int) -> np.ndarray:
+        """A (rows, cols) view holding what the last block left; grows twofold or more."""
+        if self._buf.size < rows * cols:
+            self._buf = np.empty(max(rows * cols, 2 * self._buf.size))
+        return self._buf[: rows * cols].reshape(rows, cols)
+
+
 class AnalyticDistribution:
     """Base of the families.  Each implements, for validated arguments,
     pmf_array(int64 ks), draw(n, rng), h_m(m) -> (H_m, series terms),
@@ -267,9 +280,11 @@ class AnalyticDistribution:
 
     shannon_clt = True  # whether the plain Shannon plug-in is asymptotically normal
 
-    def draw_rows(self, n: int, rng: np.random.Generator, states: list[tuple[int, int]]) -> np.ndarray:
+    def draw_rows(self, n: int, rng: np.random.Generator, states: list[tuple[int, int]],
+                  work: _Workspace) -> np.ndarray:
         """One sample of n per PCG64 (state, inc) pair, as an (R, n) int64
-        matrix: row r is draw(n, rng) with rng re-set to states[r].  A block
+        matrix: row r is draw(n, rng) with rng re-set to states[r].  A family
+        may take scratch memory from work, which later blocks reuse.  A block
         of one row is that draw itself, not a copy: at large n the copy cost
         more in page faults than the rest of the tally."""
         rows = [self.draw(n, _set_state(rng, state)) for state in states]
@@ -415,7 +430,8 @@ class Zeta(AnalyticDistribution):
             filled += take
         return filled
 
-    def draw_rows(self, n: int, rng: np.random.Generator, states: list[tuple[int, int]]) -> np.ndarray:
+    def draw_rows(self, n: int, rng: np.random.Generator, states: list[tuple[int, int]],
+                  work: _Workspace) -> np.ndarray:
         """The rows of ``draw``, with one accept test for the whole block.
 
         Each row's first batch (2n candidates, at least 64) is drawn into its
@@ -429,13 +445,16 @@ class Zeta(AnalyticDistribution):
         chunk-sized buffers.  Rows whose batch is larger than one chunk (few
         to a block) are drawn one by one, each streamed by ``draw``: for them,
         picking rows out of the block cost more than the per-call overhead it
-        saved.
+        saved.  The matrix is a view of work, which a sweep's blocks share: a
+        fresh one a block cost up to 3,400 minor faults a sweep at n = 10..100
+        (see the coverage module).  Each row is written whole before it is
+        read, so no value comes from an earlier block.
         """
         batch = max(2 * n, 64)
         if batch > _ZETA_CHUNK:
-            return super().draw_rows(n, rng, states)
+            return super().draw_rows(n, rng, states, work)
         am1 = self.s - 1.0
-        uv = np.empty((len(states), 2 * batch))
+        uv = work.matrix(len(states), 2 * batch)
         for row, state in zip(uv, states):
             _set_state(rng, state).random(out=row)
         width = min(_zeta_chunk(n), batch)

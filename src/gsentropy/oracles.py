@@ -47,6 +47,7 @@ import numpy as np
 from .distributions import (
     AnalyticDistribution,
     CustomFinite,
+    _Workspace,
     _check_order,
     _count,
     _literal_sigma_sq,
@@ -190,7 +191,7 @@ def mc_variance_oracle(dist: AnalyticDistribution, m: int, n: int, reps: int, se
     if reps < 100:
         raise ValueError("need at least 100 replicates for a meaningful variance")
     h_true = gse_analytic(dist, m)
-    h_hat = np.concatenate([h for h, _ in _replicate_estimates(dist, m, n, reps, seed)])
+    h_hat = np.concatenate([h for h, _ in _replicate_estimates(dist, m, n, reps, seed, _Workspace())])
     return float(np.var(np.sqrt(float(n)) * (h_hat - h_true), ddof=1))
 
 

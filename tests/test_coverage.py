@@ -33,7 +33,16 @@ from gsentropy import (
     write_coverage_csv,
     write_coverage_svg,
 )
-from gsentropy.coverage import _BLOCK, COVERAGE_CSV_HEADER, STABLE_BAND_SE, _replicate_estimates, coverage_csv
+from gsentropy import distributions
+from gsentropy.coverage import (
+    _BLOCK,
+    COVERAGE_CSV_HEADER,
+    STABLE_BAND_SE,
+    _coverage_point,
+    _replicate_estimates,
+    coverage_csv,
+)
+from gsentropy.distributions import _Workspace
 
 from _reference import stable_from_rescan
 from conftest import prescott_passed
@@ -179,6 +188,84 @@ class TestCoverageSweep:
             )
 
 
+class TestSharedWorkspace:
+    # A sweep draws every Zeta block's uniforms into one workspace, so a block
+    # finds there whatever the block before it left.  No point may see it.
+    # Zeta(1.01) rows at n = 10 go on past their first batch; Zeta(1.05)
+    # rows at n = 1000 read the rest of their first batch, uv[r, width:] (at
+    # n = 100 the first chunk is the whole batch, so the rest is empty).
+    POINTS = [(Zeta(1.01), 10, "later batches"), (Zeta(1.05), 100, None),
+              (Zeta(1.05), 1000, "rest of the row"), (Zeta(1.5), 10, None), (Zeta(1.5), 100, None),
+              (Geometric(0.3), 40, None)]
+
+    @staticmethod
+    def used_workspace(kind):
+        work = _Workspace()
+        if kind == "nan":
+            work.matrix(1 << 17, 1).fill(np.nan)
+        else:  # one block of 600 rows of 128 uniforms, larger than any below
+            _coverage_point(Zeta(1.2), 2, 5, 600, 0.05, 3, None, work)
+        return work
+
+    @pytest.mark.parametrize("kind", ["nan", "dirty"])
+    @pytest.mark.parametrize("dist, n, path", POINTS,
+                             ids=["-".join(map(str, [*d.config().values(), n])) for d, n, _ in POINTS])
+    def test_a_used_workspace_gives_the_lone_point(self, monkeypatch, kind, dist, n, path):
+        work = self.used_workspace(kind)
+        buffer = work._buf
+        seen = set()
+        fill, accept_into = Zeta._fill, Zeta._accept_into
+
+        def spy_fill(self, out, filled, rng):
+            seen.add("later batches")
+            return fill(self, out, filled, rng)
+
+        def spy_accept_into(self, out, filled, u, v):
+            if u.size and np.shares_memory(u, buffer):
+                seen.add("rest of the row")
+            return accept_into(self, out, filled, u, v)
+
+        monkeypatch.setattr(Zeta, "_fill", spy_fill)
+        monkeypatch.setattr(Zeta, "_accept_into", spy_accept_into)
+        reused = list(_replicate_estimates(dist, 2, n, 400, 29, work))
+        assert work._buf is buffer  # the blocks ran in what was left there
+        assert seen == ({path} if path else set())
+        fresh = list(_replicate_estimates(dist, 2, n, 400, 29, _Workspace()))
+        assert [(h.tobytes(), s.tobytes()) for h, s in reused] == \
+            [(h.tobytes(), s.tobytes()) for h, s in fresh]
+        assert _coverage_point(dist, 2, n, 400, 0.05, 29, None, self.used_workspace(kind)) == \
+            coverage_experiment(dist, 2, n, 400, 0.05, 29)
+
+    def test_every_zeta_block_of_a_sweep_is_drawn_into_one_workspace(self, monkeypatch):
+        # the uniforms of every block must land in the sweep's one buffer, not
+        # in a fresh matrix per block that the allocator gives back and the
+        # next block faults in again
+        grid = range(10, 101, 10)
+        blocks, tested = [], []
+        draw_rows, accept = Zeta.draw_rows, distributions._zeta_accept
+
+        def spy_draw_rows(self, n, rng, states, work):
+            rows = draw_rows(self, n, rng, states, work)
+            blocks.append((work, work._buf))
+            return rows
+
+        def spy_accept(x, w, am1, b):
+            if x.ndim == 2:  # the block's test; rows left short test 1-d slices
+                tested.append((x, w))
+            return accept(x, w, am1, b)
+
+        monkeypatch.setattr(Zeta, "draw_rows", spy_draw_rows)
+        monkeypatch.setattr(distributions, "_zeta_accept", spy_accept)
+        coverage_sweep(Zeta(1.5), 2, grid, reps=400, alpha=0.05, seed=0)
+        assert len(blocks) == len(tested) == sum(-(-400 // (_BLOCK // n)) for n in grid)
+        assert all(work is blocks[0][0] for work, _ in blocks)
+        assert all(np.shares_memory(x, buffer) and np.shares_memory(w, buffer)
+                   for (x, w), (_, buffer) in zip(tested, blocks))
+        # the blocks creep up from 51,200 uniforms at n = 10 to 65,520 at
+        # n = 60; one doubling of the buffer covers that
+        assert len({id(buffer) for _, buffer in blocks}) <= 2
+
+
 class TestZeroVarianceLimit:
     # Every uniform law has sigma_m^2 = 0, so the sqrt(n) limit is a point
     # mass.  A second-order expansion about p = 1/K gives
@@ -191,7 +278,7 @@ class TestZeroVarianceLimit:
     @pytest.mark.parametrize("m", [2, 3])
     def test_scaled_error_has_the_chi_square_mean(self, K, n, m):
         reps = 1000
-        h = np.concatenate([h for h, _ in _replicate_estimates(UniformFinite(K), m, n, reps, 0)])
+        h = np.concatenate([h for h, _ in _replicate_estimates(UniformFinite(K), m, n, reps, 0, _Workspace())])
         scaled = 2 * n * (math.log(K) - h) / m**2
         se = scaled.std(ddof=1) / math.sqrt(reps)
         assert abs(scaled.mean() - (K - 1)) <= 4 * se

@@ -33,6 +33,7 @@ from gsentropy import (
 from gsentropy.coverage import _BLOCK
 from gsentropy.distributions import (
     _SEED_BLOCK,
+    _Workspace,
     _derive_seeds,
     _pcg64_states,
     _replicate_states,
@@ -556,7 +557,8 @@ class TestBatchedSeeding:
 
 def block_draw(dist, n, master, rows):
     """dist.draw_rows for replicates 0 .. rows - 1 of a master seed."""
-    return dist.draw_rows(n, np.random.Generator(np.random.PCG64(0)), list(_replicate_states(master, rows)))
+    return dist.draw_rows(n, np.random.Generator(np.random.PCG64(0)), list(_replicate_states(master, rows)),
+                          _Workspace())
 
 
 class TestBlockDraw:
