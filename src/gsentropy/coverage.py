@@ -8,19 +8,20 @@ derives each grid point's seed from (seed, n), so every point is a
 deterministic function of its own seed, whatever ran before it, and fresh
 samples are drawn at every n.
 
-``_replicate_estimates`` runs the replicates of an experiment, and those of
-``oracles.mc_variance_oracle``, in blocks of max(1, _BLOCK // n), so memory
-does not grow with reps.  The seeds of up to 1024 replicates, and their PCG64
-states, come from one vectorised pass of numpy's SeedSequence arithmetic.  The
-family's ``draw_rows`` turns a block of states into an (R, n) matrix whose row
-r is exactly the sample ``draw`` takes from state r.  Zeta fills each row's
-first batch of uniforms and runs its rejection test once over the block; a row
-left short of n acceptances goes on from its own stream, re-set to its state
-and advanced past the first batch.  The first batches live in one workspace a
-sweep lends to all its blocks, not in a fresh matrix a block that the allocator
-gave back to the kernel and the next block faulted in again: a sweep of
-Zeta(1.5), m = 2, 400 reps took up to 3,400 minor faults at n = 10..100 and
-61,000 at n = 2000..4000, and at most 420 and 300 with it.  Past n = 4096 Zeta
+``_coverage`` runs the points of one call, a lone experiment or a sweep's grid,
+after it checks the arguments, takes the normal quantile and the exact entropy,
+and makes the scratch its blocks share (a ``distributions._Workspace``: one
+Generator and grow-only memory).  ``_replicate_estimates`` runs the replicates
+of a point, and those of ``oracles.mc_variance_oracle``, in blocks of
+max(1, _BLOCK // n), so memory does not grow with reps.  The seeds of up to 1024
+replicates, and their PCG64 states, come from one vectorised pass of numpy's
+SeedSequence arithmetic.  The family's ``draw_rows`` turns a block of states
+into an (R, n) matrix whose row r is exactly the sample ``draw`` takes from
+state r.  Zeta fills each row's first batch of uniforms and runs its rejection
+test once over the block; a row left short of n acceptances goes on from its
+own stream, re-set to its state and advanced past the first batch.  The first
+batches live in the scratch memory: a fresh matrix a block went back to the
+kernel when freed, and the next block faulted it in again.  Past n = 4096 Zeta
 draws row by row.  Its later batches, and every batch at large n, stream their
 uniforms into two reused chunk-sized buffers: no array is batch-sized, and the
 values are those of drawing whole batches.  The block is sorted row by row in
@@ -116,52 +117,50 @@ def _replicate_estimates(dist: AnalyticDistribution, m: int, n: int, reps: int, 
     one kernel call on all the block's proportions, a segment per replicate."""
     rows = max(1, _BLOCK // n)
     states = _replicate_states(seed, reps)
-    rng = np.random.Generator(np.random.PCG64(0))
     for start in range(0, reps, rows):
         block = [next(states) for _ in range(min(rows, reps - start))]
         # the samples are freed once tallied, before the kernel allocates:
         # at large n that order saves page faults in the next block's draws
-        counts, offsets = _descending_counts(dist.draw_rows(n, rng, block, work))
+        counts, offsets = _descending_counts(dist.draw_rows(n, block, work))
         yield h_sigma_sq(counts / n, m, offsets)
 
 
-def coverage_experiment(dist: AnalyticDistribution, m: int, n: int, reps: int,
-                        alpha: float, seed: int, true_value: float | None = None) -> CoveragePoint:
-    """Proportion of reps seeded replicates whose interval covers the truth."""
-    return _coverage_point(dist, m, n, reps, alpha, seed, true_value, _Workspace())
-
-
-def _coverage_point(dist: AnalyticDistribution, m: int, n: int, reps: int, alpha: float,
-                    seed: int, true_value: float | None, work: _Workspace) -> CoveragePoint:
-    """coverage_experiment, its blocks drawn into work, which a sweep shares."""
-    n = _count(n, "coverage sample size n", 2)
+def _coverage(dist: AnalyticDistribution, m: int, points: Iterable[tuple[int, int]], reps: int,
+              alpha: float) -> tuple[float, tuple[CoveragePoint, ...]]:
+    """(exact H_m, the CoveragePoint of each validated (n, seed) point): the
+    arguments checked, the quantile and H_m taken, and the workspace made, once."""
     reps = _count(reps, "replicate count reps", 1)
     m = _check_order(m)
     z = _two_sided_z(alpha)
-    truth = gse_analytic(dist, m) if true_value is None else true_value
-    hits = 0
-    for h, sigma_sq in _replicate_estimates(dist, m, n, reps, seed, work):
-        half = z * np.sqrt(sigma_sq) / math.sqrt(n)
-        hits += int(np.count_nonzero((h - half <= truth) & (truth <= h + half)))
-    coverage = hits / reps
-    return CoveragePoint(
-        n=n, m=m, reps=reps, hits=hits, coverage=coverage,
-        se=math.sqrt(coverage * (1.0 - coverage) / reps), seed=seed,
-    )
+    truth = gse_analytic(dist, m)
+    work = _Workspace()
+    out = []
+    for n, seed in points:
+        hits = 0
+        for h, sigma_sq in _replicate_estimates(dist, m, n, reps, seed, work):
+            half = z * np.sqrt(sigma_sq) / math.sqrt(n)
+            hits += int(np.count_nonzero((h - half <= truth) & (truth <= h + half)))
+        coverage = hits / reps
+        out.append(CoveragePoint(n=n, m=m, reps=reps, hits=hits, coverage=coverage,
+                                 se=math.sqrt(coverage * (1.0 - coverage) / reps), seed=seed))
+    return truth, tuple(out)
+
+
+def coverage_experiment(dist: AnalyticDistribution, m: int, n: int, reps: int,
+                        alpha: float, seed: int) -> CoveragePoint:
+    """Proportion of reps seeded replicates whose interval covers the truth."""
+    return _coverage(dist, m, [(_count(n, "coverage sample size n", 2), seed)], reps, alpha)[1][0]
 
 
 def coverage_sweep(dist: AnalyticDistribution, m: int, n_grid: Sequence[int],
                    reps: int, alpha: float, seed: int) -> SweepResult:
-    """One coverage experiment per grid point, sharing a single exact entropy."""
+    """One coverage experiment per grid point, each at its derived seed (seed, n)."""
     grid = [_count(n, "coverage sample size n", 2) for n in n_grid]
     if not grid:
         raise ValueError("empty sample-size grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sample-size grid must be strictly increasing")
-    truth = gse_analytic(dist, m)
-    work = _Workspace()
-    points = tuple(_coverage_point(dist, m, n, reps, alpha, derive_seed(seed, n), truth, work)
-                   for n in grid)
+    truth, points = _coverage(dist, m, ((n, derive_seed(seed, n)) for n in grid), reps, alpha)
     return SweepResult(dist.config(), m, alpha, truth, points)
 
 

@@ -258,9 +258,11 @@ def riemann_zeta(s: float) -> float:
 
 
 class _Workspace:
-    """Grow-only float64 scratch memory that blocks of draws share."""
+    """Scratch that every block of one replicate loop shares: the Generator
+    each row's PCG64 state is set into, and grow-only float64 memory."""
 
     def __init__(self) -> None:
+        self.rng = np.random.Generator(np.random.PCG64(0))
         self._buf = np.empty(0)
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
@@ -280,14 +282,13 @@ class AnalyticDistribution:
 
     shannon_clt = True  # whether the plain Shannon plug-in is asymptotically normal
 
-    def draw_rows(self, n: int, rng: np.random.Generator, states: list[tuple[int, int]],
-                  work: _Workspace) -> np.ndarray:
+    def draw_rows(self, n: int, states: list[tuple[int, int]], work: _Workspace) -> np.ndarray:
         """One sample of n per PCG64 (state, inc) pair, as an (R, n) int64
-        matrix: row r is draw(n, rng) with rng re-set to states[r].  A family
-        may take scratch memory from work, which later blocks reuse.  A block
-        of one row is that draw itself, not a copy: at large n the copy cost
-        more in page faults than the rest of the tally."""
-        rows = [self.draw(n, _set_state(rng, state)) for state in states]
+        matrix: row r is draw(n, work.rng) with work.rng re-set to states[r].
+        A family may also take scratch memory from work, which later blocks
+        reuse.  A block of one row is that draw itself, not a copy: at large n
+        the copy cost more in page faults than the rest of the tally."""
+        rows = [self.draw(n, _set_state(work.rng, state)) for state in states]
         return rows[0][None, :] if len(rows) == 1 else np.stack(rows)
 
     def finite_pmf(self) -> CustomFinite:
@@ -430,33 +431,33 @@ class Zeta(AnalyticDistribution):
             filled += take
         return filled
 
-    def draw_rows(self, n: int, rng: np.random.Generator, states: list[tuple[int, int]],
-                  work: _Workspace) -> np.ndarray:
+    def draw_rows(self, n: int, states: list[tuple[int, int]], work: _Workspace) -> np.ndarray:
         """The rows of ``draw``, with one accept test for the whole block.
 
-        Each row's first batch (2n candidates, at least 64) is drawn into its
-        row of one (R, 2 batch) matrix, u then v, as ``draw`` draws it.  The
-        accept test runs once, on the first chunk ``draw`` would test of every
-        row, and a row with n acceptances there keeps its first n.  A row left
-        short (often near s = 1, where candidates above 2^62 are dropped) goes
-        on as ``draw`` goes on: through the rest of its batch, then through
-        the later batches of its own stream (re-set to its state and advanced
-        past the first batch), which ``_fill`` draws into its reused
-        chunk-sized buffers.  Rows whose batch is larger than one chunk (few
-        to a block) are drawn one by one, each streamed by ``draw``: for them,
-        picking rows out of the block cost more than the per-call overhead it
-        saved.  The matrix is a view of work, which a sweep's blocks share: a
-        fresh one a block cost up to 3,400 minor faults a sweep at n = 10..100
-        (see the coverage module).  Each row is written whole before it is
-        read, so no value comes from an earlier block.
+        Each row's first batch (2n candidates, at least 64) is drawn from
+        work.rng, re-set to the row's state, into its row of one (R, 2 batch)
+        matrix, u then v, as ``draw`` draws it.  The accept test runs once, on
+        the first chunk ``draw`` would test of every row, and a row with n
+        acceptances there keeps its first n.  A row left short (often near
+        s = 1, where candidates above 2^62 are dropped) goes on as ``draw`` goes
+        on: through the rest of its batch, then through the later batches of
+        its own stream (re-set to its state and advanced past the first
+        batch), which ``_fill`` draws into its reused chunk-sized buffers.
+        Rows whose batch is larger than one chunk (few to a block) are drawn
+        one by one, each streamed by ``draw``: for them, picking rows out of
+        the block cost more than the per-call overhead it saved.  The matrix
+        is a view of work's memory, which every block of a coverage call
+        shares: a fresh matrix a block went back to the kernel when freed, and
+        the next block faulted it in again.  Each row is written whole before
+        it is read, so no value comes from an earlier block.
         """
         batch = max(2 * n, 64)
         if batch > _ZETA_CHUNK:
-            return super().draw_rows(n, rng, states, work)
+            return super().draw_rows(n, states, work)
         am1 = self.s - 1.0
         uv = work.matrix(len(states), 2 * batch)
         for row, state in zip(uv, states):
-            _set_state(rng, state).random(out=row)
+            _set_state(work.rng, state).random(out=row)
         width = min(_zeta_chunk(n), batch)
         x = uv[:, :width]
         accept = _zeta_accept(x, uv[:, batch : batch + width], am1, 2.0**am1)
@@ -471,8 +472,8 @@ class Zeta(AnalyticDistribution):
             row[: kept.size] = kept
             filled = self._accept_into(row, kept.size, uv[r, width:batch], uv[r, batch + width :])
             if filled < n:
-                _set_state(rng, states[r]).bit_generator.advance(2 * batch)
-                self._fill(row, filled, rng)
+                _set_state(work.rng, states[r]).bit_generator.advance(2 * batch)
+                self._fill(row, filled, work.rng)
         return out
 
     def h_m(self, m: int) -> tuple[float, int]:
@@ -567,8 +568,8 @@ class UniformFinite(AnalyticDistribution):
     K: int
 
     def __post_init__(self) -> None:
-        # a bool equals 0 or 1 but is not a count; the float 1e6 is one
-        if isinstance(self.K, (bool, np.bool_)) or int(self.K) != self.K or self.K < 1:
+        # a bool equals 0 or 1 but is not a count, nor is NaN or inf; the float 1e6 is one
+        if isinstance(self.K, (bool, np.bool_)) or not 1 <= self.K < math.inf or int(self.K) != self.K:
             raise ValueError("UniformFinite needs a positive integer number of categories")
         # draws are floor(u K) of 53-bit uniforms u, which miss categories past 2^53
         if self.K > 2**53:

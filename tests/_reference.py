@@ -486,3 +486,46 @@ def stable_from_rescan(result, band_se):
                for p in pts[i:]):
             return start.n
     return None
+
+
+def exact_coverage(probs, m, n, alpha):
+    """Exact coverage of the order-m interval for a sample of n from a finite
+    law: the multinomial probability n!/prod c_k! * prod p_k^c_k summed over
+    the compositions c of n into K parts whose interval holds the true H_m.
+
+    Each composition's H_hat_m and sigma_hat_m^2 come from the plug-in pmf
+    c/n by plain loops over its observed categories.  The containment rule is
+    the engine's: the ends are inclusive, and a zero-width interval (a sample
+    empirically uniform over its support) is a hit only when the law is
+    uniform and all K categories hold equal counts."""
+    import itertools
+    from statistics import NormalDist
+
+    k = len(probs)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    norm = sum(p**m for p in probs)
+    truth = -sum(p**m / norm * math.log(p**m / norm) for p in probs)
+    uniform = all(p == probs[0] for p in probs)
+    # per category and count: ln(p_k^c / c!), and the plug-in (c/n)^m
+    log_term = [[c * math.log(p) - math.lgamma(c + 1) for c in range(n + 1)] for p in probs]
+    power_hat = [(c / n) ** m for c in range(n + 1)]
+    covered = total = 0.0
+    # stars and bars: K - 1 bar positions among n + K - 1 slots
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        edges = (-1,) + bars + (n + k - 1,)
+        counts = [edges[i + 1] - edges[i] - 1 for i in range(k)]
+        weight = math.exp(math.lgamma(n + 1) + sum(log_term[i][c] for i, c in enumerate(counts)))
+        total += weight
+        observed = [c for c in counts if c]
+        if all(c == observed[0] for c in observed):
+            covered += weight if uniform and len(observed) == k else 0.0
+            continue
+        norm = sum(power_hat[c] for c in observed)
+        q_hat = [power_hat[c] / norm for c in observed]
+        h = -sum(q * math.log(q) for q in q_hat)
+        sigma_sq = sum(m * m * n / c * (q * math.log(q) + q * h) ** 2 for c, q in zip(observed, q_hat))
+        half = z * math.sqrt(sigma_sq) / math.sqrt(n)
+        if h - half <= truth <= h + half:
+            covered += weight
+    assert abs(total - 1.0) <= 1e-9, total
+    return covered

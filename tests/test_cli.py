@@ -135,6 +135,12 @@ class TestCompute:
                            "--format", "json")
         assert code == 0 and json.loads(out)["h_m"] == math.log(2**53)
 
+    @pytest.mark.parametrize("count", ["NaN", "Infinity"])
+    def test_non_finite_uniform_count_is_usage_error(self, capsys, count):
+        code, out, err = run(capsys, "compute", "--dist", '{"kind":"uniform","K":%s}' % count)
+        assert code == 2 and out == ""
+        assert err == "error: UniformFinite needs a positive integer number of categories\n"
+
     def test_non_convergence_exit_code(self, capsys, monkeypatch):
         # a series that needs more terms than the budget allows is reported
         # distinctly as non-convergence: sigma_m^2 of Zeta(1.1) sums

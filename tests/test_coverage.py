@@ -33,18 +33,18 @@ from gsentropy import (
     write_coverage_csv,
     write_coverage_svg,
 )
+import gsentropy.coverage as coverage_module
 from gsentropy import distributions
 from gsentropy.coverage import (
     _BLOCK,
     COVERAGE_CSV_HEADER,
     STABLE_BAND_SE,
-    _coverage_point,
     _replicate_estimates,
     coverage_csv,
 )
 from gsentropy.distributions import _Workspace
 
-from _reference import stable_from_rescan
+from _reference import exact_coverage, stable_from_rescan
 from conftest import prescott_passed
 
 
@@ -204,7 +204,7 @@ class TestSharedWorkspace:
         if kind == "nan":
             work.matrix(1 << 17, 1).fill(np.nan)
         else:  # one block of 600 rows of 128 uniforms, larger than any below
-            _coverage_point(Zeta(1.2), 2, 5, 600, 0.05, 3, None, work)
+            list(_replicate_estimates(Zeta(1.2), 2, 5, 600, 3, work))
         return work
 
     @pytest.mark.parametrize("kind", ["nan", "dirty"])
@@ -233,8 +233,15 @@ class TestSharedWorkspace:
         fresh = list(_replicate_estimates(dist, 2, n, 400, 29, _Workspace()))
         assert [(h.tobytes(), s.tobytes()) for h, s in reused] == \
             [(h.tobytes(), s.tobytes()) for h, s in fresh]
-        assert _coverage_point(dist, 2, n, 400, 0.05, 29, None, self.used_workspace(kind)) == \
-            coverage_experiment(dist, 2, n, 400, 0.05, 29)
+
+    @pytest.mark.parametrize("dist, n", [(d, n) for d, n, _ in POINTS],
+                             ids=["-".join(map(str, [*d.config().values(), n])) for d, n, _ in POINTS])
+    def test_every_sweep_point_is_the_lone_experiment(self, dist, n):
+        # the point at n // 2 leaves a Zeta block at least as large as the one
+        # at n needs, so the point at n runs in what it left
+        result = coverage_sweep(dist, 2, [n // 2, n], reps=400, alpha=0.05, seed=29)
+        assert list(result.points) == [coverage_experiment(dist, 2, p.n, 400, 0.05, p.seed)
+                                       for p in result.points]
 
     def test_every_zeta_block_of_a_sweep_is_drawn_into_one_workspace(self, monkeypatch):
         # the uniforms of every block must land in the sweep's one buffer, not
@@ -244,8 +251,8 @@ class TestSharedWorkspace:
         blocks, tested = [], []
         draw_rows, accept = Zeta.draw_rows, distributions._zeta_accept
 
-        def spy_draw_rows(self, n, rng, states, work):
-            rows = draw_rows(self, n, rng, states, work)
+        def spy_draw_rows(self, n, states, work):
+            rows = draw_rows(self, n, states, work)
             blocks.append((work, work._buf))
             return rows
 
@@ -264,6 +271,99 @@ class TestSharedWorkspace:
         # the blocks creep up from 51,200 uniforms at n = 10 to 65,520 at
         # n = 60; one doubling of the buffer covers that
         assert len({id(buffer) for _, buffer in blocks}) <= 2
+
+
+class TestOneSetUpPerCall:
+    # A call checks its arguments, takes the quantile and the exact entropy,
+    # and makes its scratch once, whatever the number of points and blocks.
+    @pytest.mark.parametrize("dist", [Zeta(1.5), Geometric(0.3)])
+    def test_a_sweep_sets_up_once(self, monkeypatch, dist):
+        made, generators, blocks = [], [], []
+        calls = {"gse_analytic": 0, "_two_sided_z": 0}
+
+        class Workspace(_Workspace):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        def counted(name):
+            function = getattr(coverage_module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+            return call
+
+        generator = np.random.Generator
+
+        def counted_generator(bit_generator):
+            generators.append(bit_generator)
+            return generator(bit_generator)
+
+        draw_rows = type(dist).draw_rows  # Geometric's is the family default
+
+        def spy_draw_rows(self, n, states, work):
+            blocks.append((work, work.rng))
+            return draw_rows(self, n, states, work)
+
+        monkeypatch.setattr(coverage_module, "_Workspace", Workspace)
+        for name in calls:
+            monkeypatch.setattr(coverage_module, name, counted(name))
+        monkeypatch.setattr(np.random, "Generator", counted_generator)
+        monkeypatch.setattr(type(dist), "draw_rows", spy_draw_rows)
+        grid = [10, 100, 1000]
+        coverage_sweep(dist, 2, grid, reps=400, alpha=0.05, seed=0)
+        assert len(made) == len(generators) == 1
+        assert calls == {"gse_analytic": 1, "_two_sided_z": 1}
+        assert len(blocks) == sum(-(-400 // max(1, _BLOCK // n)) for n in grid) == 29
+        assert all(work is made[0] and rng is made[0].rng for work, rng in blocks)
+
+    @pytest.mark.parametrize("reps, alpha, message", [
+        (0, 0.05, "replicate count reps must be an integer >= 1, got 0"),
+        (10, 1.5, "alpha must lie in (0, 1), got 1.5"),
+    ])
+    def test_bad_reps_or_alpha_are_refused_before_the_exact_entropy(self, monkeypatch, reps, alpha, message):
+        calls = []
+        monkeypatch.setattr(coverage_module, "gse_analytic", lambda *args: calls.append(args))
+        with pytest.raises(ValueError) as info:
+            coverage_sweep(Zeta(1.5), 2, [10, 20], reps=reps, alpha=alpha, seed=1)
+        assert str(info.value) == message and calls == []
+
+    def test_several_bad_arguments_report_in_one_order(self):
+        # the grid first, then reps, the order m and alpha; the exact entropy
+        # is taken only after all of them
+        bad = dict(m=0, n_grid=[1], reps=0, alpha=0.0, seed=1)
+        for name, message in [("n_grid", "coverage sample size n"), ("reps", "replicate count reps"),
+                              ("m", "collision order m"), ("alpha", "alpha must lie in")]:
+            with pytest.raises(ValueError, match=message):
+                coverage_sweep(Zeta(1.5), **bad)
+            bad[name] = dict(m=2, n_grid=[10], reps=5, alpha=0.05)[name]
+        assert coverage_sweep(Zeta(1.5), **bad).points[0].reps == 5
+
+
+class TestExactCoverage:
+    # The engine against exact coverage, a sum over every possible sample's
+    # multinomial probability (tests/_reference.py).  Each case stays under
+    # 2e5 compositions; the four pinned values are those of a separate
+    # prototype (itertools and scipy's gammaln) to five decimals.
+    CASES = [
+        ((0.5, 0.3, 0.2), 100, 0.93000),  # 5,151 compositions
+        ((0.5, 0.3, 0.2), 400, 0.94132),  # 80,601
+        ((0.4, 0.3, 0.2, 0.1), 100, 0.94474),  # 176,851
+        ((0.9, 0.1), 50, 0.88727),  # 51
+        ((1 / 3, 1 / 3, 1 / 3), 60, None),  # uniform: zero-width intervals at 20, 20, 20
+        ((0.34, 0.33, 0.33), 120, None),  # near-uniform
+    ]
+
+    @pytest.mark.parametrize("probs, n, pinned", CASES, ids=[f"{len(c[0])}-{c[0][0]:.2f}-{c[1]}" for c in CASES])
+    def test_monte_carlo_is_within_4_se_of_exact(self, probs, n, pinned):
+        exact = exact_coverage(probs, 2, n, 0.05)
+        if pinned is not None:
+            assert round(exact, 5) == pinned
+        dist = UniformFinite(len(probs)) if len(set(probs)) == 1 else CustomFinite(probs)
+        reps = 20_000
+        point = coverage_experiment(dist, 2, n, reps, 0.05, seed=1)
+        assert abs(point.coverage - exact) <= 4 * math.sqrt(exact * (1 - exact) / reps)
 
 
 class TestZeroVarianceLimit:

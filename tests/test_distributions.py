@@ -557,8 +557,7 @@ class TestBatchedSeeding:
 
 def block_draw(dist, n, master, rows):
     """dist.draw_rows for replicates 0 .. rows - 1 of a master seed."""
-    return dist.draw_rows(n, np.random.Generator(np.random.PCG64(0)), list(_replicate_states(master, rows)),
-                          _Workspace())
+    return dist.draw_rows(n, list(_replicate_states(master, rows)), _Workspace())
 
 
 class TestBlockDraw:
@@ -691,7 +690,7 @@ class TestConfig:
         {"kind": "zeta", "s": [1]},
         {"kind": "geometric", "q": {"q": 0.5}},
         {"kind": "uniform", "K": None},
-        {"kind": "uniform", "K": float("inf")},
+        {"kind": "uniform", "K": "inf"},  # a string; the number inf is a bad count, below
         {"kind": "custom", "probs": {"a": 1.0}},
         {"kind": "zeta", "s": True},
         {"kind": "zeta", "s": "1.5"},
@@ -707,6 +706,12 @@ class TestConfig:
     def test_non_numeric_parameter_is_value_error(self, spec):
         with pytest.raises(ValueError, match="non-numeric"):
             parse_distribution(spec)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_uniform_count_is_named(self, text):
+        # int() once raised on these first, naming neither the family nor K
+        with pytest.raises(ValueError, match="^UniformFinite needs a positive integer number of categories$"):
+            parse_distribution('{"kind":"uniform","K":%s}' % text)
 
     def test_finite_pmf_of_uniform(self):
         npt.assert_allclose(finite_pmf(UniformFinite(4)).probs, np.full(4, 0.25))
