@@ -13,23 +13,28 @@ after it checks the arguments, takes the normal quantile and the exact entropy,
 and makes the scratch its blocks share (a ``distributions._Workspace``: one
 Generator and grow-only memory).  ``_replicate_estimates`` runs the replicates
 of a point, and those of ``oracles.mc_variance_oracle``, in blocks of
-max(1, _BLOCK // n), so memory does not grow with reps.  The seeds of up to 1024
-replicates, and their PCG64 states, come from one vectorised pass of numpy's
-SeedSequence arithmetic.  The family's ``draw_rows`` turns a block of states
-into an (R, n) matrix whose row r is exactly the sample ``draw`` takes from
-state r.  Zeta fills each row's first batch of uniforms and runs its rejection
-test once over the block; a row left short of n acceptances goes on from its
-own stream, re-set to its state and advanced past the first batch.  The first
-batches live in the scratch memory: a fresh matrix a block went back to the
-kernel when freed, and the next block faulted it in again.  Past n = 4096 Zeta
-draws row by row.  Its later batches, and every batch at large n, stream their
-uniforms into two reused chunk-sized buffers: no array is batch-sized, and the
-values are those of drawing whole batches.  The block is sorted row by row in
-place, and one sort of (row, n - count) keys orders each row's counts
-descending, sample after sample in one array.  One call of ``h_sigma_sq``, a
-segment a sample, gives every replicate's (H_hat, sigma_hat^2).  A segment's
-bits do not depend on where it sits, so they are those of the one-sample
-estimate: neither the CSV nor the oracle's variance depends on the blocking.
+max(1, _BLOCK // n), so memory does not grow with reps.  The points' replicate
+states come from one stream (``distributions._sweep_states``): the seeds of up
+to 4096 replicates, and their PCG64 states, come from one vectorised pass of
+numpy's SeedSequence arithmetic, which runs across consecutive grid points,
+so a sweep of ten points at 400 reps is seeded in one pass.  The family's
+``draw_rows`` turns a block of states into an (R, n) matrix whose row r is
+exactly the sample ``draw`` takes from state r.  Zeta fills each row's first
+batch of uniforms, copies the first chunk of its u and its v into two
+contiguous matrices, and runs its rejection test once over those; a row left
+short of n acceptances goes on from the rest of its batch, then from its own
+stream, re-set to its state and advanced past the first batch.  The first
+batches and the copies live in the scratch memory: a fresh matrix a block
+went back to the kernel when freed, and the next block faulted it in again.
+Past n = 4096 Zeta draws row by row.  Its later batches, and every batch at
+large n, stream their uniforms into two reused chunk-sized buffers: no array
+is batch-sized, and the values are those of drawing whole batches.  The
+block is sorted row by row in place, and one sort of (row, n - count) keys
+orders each row's counts descending, sample after sample in one array.  One
+call of ``h_sigma_sq``, a segment a sample, gives every replicate's (H_hat,
+sigma_hat^2).  A segment's bits do not depend on where it sits, so they are
+those of the one-sample estimate: neither the CSV nor the oracle's variance
+depends on the blocking.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .distributions import (
     _Workspace,
     _check_order,
     _count,
-    _replicate_states,
+    _sweep_states,
     derive_seed,
     h_sigma_sq,
 )
@@ -111,12 +116,13 @@ def _descending_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return base - key, offsets[:-1]
 
 
-def _replicate_estimates(dist: AnalyticDistribution, m: int, n: int, reps: int, seed: int,
+def _replicate_estimates(dist: AnalyticDistribution, m: int, n: int, reps: int,
+                         states: Iterator[tuple[int, int]],
                          work: _Workspace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each block's (H_hat_m, sigma_hat_m^2) arrays, replicate r seeded (seed, r):
-    one kernel call on all the block's proportions, a segment per replicate."""
+    """Each block's (H_hat_m, sigma_hat_m^2) arrays for the next reps PCG64
+    states of states (a _sweep_states stream): one kernel call on all the
+    block's proportions, a segment per replicate."""
     rows = max(1, _BLOCK // n)
-    states = _replicate_states(seed, reps)
     for start in range(0, reps, rows):
         block = [next(states) for _ in range(min(rows, reps - start))]
         # the samples are freed once tallied, before the kernel allocates:
@@ -128,16 +134,19 @@ def _replicate_estimates(dist: AnalyticDistribution, m: int, n: int, reps: int, 
 def _coverage(dist: AnalyticDistribution, m: int, points: Iterable[tuple[int, int]], reps: int,
               alpha: float) -> tuple[float, tuple[CoveragePoint, ...]]:
     """(exact H_m, the CoveragePoint of each validated (n, seed) point): the
-    arguments checked, the quantile and H_m taken, and the workspace made, once."""
+    arguments checked, the quantile and H_m taken, and the workspace made, once;
+    the points' replicate states come from one stream of seeding passes."""
     reps = _count(reps, "replicate count reps", 1)
     m = _check_order(m)
     z = _two_sided_z(alpha)
     truth = gse_analytic(dist, m)
     work = _Workspace()
+    points = list(points)
+    states = _sweep_states((seed for _, seed in points), reps)
     out = []
     for n, seed in points:
         hits = 0
-        for h, sigma_sq in _replicate_estimates(dist, m, n, reps, seed, work):
+        for h, sigma_sq in _replicate_estimates(dist, m, n, reps, states, work):
             half = z * np.sqrt(sigma_sq) / math.sqrt(n)
             hits += int(np.count_nonzero((h - half <= truth) & (truth <= h + half)))
         coverage = hits / reps

@@ -22,6 +22,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -259,17 +260,22 @@ def riemann_zeta(s: float) -> float:
 
 class _Workspace:
     """Scratch that every block of one replicate loop shares: the Generator
-    each row's PCG64 state is set into, and grow-only float64 memory."""
+    each row's PCG64 state is set into, and grow-only float64 memory, which
+    a block carves into contiguous matrices (Zeta's: its rows' first batches
+    of uniforms, and contiguous copies of the u and v its accept test reads)."""
 
     def __init__(self) -> None:
         self.rng = np.random.Generator(np.random.PCG64(0))
         self._buf = np.empty(0)
 
-    def matrix(self, rows: int, cols: int) -> np.ndarray:
-        """A (rows, cols) view holding what the last block left; grows twofold or more."""
-        if self._buf.size < rows * cols:
-            self._buf = np.empty(max(rows * cols, 2 * self._buf.size))
-        return self._buf[: rows * cols].reshape(rows, cols)
+    def matrices(self, rows: int, *cols: int) -> list[np.ndarray]:
+        """A C-contiguous (rows, c) view for each c of cols, laid end to end
+        in the memory, which grows twofold or more; each holds what the last
+        block left there."""
+        if self._buf.size < rows * sum(cols):
+            self._buf = np.empty(max(rows * sum(cols), 2 * self._buf.size))
+        ends = [rows * c for c in accumulate(cols, initial=0)]
+        return [self._buf[a:b].reshape(rows, c) for a, b, c in zip(ends, ends[1:], cols)]
 
 
 class AnalyticDistribution:
@@ -436,31 +442,37 @@ class Zeta(AnalyticDistribution):
 
         Each row's first batch (2n candidates, at least 64) is drawn from
         work.rng, re-set to the row's state, into its row of one (R, 2 batch)
-        matrix, u then v, as ``draw`` draws it.  The accept test runs once, on
-        the first chunk ``draw`` would test of every row, and a row with n
-        acceptances there keeps its first n.  A row left short (often near
-        s = 1, where candidates above 2^62 are dropped) goes on as ``draw`` goes
-        on: through the rest of its batch, then through the later batches of
-        its own stream (re-set to its state and advanced past the first
-        batch), which ``_fill`` draws into its reused chunk-sized buffers.
-        Rows whose batch is larger than one chunk (few to a block) are drawn
-        one by one, each streamed by ``draw``: for them, picking rows out of
-        the block cost more than the per-call overhead it saved.  The matrix
-        is a view of work's memory, which every block of a coverage call
-        shares: a fresh matrix a block went back to the kernel when freed, and
-        the next block faulted it in again.  Each row is written whole before
-        it is read, so no value comes from an earlier block.
+        matrix uv, u then v, as ``draw`` draws it.  The first chunk ``draw``
+        would test of every row, its u and its v, is copied into two
+        contiguous (R, width) matrices, x and w, and the accept test runs once
+        on them: on the strided column slices of uv it took nearly twice as
+        long, and x's candidates are gathered through a view, not a copy.
+        Each element's result depends on its own u and v alone, so the copy
+        moves no bit.  A row with n acceptances in its chunk keeps its first
+        n.  A row left short (often near s = 1, where candidates above 2^62
+        are dropped) goes on as ``draw`` goes on: through the rest of its
+        batch, read from uv, then through the later batches of its own stream
+        (re-set to its state and advanced past the first batch), which
+        ``_fill`` draws into its reused chunk-sized buffers.  Rows whose batch
+        is larger than one chunk (few to a block) are drawn one by one, each
+        streamed by ``draw``: for them, picking rows out of the block cost
+        more than the per-call overhead it saved.  uv, x and w are views of
+        work's memory, which every block of a coverage call shares: a fresh
+        matrix a block went back to the kernel when freed, and the next block
+        faulted it in again.  Each is written whole before it is read, so no
+        value comes from an earlier block.
         """
         batch = max(2 * n, 64)
         if batch > _ZETA_CHUNK:
             return super().draw_rows(n, states, work)
         am1 = self.s - 1.0
-        uv = work.matrix(len(states), 2 * batch)
+        width = min(_zeta_chunk(n), batch)
+        uv, x, w = work.matrices(len(states), 2 * batch, width, width)
         for row, state in zip(uv, states):
             _set_state(work.rng, state).random(out=row)
-        width = min(_zeta_chunk(n), batch)
-        x = uv[:, :width]
-        accept = _zeta_accept(x, uv[:, batch : batch + width], am1, 2.0**am1)
+        x[...] = uv[:, :width]
+        w[...] = uv[:, batch : batch + width]
+        accept = _zeta_accept(x, w, am1, 2.0**am1)
         pos = np.flatnonzero(accept)  # r * width + column, row after row
         bounds = pos.searchsorted(np.arange(0, accept.size + 1, width))
         full = bounds[1:] - bounds[:-1] >= n
@@ -760,12 +772,17 @@ def _uint32_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (values & _MASK32).astype(np.uint32), (values >> 32).astype(np.uint32)
 
 
-def _derive_seeds(master: int, path: np.ndarray) -> np.ndarray:
-    """derive_seed(master, r) for each r of a uint64 array."""
-    master = operator.index(master) & _MASK64
-    # the master's words are padded to four before a spawn key, so this part
-    # of the pool is the same for every r
-    pool = _entropy_pool(*_uint32_words(np.array([master], dtype=np.uint64)))
+def _master_pool(master: int) -> np.ndarray:
+    """The pool every derive_seed(master, r) starts from, as a (4, 1) uint32
+    column.  The master's words are padded to four before a spawn key, so
+    this part is the same for every r, and it is SeedSequence(master)'s own
+    pool: about 3 us, against 90 for _entropy_pool on a one-element array."""
+    return np.random.SeedSequence(operator.index(master) & _MASK64).pool[:, None]
+
+
+def _derive_seeds(pool: np.ndarray, path: np.ndarray) -> np.ndarray:
+    """derive_seed(master, r) for each r of a uint64 array, given the
+    _master_pool of master: one column for every r, or one column per r."""
     low, high = _uint32_words(path)
     pool = _mix_word(pool, low, 16)
     wide = high != 0  # a key of 2^32 or more is two entropy words
@@ -774,28 +791,59 @@ def _derive_seeds(master: int, path: np.ndarray) -> np.ndarray:
     return _generate_state(pool, 2)[0]
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence(d)) for each d of a uint64 array."""
-    s_hi, s_lo, i_hi, i_lo = (v.tolist() for v in _generate_state(_entropy_pool(*_uint32_words(seeds)), 8))
-    states = []
-    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        states.append((((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence(d)) for each d of a uint64 array,
+    in turn.  The words come from one vectorised pass; their Python ints are
+    made 1024 at a time, so no list of every state is held."""
+    words = np.stack(_generate_state(_entropy_pool(*_uint32_words(seeds)), 8))
+    for start in range(0, seeds.size, 1024):
+        for a, b, c, d in zip(*words[:, start : start + 1024].tolist()):
+            inc = ((c << 64 | d) << 1 | 1) & _MASK128
+            yield ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
-# Replicates whose seeds and PCG64 states are derived in one pass.  Seeding
-# has its own block: a block of samples at large n is a single row, and a
-# pass of this arithmetic costs about as much as 10 scalar seedings.
-_SEED_BLOCK = 1024
+# Replicates whose seeds and PCG64 states are derived in one pass, across the
+# grid points of a sweep.  Seeding has its own block: a block of samples at
+# large n is a single row, and a pass costs a fixed 0.2 ms or so, whatever its
+# size.  The cap bounds the states held at once (about 150 bytes each),
+# whatever the grid or reps.
+_SEED_BLOCK = 4096
+
+
+def _sweep_states(masters: Iterable[int], count: int) -> Iterator[tuple[int, int]]:
+    """For each master in turn, and r = 0, 1, ..., count - 1 within it, the
+    PCG64 (state, inc) that draw(.., derive_seed(master, r)) seeds.
+
+    One pass derives _SEED_BLOCK states (the last pass fewer): consecutive
+    masters share a pass, and a master's replicates may span passes.  A pass
+    is derived when it is full or the masters run out, so masters are drawn
+    from the iterable only as the passes reach them."""
+    pools, paths, room = [], [], _SEED_BLOCK
+    for master in masters:
+        pool, start = _master_pool(master), 0
+        while start < count:
+            stop = min(count, start + room)
+            pools.append(pool)
+            paths.append(np.arange(start, stop, dtype=np.uint64))
+            room -= stop - start
+            start = stop
+            if not room:
+                yield from _pass_states(pools, paths)
+                pools, paths, room = [], [], _SEED_BLOCK
+    if paths:
+        yield from _pass_states(pools, paths)
+
+
+def _pass_states(pools: list[np.ndarray], paths: list[np.ndarray]) -> Iterator[tuple[int, int]]:
+    """The PCG64 states of replicates paths[i] of the master of pools[i], for each i in turn."""
+    pool = np.repeat(np.hstack(pools), [path.size for path in paths], axis=1)
+    return _pcg64_states(_derive_seeds(pool, np.concatenate(paths)))
 
 
 def _replicate_states(master: int, count: int) -> Iterator[tuple[int, int]]:
     """For r = 0, 1, ..., count - 1 in turn, the PCG64 (state, inc) that
     draw(.., derive_seed(master, r)) seeds."""
-    for start in range(0, count, _SEED_BLOCK):
-        path = np.arange(start, min(start + _SEED_BLOCK, count), dtype=np.uint64)
-        yield from _pcg64_states(_derive_seeds(master, path))
+    return _sweep_states((master,), count)
 
 
 def _set_state(rng: np.random.Generator, state: tuple[int, int]) -> np.random.Generator:

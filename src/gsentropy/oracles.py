@@ -51,6 +51,7 @@ from .distributions import (
     _check_order,
     _count,
     _literal_sigma_sq,
+    _replicate_states,
     collision_log_weights,
     h_sigma_sq,
 )
@@ -191,7 +192,8 @@ def mc_variance_oracle(dist: AnalyticDistribution, m: int, n: int, reps: int, se
     if reps < 100:
         raise ValueError("need at least 100 replicates for a meaningful variance")
     h_true = gse_analytic(dist, m)
-    h_hat = np.concatenate([h for h, _ in _replicate_estimates(dist, m, n, reps, seed, _Workspace())])
+    estimates = _replicate_estimates(dist, m, n, reps, _replicate_states(seed, reps), _Workspace())
+    h_hat = np.concatenate([h for h, _ in estimates])
     return float(np.var(np.sqrt(float(n)) * (h_hat - h_true), ddof=1))
 
 

@@ -42,7 +42,7 @@ from gsentropy.coverage import (
     _replicate_estimates,
     coverage_csv,
 )
-from gsentropy.distributions import _Workspace
+from gsentropy.distributions import _Workspace, _replicate_states
 
 from _reference import exact_coverage, stable_from_rescan
 from conftest import prescott_passed
@@ -202,9 +202,9 @@ class TestSharedWorkspace:
     def used_workspace(kind):
         work = _Workspace()
         if kind == "nan":
-            work.matrix(1 << 17, 1).fill(np.nan)
+            work.matrices(1 << 17, 1)[0].fill(np.nan)
         else:  # one block of 600 rows of 128 uniforms, larger than any below
-            list(_replicate_estimates(Zeta(1.2), 2, 5, 600, 3, work))
+            list(_replicate_estimates(Zeta(1.2), 2, 5, 600, _replicate_states(3, 600), work))
         return work
 
     @pytest.mark.parametrize("kind", ["nan", "dirty"])
@@ -227,10 +227,10 @@ class TestSharedWorkspace:
 
         monkeypatch.setattr(Zeta, "_fill", spy_fill)
         monkeypatch.setattr(Zeta, "_accept_into", spy_accept_into)
-        reused = list(_replicate_estimates(dist, 2, n, 400, 29, work))
+        reused = list(_replicate_estimates(dist, 2, n, 400, _replicate_states(29, 400), work))
         assert work._buf is buffer  # the blocks ran in what was left there
         assert seen == ({path} if path else set())
-        fresh = list(_replicate_estimates(dist, 2, n, 400, 29, _Workspace()))
+        fresh = list(_replicate_estimates(dist, 2, n, 400, _replicate_states(29, 400), _Workspace()))
         assert [(h.tobytes(), s.tobytes()) for h, s in reused] == \
             [(h.tobytes(), s.tobytes()) for h, s in fresh]
 
@@ -266,10 +266,14 @@ class TestSharedWorkspace:
         coverage_sweep(Zeta(1.5), 2, grid, reps=400, alpha=0.05, seed=0)
         assert len(blocks) == len(tested) == sum(-(-400 // (_BLOCK // n)) for n in grid)
         assert all(work is blocks[0][0] for work, _ in blocks)
+        # the test runs on contiguous copies of the first chunk's u and v,
+        # carved from the same buffer as the block's uniforms
+        assert all(x.flags.c_contiguous and w.flags.c_contiguous for x, w in tested)
         assert all(np.shares_memory(x, buffer) and np.shares_memory(w, buffer)
                    for (x, w), (_, buffer) in zip(tested, blocks))
-        # the blocks creep up from 51,200 uniforms at n = 10 to 65,520 at
-        # n = 60; one doubling of the buffer covers that
+        # with the two copies, the blocks creep up from 102,400 floats at
+        # n = 10 to 131,040 at n = 60: the buffer is made once and doubled
+        # once, never grown past that
         assert len({id(buffer) for _, buffer in blocks}) <= 2
 
 
@@ -317,6 +321,20 @@ class TestOneSetUpPerCall:
         assert calls == {"gse_analytic": 1, "_two_sided_z": 1}
         assert len(blocks) == sum(-(-400 // max(1, _BLOCK // n)) for n in grid) == 29
         assert all(work is made[0] and rng is made[0].rng for work, rng in blocks)
+
+    def test_a_small_n_sweep_seeds_in_one_pass(self, monkeypatch):
+        # the 4,000 replicate states of ten grid points fit one pass of the
+        # batched seeding, which costs about 0.2 ms whatever its size
+        passes = []
+        pcg64_states = distributions._pcg64_states
+
+        def counted(seeds):
+            passes.append(seeds.size)
+            return pcg64_states(seeds)
+
+        monkeypatch.setattr(distributions, "_pcg64_states", counted)
+        coverage_sweep(Zeta(1.5), 2, range(10, 101, 10), reps=400, alpha=0.05, seed=0)
+        assert passes == [4000]
 
     @pytest.mark.parametrize("reps, alpha, message", [
         (0, 0.05, "replicate count reps must be an integer >= 1, got 0"),
@@ -378,7 +396,8 @@ class TestZeroVarianceLimit:
     @pytest.mark.parametrize("m", [2, 3])
     def test_scaled_error_has_the_chi_square_mean(self, K, n, m):
         reps = 1000
-        h = np.concatenate([h for h, _ in _replicate_estimates(UniformFinite(K), m, n, reps, 0, _Workspace())])
+        estimates = _replicate_estimates(UniformFinite(K), m, n, reps, _replicate_states(0, reps), _Workspace())
+        h = np.concatenate([h for h, _ in estimates])
         scaled = 2 * n * (math.log(K) - h) / m**2
         se = scaled.std(ddof=1) / math.sqrt(reps)
         assert abs(scaled.mean() - (K - 1)) <= 4 * se

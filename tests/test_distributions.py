@@ -30,14 +30,17 @@ from gsentropy import (
     sigma_sq_true,
     truncation_index,
 )
+from gsentropy import distributions
 from gsentropy.coverage import _BLOCK
 from gsentropy.distributions import (
     _SEED_BLOCK,
     _Workspace,
     _derive_seeds,
+    _master_pool,
     _pcg64_states,
     _replicate_states,
     _set_state,
+    _sweep_states,
     _zeta_accept,
     _zeta_chunk,
     h_sigma_sq,
@@ -506,13 +509,13 @@ class TestSeedDerivation:
     def test_numpy_integer_masters(self, master, plain):
         assert derive_seed(master, 3) == derive_seed(plain, 3)
         path = np.arange(4, dtype=np.uint64)
-        assert _derive_seeds(master, path).tolist() == _derive_seeds(plain, path).tolist()
+        assert _derive_seeds(_master_pool(master), path).tolist() == _derive_seeds(_master_pool(plain), path).tolist()
 
     def test_non_integer_master_is_rejected(self):
         with pytest.raises(TypeError):
             derive_seed(2.5, 0)
         with pytest.raises(TypeError):
-            _derive_seeds(2.5, np.arange(2, dtype=np.uint64))
+            _master_pool(2.5)
 
 
 # master seeds of zero, one and two 32-bit words, and beyond 64 bits or
@@ -531,7 +534,7 @@ class TestBatchedSeeding:
     @settings(derandomize=True)
     @given(master=MASTERS, path=INDICES)
     def test_matches_seed_sequence(self, master, path):
-        seeds = _derive_seeds(master, np.array(path, dtype=np.uint64))
+        seeds = _derive_seeds(_master_pool(master), np.array(path, dtype=np.uint64))
         assert seeds.tolist() == [derive_seed(master, r) for r in path]
         for seed, (state, inc) in zip(seeds.tolist(), _pcg64_states(seeds)):
             assert np.random.PCG64(np.random.SeedSequence(seed)).state["state"] == {"state": state, "inc": inc}
@@ -545,7 +548,7 @@ class TestBatchedSeeding:
         assert r == count - 1
         # draw seeds of no and one 32-bit word are hashed as zero-padded
         for seed in (0, 7, 2**32 - 1):
-            state, inc = _pcg64_states(np.array([seed], dtype=np.uint64))[0]
+            (state, inc), = _pcg64_states(np.array([seed], dtype=np.uint64))
             assert np.random.PCG64(np.random.SeedSequence(seed)).state["state"] == {"state": state, "inc": inc}
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES)
@@ -553,6 +556,33 @@ class TestBatchedSeeding:
         rng = np.random.Generator(np.random.PCG64(0))
         for r, state in enumerate(_replicate_states(5, 12)):
             npt.assert_array_equal(dist.draw(37, _set_state(rng, state)), draw(dist, 37, derive_seed(5, r)))
+
+    @pytest.mark.parametrize("reps", [1, _SEED_BLOCK - 1, _SEED_BLOCK, _SEED_BLOCK + 1, 2 * _SEED_BLOCK + 3])
+    @pytest.mark.parametrize("masters", [[2**32 + 5], [3, 2**32, derive_seed(9, 40), 2**64 - 1, 11]],
+                             ids=["one-point", "five-points"])
+    def test_grid_points_share_passes(self, monkeypatch, reps, masters):
+        # A sweep seeds consecutive grid points in passes of _SEED_BLOCK
+        # states, a point split across passes where the cap falls; each
+        # point's states must be those it gets alone.  Masters of 2^32 or
+        # more are two entropy words.
+        passes = []
+        pcg64_states = distributions._pcg64_states
+
+        def counted(seeds):
+            passes.append(seeds.size)
+            return pcg64_states(seeds)
+
+        monkeypatch.setattr(distributions, "_pcg64_states", counted)
+        grouped = list(_sweep_states(iter(masters), reps))
+        monkeypatch.undo()
+        full, rest = divmod(len(masters) * reps, _SEED_BLOCK)
+        assert passes == [_SEED_BLOCK] * full + ([rest] if rest else [])
+        for i, master in enumerate(masters):
+            states = grouped[i * reps : (i + 1) * reps]
+            assert states == list(_replicate_states(master, reps))
+            for r in {0, reps - 1}:
+                expected = np.random.PCG64(np.random.SeedSequence(derive_seed(master, r))).state["state"]
+                assert expected == dict(zip(("state", "inc"), states[r]))
 
 
 def block_draw(dist, n, master, rows):
