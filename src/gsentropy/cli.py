@@ -49,6 +49,8 @@ EXIT_NON_CONVERGENT = 3
 # the most orders or grid points a --m-range or --grid span may hold, and the
 # most pmfs a --corpus-size may ask for: each is refused before it is built
 MAX_SPAN = 10**6
+_ZERO_SIGMA_NOTE = ("note: sigma_m is 0, so the sqrt(n) limit of the estimate is a point mass; "
+                    "the interval's nominal level does not apply.")
 
 def _load_distribution(spec: str):
     text = spec.strip()
@@ -135,8 +137,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     print(f"sigma_m            : {_fmt(math.sqrt(sigma_sq))}")
     print(f"truncation terms   : {terms}")
     if sigma_sq == 0.0:
-        print("note: sigma_m is 0, so the sqrt(n) limit of the estimate is a point mass; "
-              "the interval's nominal level does not apply.")
+        print(_ZERO_SIGMA_NOTE)
     if args.m >= 2 and not dist.shannon_clt:
         print("note: with a tail this heavy the plain Shannon plug-in lacks asymptotic "
               "normality; the collision-order estimator retains it.")
@@ -202,6 +203,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     stable = stable_from(result)
     print(f"true H_{args.m} = {_fmt(result.true_gse)}; coverage min {min(covs):.4f} "
           f"max {max(covs):.4f} over {len(covs)} sample sizes", file=summary_stream)
+    if sigma_sq_true(dist, args.m) == 0.0:
+        print(_ZERO_SIGMA_NOTE, file=summary_stream)
     band = f"{STABLE_BAND_SE:g}"
     print(f"no grid point starts an all-within-{band}-SE run of the nominal level" if stable is None
           else f"all points within {band} binomial SEs of {1 - args.alpha:g} from n = {stable}",

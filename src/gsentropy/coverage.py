@@ -11,13 +11,15 @@ samples are drawn at every n.
 ``_coverage`` runs the points of one call, a lone experiment or a sweep's grid,
 after it checks the arguments, takes the normal quantile and the exact entropy,
 and makes the scratch its blocks share (a ``distributions._Workspace``: one
-Generator and grow-only memory).  ``_replicate_estimates`` runs the replicates
+Generator, re-set through one state mapping, and grow-only memory).
+``_replicate_estimates`` runs the replicates
 of a point, and those of ``oracles.mc_variance_oracle``, in blocks of
 max(1, _BLOCK // n), so memory does not grow with reps.  The points' replicate
 states come from one stream (``distributions._sweep_states``): the seeds of up
 to 4096 replicates, and their PCG64 states, come from one vectorised pass of
-numpy's SeedSequence arithmetic, which runs across consecutive grid points,
-so a sweep of ten points at 400 reps is seeded in one pass.  The family's
+numpy's SeedSequence arithmetic and of PCG64's seeding step on uint64
+halves, which runs across consecutive grid points, so a sweep of ten points
+at 400 reps is seeded in one pass.  The family's
 ``draw_rows`` turns a block of states into an (R, n) matrix whose row r is
 exactly the sample ``draw`` takes from state r.  Zeta fills each row's first
 batch of uniforms, copies the first chunk of its u and its v into two

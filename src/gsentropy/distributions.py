@@ -260,13 +260,23 @@ def riemann_zeta(s: float) -> float:
 
 class _Workspace:
     """Scratch that every block of one replicate loop shares: the Generator
-    each row's PCG64 state is set into, and grow-only float64 memory, which
-    a block carves into contiguous matrices (Zeta's: its rows' first batches
-    of uniforms, and contiguous copies of the u and v its accept test reads)."""
+    each row's PCG64 state is set into, through one state mapping (a re-set
+    fills in its (state, inc) and assigns it; its zero has_uint32 drops any
+    cached 32-bit half-word), and grow-only float64 memory, which a block
+    carves into contiguous matrices (Zeta's: its rows' first batches of
+    uniforms, and contiguous copies of the u and v its accept test reads)."""
 
     def __init__(self) -> None:
         self.rng = np.random.Generator(np.random.PCG64(0))
+        self.state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1}, "has_uint32": 0, "uinteger": 0}
         self._buf = np.empty(0)
+
+    def reset(self, state: tuple[int, int]) -> np.random.Generator:
+        """rng, its PCG64 re-set to a (state, inc) pair."""
+        inner = self.state["state"]
+        inner["state"], inner["inc"] = state
+        self.rng.bit_generator.state = self.state
+        return self.rng
 
     def matrices(self, rows: int, *cols: int) -> list[np.ndarray]:
         """A C-contiguous (rows, c) view for each c of cols, laid end to end
@@ -294,7 +304,7 @@ class AnalyticDistribution:
         A family may also take scratch memory from work, which later blocks
         reuse.  A block of one row is that draw itself, not a copy: at large n
         the copy cost more in page faults than the rest of the tally."""
-        rows = [self.draw(n, _set_state(work.rng, state)) for state in states]
+        rows = [self.draw(n, work.reset(state)) for state in states]
         return rows[0][None, :] if len(rows) == 1 else np.stack(rows)
 
     def finite_pmf(self) -> CustomFinite:
@@ -468,8 +478,10 @@ class Zeta(AnalyticDistribution):
         am1 = self.s - 1.0
         width = min(_zeta_chunk(n), batch)
         uv, x, w = work.matrices(len(states), 2 * batch, width, width)
-        for row, state in zip(uv, states):
-            _set_state(work.rng, state).random(out=row)
+        bg, inner, random = work.rng.bit_generator, work.state["state"], work.rng.random
+        for row, (inner["state"], inner["inc"]) in zip(uv, states):  # work.reset, inlined
+            bg.state = work.state
+            random(out=row)
         x[...] = uv[:, :width]
         w[...] = uv[:, batch : batch + width]
         accept = _zeta_accept(x, w, am1, 2.0**am1)
@@ -484,7 +496,7 @@ class Zeta(AnalyticDistribution):
             row[: kept.size] = kept
             filled = self._accept_into(row, kept.size, uv[r, width:batch], uv[r, batch + width :])
             if filled < n:
-                _set_state(work.rng, states[r]).bit_generator.advance(2 * batch)
+                work.reset(states[r]).bit_generator.advance(2 * batch)
                 self._fill(row, filled, work.rng)
         return out
 
@@ -706,12 +718,12 @@ def derive_seed(master: int, *path: int) -> int:
 
 # Batched seeding: the arithmetic of numpy's SeedSequence (bit_generator.pyx,
 # after O'Neill's seed_seq_fe) on uint32 arrays, one value per replicate, and
-# PCG64's seeding (two steps of its 128-bit LCG) in Python ints.  derive_seed
+# PCG64's seeding (two steps of its 128-bit LCG) on uint64 halves.  derive_seed
 # and draw stay the reference definition; the tests hold these to them.
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = _PCG64_MULT >> 64, _PCG64_MULT & _MASK64
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
@@ -791,15 +803,35 @@ def _derive_seeds(pool: np.ndarray, path: np.ndarray) -> np.ndarray:
     return _generate_state(pool, 2)[0]
 
 
+def _mul_hi(x: np.ndarray, y: int) -> np.ndarray:
+    """The high word of x * y, for uint64 x and a 64-bit y, from 32-bit pieces."""
+    x0, x1, y0, y1 = x & _MASK32, x >> 32, y & _MASK32, y >> 32
+    cross0, cross1 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    return x1 * y1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+
+
+def _pcg64_seed(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> list[np.ndarray]:
+    """PCG64's seeding from generate_state's uint64 words (a, b, c, d), on
+    (high, low) uint64 halves: inc = (c:d) 2 + 1, state = ((a:b) + inc) M +
+    inc mod 2^128.  Returns the halves of state, then of inc."""
+    inc_hi, inc_lo = c << 1 | d >> 63, d << 1 | 1
+    lo = b + inc_lo
+    hi = a + inc_hi + (lo < b)
+    hi = _mul_hi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO
+    lo = lo * _MULT_LO + inc_lo
+    return [hi + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo]
+
+
 def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
     """(state, inc) of PCG64(SeedSequence(d)) for each d of a uint64 array,
-    in turn.  The words come from one vectorised pass; their Python ints are
-    made 1024 at a time, so no list of every state is held."""
-    words = np.stack(_generate_state(_entropy_pool(*_uint32_words(seeds)), 8))
+    in turn.  One vectorised pass gives the words, then the seeding step on
+    uint64 halves; the Python ints, hi << 64 | lo, are joined 1024 at a time
+    in object arrays, so no list of every state is held."""
+    halves = np.stack(_pcg64_seed(*_generate_state(_entropy_pool(*_uint32_words(seeds)), 8)))
     for start in range(0, seeds.size, 1024):
-        for a, b, c, d in zip(*words[:, start : start + 1024].tolist()):
-            inc = ((c << 64 | d) << 1 | 1) & _MASK128
-            yield ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc
+        words = halves[:, start : start + 1024].astype(object)
+        yield from zip(*(words[::2] << 64 | words[1::2]).tolist())
 
 
 # Replicates whose seeds and PCG64 states are derived in one pass, across the
@@ -844,13 +876,6 @@ def _replicate_states(master: int, count: int) -> Iterator[tuple[int, int]]:
     """For r = 0, 1, ..., count - 1 in turn, the PCG64 (state, inc) that
     draw(.., derive_seed(master, r)) seeds."""
     return _sweep_states((master,), count)
-
-
-def _set_state(rng: np.random.Generator, state: tuple[int, int]) -> np.random.Generator:
-    """rng, its PCG64 re-set to a (state, inc) pair."""
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]},
-                               "has_uint32": 0, "uinteger": 0}
-    return rng
 
 
 def draw(dist: AnalyticDistribution, n: int, seed: int) -> np.ndarray:

@@ -483,6 +483,22 @@ class TestCoverage:
             assert "coverage min" in err
             assert err.splitlines()[-1] == verdict
 
+    @pytest.mark.parametrize("spec, zero", [
+        ('{"kind":"uniform","K":5}', True),
+        ('{"kind":"custom","probs":[1.0]}', True),
+        ('{"kind":"zeta","s":1.5}', False),
+    ])
+    def test_zero_variance_is_said(self, capsys, tmp_path, spec, zero):
+        # one note in the summary, on either stream, and none in the CSV
+        argv = ["coverage", "--dist", spec, "--grid", "10:30:10", "--reps", "50", "--seed", "3"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert err.count("note: sigma_m is 0") == zero and "note" not in out
+        csv_path = tmp_path / "cov.csv"
+        code, summary, _ = run(capsys, *argv, "--out", str(csv_path))
+        assert code == 0
+        assert summary == err and csv_path.read_text(encoding="utf-8") == out
+
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "coverage", "--dist", '{"kind":"uniform","K":2}',
                            "--grid", "10-20-10", "--reps", "5")

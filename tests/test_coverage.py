@@ -277,6 +277,33 @@ class TestSharedWorkspace:
         assert len({id(buffer) for _, buffer in blocks}) <= 2
 
 
+class TestReusedStateMapping:
+    # Every row is re-set through the workspace's one PCG64 state mapping.  A
+    # Generator that the block before left dirty (moved by a short row's
+    # advance and fill, a 32-bit half-word cached) must reach no row of the
+    # next block, and the Generator must end where a fresh one ends.
+    CASES = [(Zeta(1.01), 10), (Zeta(1.01), 100), (Zeta(1.5), 10), (Zeta(1.5), 100),
+             (Geometric(0.3), 10), (Geometric(0.3), 100)]
+
+    @staticmethod
+    def dirty_workspace():
+        work = _Workspace()
+        # every row of Zeta(1.01) at n = 10 is short: it goes on past its first
+        # batch, so this block ends in a row's advance and fill; 2,000 rows is
+        # more than any block below
+        Zeta(1.01).draw_rows(10, list(_replicate_states(3, 2000)), work)
+        work.rng.integers(0, 1000, dtype=np.uint32)
+        assert work.rng.bit_generator.state["has_uint32"] == 1
+        return work
+
+    @pytest.mark.parametrize("dist, n", CASES, ids=["-".join(map(str, [*d.config().values(), n])) for d, n in CASES])
+    def test_a_dirty_generator_leaks_no_state(self, dist, n):
+        states = list(_replicate_states(29, _BLOCK // n))
+        dirty, fresh = self.dirty_workspace(), _Workspace()
+        np.testing.assert_array_equal(dist.draw_rows(n, states, dirty), dist.draw_rows(n, states, fresh))
+        assert dirty.rng.bit_generator.state == fresh.rng.bit_generator.state
+
+
 class TestOneSetUpPerCall:
     # A call checks its arguments, takes the quantile and the exact entropy,
     # and makes its scratch once, whatever the number of points and blocks.

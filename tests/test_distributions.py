@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 import tracemalloc
@@ -37,9 +38,10 @@ from gsentropy.distributions import (
     _Workspace,
     _derive_seeds,
     _master_pool,
+    _mul_hi,
+    _pcg64_seed,
     _pcg64_states,
     _replicate_states,
-    _set_state,
     _sweep_states,
     _zeta_accept,
     _zeta_chunk,
@@ -529,6 +531,27 @@ MASTERS = st.one_of(
 )
 INDICES = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)), min_size=1, max_size=6)
 
+# uint64 words at every carry: with these in each of the four words of the
+# seeding step, both adds carry into the high half somewhere, and the
+# products include all-ones operands
+EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+WORDS = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**64 - 1))
+MASK64, MASK128 = 2**64 - 1, 2**128 - 1
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def seed_step_in_ints(a, b, c, d):
+    """PCG64's seeding in Python ints: the halves of state, then of inc."""
+    inc = ((c << 64 | d) << 1 | 1) & MASK128
+    state = (((a << 64 | b) + inc) * PCG64_MULT + inc) & MASK128
+    return state >> 64, state & MASK64, inc >> 64, inc & MASK64
+
+
+def assert_seed_step(rows):
+    words = np.array(rows, dtype=np.uint64).reshape(-1, 4).T
+    halves = [h.tolist() for h in _pcg64_seed(*words)]
+    assert list(zip(*halves)) == [seed_step_in_ints(*row) for row in words.T.tolist()]
+
 
 class TestBatchedSeeding:
     @settings(derandomize=True)
@@ -539,12 +562,26 @@ class TestBatchedSeeding:
         for seed, (state, inc) in zip(seeds.tolist(), _pcg64_states(seeds)):
             assert np.random.PCG64(np.random.SeedSequence(seed)).state["state"] == {"state": state, "inc": inc}
 
+    def test_seeding_step_at_every_carry(self):
+        assert_seed_step(list(itertools.product(EDGE_WORDS, repeat=4)))
+        for y_word in EDGE_WORDS:
+            assert _mul_hi(np.array(EDGE_WORDS, dtype=np.uint64), y_word).tolist() == \
+                [x_word * y_word >> 64 for x_word in EDGE_WORDS]
+
+    @settings(derandomize=True)
+    @given(rows=st.lists(st.tuples(WORDS, WORDS, WORDS, WORDS), min_size=1, max_size=8),
+           y=WORDS)
+    def test_seeding_step_matches_int_arithmetic(self, rows, y):
+        assert_seed_step(rows)
+        x = [word for row in rows for word in row]
+        assert _mul_hi(np.array(x, dtype=np.uint64), y).tolist() == [word * y >> 64 for word in x]
+
     def test_generators_replay_draw(self):
         count = _SEED_BLOCK + 5  # past the first block of derived states
-        rng = np.random.Generator(np.random.PCG64(0))
+        work = _Workspace()
         for r, state in enumerate(_replicate_states(2022, count)):
             expected = np.random.PCG64(np.random.SeedSequence(derive_seed(2022, r))).state
-            assert _set_state(rng, state).bit_generator.state == expected
+            assert work.reset(state).bit_generator.state == expected
         assert r == count - 1
         # draw seeds of no and one 32-bit word are hashed as zero-padded
         for seed in (0, 7, 2**32 - 1):
@@ -553,9 +590,9 @@ class TestBatchedSeeding:
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES)
     def test_family_draws_are_unchanged(self, dist):
-        rng = np.random.Generator(np.random.PCG64(0))
+        work = _Workspace()
         for r, state in enumerate(_replicate_states(5, 12)):
-            npt.assert_array_equal(dist.draw(37, _set_state(rng, state)), draw(dist, 37, derive_seed(5, r)))
+            npt.assert_array_equal(dist.draw(37, work.reset(state)), draw(dist, 37, derive_seed(5, r)))
 
     @pytest.mark.parametrize("reps", [1, _SEED_BLOCK - 1, _SEED_BLOCK, _SEED_BLOCK + 1, 2 * _SEED_BLOCK + 3])
     @pytest.mark.parametrize("masters", [[2**32 + 5], [3, 2**32, derive_seed(9, 40), 2**64 - 1, 11]],
@@ -610,7 +647,7 @@ class TestBlockDraw:
         width = min(_zeta_chunk(n), batch)
         reach = set()
         for state in _replicate_states(5, rows):
-            rng = _set_state(np.random.Generator(np.random.PCG64(0)), state)
+            rng = _Workspace().reset(state)
             kept = np.cumsum(_zeta_accept(rng.random(batch), rng.random(batch), s - 1.0, 2.0 ** (s - 1.0)))
             reach.add("chunk" if kept[width - 1] >= n else "batch" if kept[-1] >= n else "later")
         assert reach == ({"later"} if s == 1.01 else {"chunk", "batch"})
