@@ -136,7 +136,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     print(f"Shannon H          : {_fmt(shannon)}")
     print(f"sigma_m            : {_fmt(math.sqrt(sigma_sq))}")
     print(f"truncation terms   : {terms}")
-    if sigma_sq == 0.0:
+    if dist.zero_sigma:
         print(_ZERO_SIGMA_NOTE)
     if args.m >= 2 and not dist.shannon_clt:
         print("note: with a tail this heavy the plain Shannon plug-in lacks asymptotic "
@@ -203,7 +203,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     stable = stable_from(result)
     print(f"true H_{args.m} = {_fmt(result.true_gse)}; coverage min {min(covs):.4f} "
           f"max {max(covs):.4f} over {len(covs)} sample sizes", file=summary_stream)
-    if sigma_sq_true(dist, args.m) == 0.0:
+    if dist.zero_sigma:
         print(_ZERO_SIGMA_NOTE, file=summary_stream)
     band = f"{STABLE_BAND_SE:g}"
     print(f"no grid point starts an all-within-{band}-SE run of the nominal level" if stable is None

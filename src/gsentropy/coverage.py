@@ -10,33 +10,18 @@ samples are drawn at every n.
 
 ``_coverage`` runs the points of one call, a lone experiment or a sweep's grid,
 after it checks the arguments, takes the normal quantile and the exact entropy,
-and makes the scratch its blocks share (a ``distributions._Workspace``: one
-Generator, re-set through one state mapping, and grow-only memory).
-``_replicate_estimates`` runs the replicates
-of a point, and those of ``oracles.mc_variance_oracle``, in blocks of
-max(1, _BLOCK // n), so memory does not grow with reps.  The points' replicate
-states come from one stream (``distributions._sweep_states``): the seeds of up
-to 4096 replicates, and their PCG64 states, come from one vectorised pass of
-numpy's SeedSequence arithmetic and of PCG64's seeding step on uint64
-halves, which runs across consecutive grid points, so a sweep of ten points
-at 400 reps is seeded in one pass.  The family's
-``draw_rows`` turns a block of states into an (R, n) matrix whose row r is
-exactly the sample ``draw`` takes from state r.  Zeta fills each row's first
-batch of uniforms, copies the first chunk of its u and its v into two
-contiguous matrices, and runs its rejection test once over those; a row left
-short of n acceptances goes on from the rest of its batch, then from its own
-stream, re-set to its state and advanced past the first batch.  The first
-batches and the copies live in the scratch memory: a fresh matrix a block
-went back to the kernel when freed, and the next block faulted it in again.
-Past n = 4096 Zeta draws row by row.  Its later batches, and every batch at
-large n, stream their uniforms into two reused chunk-sized buffers: no array
-is batch-sized, and the values are those of drawing whole batches.  The
-block is sorted row by row in place, and one sort of (row, n - count) keys
-orders each row's counts descending, sample after sample in one array.  One
-call of ``h_sigma_sq``, a segment a sample, gives every replicate's (H_hat,
-sigma_hat^2).  A segment's bits do not depend on where it sits, so they are
-those of the one-sample estimate: neither the CSV nor the oracle's variance
-depends on the blocking.
+and makes the scratch its blocks share (a ``distributions._Workspace``).
+``_replicate_estimates`` runs the replicates of a point, and those of
+``oracles.mc_variance_oracle``, in blocks of max(1, _BLOCK // n), so memory
+does not grow with reps.  The points' replicate states come from one stream
+(``distributions._sweep_states``), seeded in vectorised passes that run across
+consecutive grid points.  The family's ``draw_rows`` (Zeta's tests a whole
+block at once) turns a block of states into an (R, n) matrix whose row r is
+exactly the sample ``draw`` takes from state r; ``_descending_counts`` tallies
+it, and one call of ``h_sigma_sq``, a segment a sample, gives every
+replicate's (H_hat, sigma_hat^2).  A segment's bits do not depend on where it
+sits, so they are those of the one-sample estimate: neither the CSV nor the
+oracle's variance depends on the blocking.
 """
 
 from __future__ import annotations
@@ -119,7 +104,7 @@ def _descending_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _replicate_estimates(dist: AnalyticDistribution, m: int, n: int, reps: int,
-                         states: Iterator[tuple[int, int]],
+                         states: Iterator[np.ndarray],
                          work: _Workspace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each block's (H_hat_m, sigma_hat_m^2) arrays for the next reps PCG64
     states of states (a _sweep_states stream): one kernel call on all the

@@ -17,6 +17,7 @@ at a time.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import numbers
@@ -41,6 +42,9 @@ MAX_SERIES_TERMS = 50_000_000
 _SERIES_TOL = 1e-13
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# A (state, inc, uinteger) that _Workspace's layout probe sets: its words all differ.
+_PROBE = (0x0123456789ABCDEF_FEDCBA9876543210, 0x1111222233334444_5555666677778889, 0xDEADBEEF)
 
 
 class NonConvergenceError(ArithmeticError):
@@ -258,24 +262,48 @@ def riemann_zeta(s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _pcg64_halves(words: list[int], cache: list[int]) -> int:
+    """1 if the probe's readout stores each 128-bit half (lo, hi), -1 if (hi, lo)."""
+    state, inc, uinteger = _PROBE
+    lo_hi = [state & _MASK64, state >> 64, inc & _MASK64, inc >> 64]
+    if cache == [1, uinteger] and words in (lo_hi, lo_hi[1::-1] + lo_hi[:1:-1]):  # or each (hi, lo)
+        return 1 if words == lo_hi else -1
+    raise RuntimeError(f"numpy {np.__version__}: unrecognised PCG64 state layout {words}, {cache}")
+
+
 class _Workspace:
-    """Scratch that every block of one replicate loop shares: the Generator
-    each row's PCG64 state is set into, through one state mapping (a re-set
-    fills in its (state, inc) and assigns it; its zero has_uint32 drops any
-    cached 32-bit half-word), and grow-only float64 memory, which a block
-    carves into contiguous matrices (Zeta's: its rows' first batches of
-    uniforms, and contiguous copies of the u and v its accept test reads)."""
+    """Scratch that every block of one replicate loop shares: a Generator and
+    grow-only float64 memory, which a block carves into contiguous matrices
+    (Zeta's: its rows' first batches of uniforms, and copies of the u and v
+    its accept test reads).
+
+    A state goes straight into numpy's C struct at bit_generator.ctypes.state,
+    pcg64_state {pcg64_random_t *pcg_state; int has_uint32; uint32_t uinteger}:
+    words views *pcg_state, the 128-bit state and increment, as [[state lo,
+    state hi], [inc lo, inc hi]], and cache views has_uint32 and uinteger.
+    Writing words and zeroing cache is the bit_generator.state setter's re-set,
+    without a dict.  A probe set through that setter, a cached half-word
+    included, is read back first: numpy stores each half (lo, hi) with
+    __uint128_t, (hi, lo) where it emulates it (MSVC), and any other layout
+    raises RuntimeError.
+    """
 
     def __init__(self) -> None:
         self.rng = np.random.Generator(np.random.PCG64(0))
-        self.state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1}, "has_uint32": 0, "uinteger": 0}
+        bg, (state, inc, uinteger) = self.rng.bit_generator, _PROBE
+        struct = bg.ctypes.state.value
+        words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(struct).value)
+        cache = (ctypes.c_uint32 * 2).from_address(struct + ctypes.sizeof(ctypes.c_void_p))
+        raw, self.cache = np.ctypeslib.as_array(words), np.ctypeslib.as_array(cache)
+        bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 1, "uinteger": uinteger}
+        self.words = raw.reshape(2, 2)[:, :: _pcg64_halves(raw.tolist(), self.cache.tolist())]
         self._buf = np.empty(0)
 
-    def reset(self, state: tuple[int, int]) -> np.random.Generator:
-        """rng, its PCG64 re-set to a (state, inc) pair."""
-        inner = self.state["state"]
-        inner["state"], inner["inc"] = state
-        self.rng.bit_generator.state = self.state
+    def reset(self, words: np.ndarray) -> np.random.Generator:
+        """rng, its PCG64 re-set to a _sweep_states row, with no cached half-word."""
+        self.words[...] = words
+        self.cache[...] = 0
         return self.rng
 
     def matrices(self, rows: int, *cols: int) -> list[np.ndarray]:
@@ -297,10 +325,11 @@ class AnalyticDistribution:
     """
 
     shannon_clt = True  # whether the plain Shannon plug-in is asymptotically normal
+    zero_sigma = False  # whether sigma_m^2 is exactly 0 at every m: the law is uniform on its support
 
-    def draw_rows(self, n: int, states: list[tuple[int, int]], work: _Workspace) -> np.ndarray:
-        """One sample of n per PCG64 (state, inc) pair, as an (R, n) int64
-        matrix: row r is draw(n, work.rng) with work.rng re-set to states[r].
+    def draw_rows(self, n: int, states: list[np.ndarray], work: _Workspace) -> np.ndarray:
+        """One sample of n per PCG64 state (a _sweep_states row), as an (R, n)
+        int64 matrix: row r is draw(n, work.reset(states[r])).
         A family may also take scratch memory from work, which later blocks
         reuse.  A block of one row is that draw itself, not a copy: at large n
         the copy cost more in page faults than the rest of the tally."""
@@ -382,14 +411,13 @@ class Zeta(AnalyticDistribution):
         test (``_zeta_accept``, shared with ``draw_rows``) runs in place on
         consecutive chunks of the batch, each sized from the remaining need,
         and stops as soon as n values are kept, so the output is the first n
-        acceptances in stream order.  The uniforms are streamed (``_fill``)
-        into two reused chunk-sized buffers, skipping between a batch's u and
-        v, so no batch-sized array is made while the values are those of
-        drawing every whole batch.  Where rng stands afterwards is
-        unspecified, and a 32-bit half-word it held may be dropped.  The skips
-        use ``advance``, so a draw that needs one (any batch larger than a
-        chunk, as at n > 4096) needs a PCG64 generator, as ``draw`` and the
-        coverage engine build; any other raises TypeError there.  Candidates
+        acceptances in stream order.  The uniforms are streamed (``_fill``):
+        no array is batch-sized, and the values are those of drawing every
+        whole batch.  Where rng stands afterwards is unspecified, and a 32-bit
+        half-word it held may be dropped.  The skips use ``advance``, so a
+        draw that needs one (any batch larger than a chunk, as at n > 4096)
+        needs a PCG64 generator, as ``draw`` and the coverage engine build;
+        any other raises TypeError there.  Candidates
         above 2^62 are dropped (inf and nan fail the comparisons too): the
         sampled law is truncated there, losing a tail mass of about
         2^(62(1-s)) / ((s-1) zeta(s)), which matters only for s near 1.
@@ -447,7 +475,7 @@ class Zeta(AnalyticDistribution):
             filled += take
         return filled
 
-    def draw_rows(self, n: int, states: list[tuple[int, int]], work: _Workspace) -> np.ndarray:
+    def draw_rows(self, n: int, states: list[np.ndarray], work: _Workspace) -> np.ndarray:
         """The rows of ``draw``, with one accept test for the whole block.
 
         Each row's first batch (2n candidates, at least 64) is drawn from
@@ -478,9 +506,9 @@ class Zeta(AnalyticDistribution):
         am1 = self.s - 1.0
         width = min(_zeta_chunk(n), batch)
         uv, x, w = work.matrices(len(states), 2 * batch, width, width)
-        bg, inner, random = work.rng.bit_generator, work.state["state"], work.rng.random
-        for row, (inner["state"], inner["inc"]) in zip(uv, states):  # work.reset, inlined
-            bg.state = work.state
+        random, words = work.reset(states[0]).random, work.words  # the cached half-word dropped
+        for row, state in zip(uv, states):  # work.reset, inlined: random caches no half-word
+            words[...] = state
             random(out=row)
         x[...] = uv[:, :width]
         w[...] = uv[:, batch : batch + width]
@@ -590,6 +618,7 @@ class UniformFinite(AnalyticDistribution):
     """Uniform over categories 1..K, for 1 <= K <= 2^53."""
 
     K: int
+    zero_sigma = True
 
     def __post_init__(self) -> None:
         # a bool equals 0 or 1 but is not a count, nor is NaN or inf; the float 1e6 is one
@@ -653,6 +682,10 @@ class CustomFinite(AnalyticDistribution):
     @property
     def size(self) -> int:
         return int(self.probs.size)
+
+    @property
+    def zero_sigma(self) -> bool:
+        return bool(np.all(self.probs[self.probs > 0.0] == self.probs.max()))
 
     def pmf_array(self, ks: np.ndarray) -> np.ndarray:
         out = np.zeros(ks.shape, dtype=np.float64)
@@ -823,28 +856,25 @@ def _pcg64_seed(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> l
     return [hi + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo]
 
 
-def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence(d)) for each d of a uint64 array,
-    in turn.  One vectorised pass gives the words, then the seeding step on
-    uint64 halves; the Python ints, hi << 64 | lo, are joined 1024 at a time
-    in object arrays, so no list of every state is held."""
-    halves = np.stack(_pcg64_seed(*_generate_state(_entropy_pool(*_uint32_words(seeds)), 8)))
-    for start in range(0, seeds.size, 1024):
-        words = halves[:, start : start + 1024].astype(object)
-        yield from zip(*(words[::2] << 64 | words[1::2]).tolist())
+def _pcg64_states(seeds: np.ndarray) -> Iterator[np.ndarray]:
+    """PCG64(SeedSequence(d))'s state for each d of a uint64 array, in turn, as
+    a _Workspace.reset row of uint64 words, [[state lo, state hi], [inc lo,
+    inc hi]], from one vectorised pass of the seeding step on uint64 halves."""
+    hi, lo, inc_hi, inc_lo = _pcg64_seed(*_generate_state(_entropy_pool(*_uint32_words(seeds)), 8))
+    return iter(np.stack((lo, hi, inc_lo, inc_hi), axis=1).reshape(-1, 2, 2))
 
 
 # Replicates whose seeds and PCG64 states are derived in one pass, across the
 # grid points of a sweep.  Seeding has its own block: a block of samples at
 # large n is a single row, and a pass costs a fixed 0.2 ms or so, whatever its
-# size.  The cap bounds the states held at once (about 150 bytes each),
-# whatever the grid or reps.
+# size.  The cap bounds the states held at once (32 bytes each), whatever
+# the grid or reps.
 _SEED_BLOCK = 4096
 
 
-def _sweep_states(masters: Iterable[int], count: int) -> Iterator[tuple[int, int]]:
+def _sweep_states(masters: Iterable[int], count: int) -> Iterator[np.ndarray]:
     """For each master in turn, and r = 0, 1, ..., count - 1 within it, the
-    PCG64 (state, inc) that draw(.., derive_seed(master, r)) seeds.
+    PCG64 state (a _pcg64_states row) that draw(.., derive_seed(master, r)) seeds.
 
     One pass derives _SEED_BLOCK states (the last pass fewer): consecutive
     masters share a pass, and a master's replicates may span passes.  A pass
@@ -866,15 +896,15 @@ def _sweep_states(masters: Iterable[int], count: int) -> Iterator[tuple[int, int
         yield from _pass_states(pools, paths)
 
 
-def _pass_states(pools: list[np.ndarray], paths: list[np.ndarray]) -> Iterator[tuple[int, int]]:
+def _pass_states(pools: list[np.ndarray], paths: list[np.ndarray]) -> Iterator[np.ndarray]:
     """The PCG64 states of replicates paths[i] of the master of pools[i], for each i in turn."""
     pool = np.repeat(np.hstack(pools), [path.size for path in paths], axis=1)
     return _pcg64_states(_derive_seeds(pool, np.concatenate(paths)))
 
 
-def _replicate_states(master: int, count: int) -> Iterator[tuple[int, int]]:
-    """For r = 0, 1, ..., count - 1 in turn, the PCG64 (state, inc) that
-    draw(.., derive_seed(master, r)) seeds."""
+def _replicate_states(master: int, count: int) -> Iterator[np.ndarray]:
+    """For r = 0, 1, ..., count - 1 in turn, the PCG64 state (a _pcg64_states
+    row) that draw(.., derive_seed(master, r)) seeds."""
     return _sweep_states((master,), count)
 
 

@@ -91,6 +91,22 @@ class TestCompute:
         assert code == 0
         assert ("note: sigma_m is 0" in out) is zero
 
+    @pytest.mark.parametrize("spec, zero", [
+        ('{"kind":"zeta","s":600}', False),
+        ('{"kind":"zeta","s":1024}', False),
+        ('{"kind":"uniform","K":4}', True),
+        ('{"kind":"uniform","K":5}', True),
+        ('{"kind":"custom","probs":[0.25,0.25,0.25,0.25]}', True),
+        ('{"kind":"custom","probs":[0.5,0.5,0]}', True),
+    ])
+    def test_zero_variance_note_comes_from_the_law(self, capsys, spec, zero):
+        # sigma_2^2 of Zeta(600) and Zeta(1024) underflows to 0.0, but the law
+        # is not uniform on its support, so no note; a uniform law gets one
+        for command in (["compute"], ["coverage", "--grid", "10:20:10", "--reps", "20", "--seed", "1"]):
+            code, out, err = run(capsys, *command, "--dist", spec, "--m", "2")
+            assert code == 0
+            assert (out + err).count("note: sigma_m is 0") == zero
+
     def test_eps_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--dist", '{"kind":"zeta","s":1.5}', "--eps", "1e-6"])

@@ -34,11 +34,13 @@ from gsentropy import (
 from gsentropy import distributions
 from gsentropy.coverage import _BLOCK
 from gsentropy.distributions import (
+    _PROBE,
     _SEED_BLOCK,
     _Workspace,
     _derive_seeds,
     _master_pool,
     _mul_hi,
+    _pcg64_halves,
     _pcg64_seed,
     _pcg64_states,
     _replicate_states,
@@ -88,6 +90,19 @@ class TestValidation:
         assert gse_analytic(dist, 2) == sigma_sq_true(dist, 2) == 0.0
         assert 0.0 < shannon_entropy(dist) < 1e-300
         assert coverage_experiment(dist, 2, 20, 5, 0.05, 0).reps == 5
+
+    @pytest.mark.parametrize("dist, zero", [
+        (UniformFinite(1), True), (UniformFinite(5), True), (CustomFinite([1.0]), True),
+        (CustomFinite([0.25] * 4), True), (CustomFinite([0.5, 0.5, 0.0]), True), (CustomFinite([1 / 3] * 3), True),
+        (CustomFinite([0.505, 0.495]), False), (CustomFinite([0.5, 0.25, 0.25]), False),
+        (Zeta(1.5), False), (Zeta(1024.0), False), (Geometric(0.3), False),
+    ])
+    def test_zero_sigma_is_uniform_on_the_support(self, dist, zero):
+        # the law says whether sigma_m^2 is exactly 0, so an underflowed
+        # value, as Zeta(1024)'s, is not read as one
+        assert dist.zero_sigma is zero
+        if zero:
+            assert all(sigma_sq_true(dist, m) == 0.0 for m in (1, 2, 3))
 
     def test_geometric_open_interval(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
@@ -553,14 +568,20 @@ def assert_seed_step(rows):
     assert list(zip(*halves)) == [seed_step_in_ints(*row) for row in words.T.tolist()]
 
 
+def pcg64_state(row):
+    """The (state, inc) mapping of a _pcg64_states row of (lo, hi) words."""
+    (state_lo, state_hi), (inc_lo, inc_hi) = row.tolist()
+    return {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
+
+
 class TestBatchedSeeding:
     @settings(derandomize=True)
     @given(master=MASTERS, path=INDICES)
     def test_matches_seed_sequence(self, master, path):
         seeds = _derive_seeds(_master_pool(master), np.array(path, dtype=np.uint64))
         assert seeds.tolist() == [derive_seed(master, r) for r in path]
-        for seed, (state, inc) in zip(seeds.tolist(), _pcg64_states(seeds)):
-            assert np.random.PCG64(np.random.SeedSequence(seed)).state["state"] == {"state": state, "inc": inc}
+        for seed, row in zip(seeds.tolist(), _pcg64_states(seeds)):
+            assert np.random.PCG64(np.random.SeedSequence(seed)).state["state"] == pcg64_state(row)
 
     def test_seeding_step_at_every_carry(self):
         assert_seed_step(list(itertools.product(EDGE_WORDS, repeat=4)))
@@ -580,13 +601,17 @@ class TestBatchedSeeding:
         count = _SEED_BLOCK + 5  # past the first block of derived states
         work = _Workspace()
         for r, state in enumerate(_replicate_states(2022, count)):
+            # a cached 32-bit half-word: the re-set must drop it, as the
+            # state setter does, so the whole mapping is numpy's own
+            while not work.rng.bit_generator.state["has_uint32"]:
+                work.rng.integers(0, 1000, dtype=np.uint32)
             expected = np.random.PCG64(np.random.SeedSequence(derive_seed(2022, r))).state
             assert work.reset(state).bit_generator.state == expected
         assert r == count - 1
         # draw seeds of no and one 32-bit word are hashed as zero-padded
         for seed in (0, 7, 2**32 - 1):
-            (state, inc), = _pcg64_states(np.array([seed], dtype=np.uint64))
-            assert np.random.PCG64(np.random.SeedSequence(seed)).state["state"] == {"state": state, "inc": inc}
+            row, = _pcg64_states(np.array([seed], dtype=np.uint64))
+            assert np.random.PCG64(np.random.SeedSequence(seed)).state["state"] == pcg64_state(row)
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES)
     def test_family_draws_are_unchanged(self, dist):
@@ -615,11 +640,46 @@ class TestBatchedSeeding:
         full, rest = divmod(len(masters) * reps, _SEED_BLOCK)
         assert passes == [_SEED_BLOCK] * full + ([rest] if rest else [])
         for i, master in enumerate(masters):
-            states = grouped[i * reps : (i + 1) * reps]
-            assert states == list(_replicate_states(master, reps))
+            states = np.stack(grouped[i * reps : (i + 1) * reps])
+            assert states.tolist() == np.stack(list(_replicate_states(master, reps))).tolist()
             for r in {0, reps - 1}:
                 expected = np.random.PCG64(np.random.SeedSequence(derive_seed(master, r))).state["state"]
-                assert expected == dict(zip(("state", "inc"), states[r]))
+                assert expected == pcg64_state(states[r])
+
+
+class TestStateLayoutProbe:
+    # A workspace writes each row's state straight into PCG64's C struct,
+    # in the layout a probe through the state setter read back.  Readouts of
+    # numpy's two layouts are made up here, and nothing is written.
+    STATE, INC, UINTEGER = _PROBE
+
+    def readout(self, state_step, inc_step):
+        """The probe's four words, a half stored (lo, hi) at step 1, (hi, lo) at -1."""
+        state, inc = [self.STATE & MASK64, self.STATE >> 64], [self.INC & MASK64, self.INC >> 64]
+        return state[::state_step] + inc[::inc_step]
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["lo-hi", "hi-lo"])
+    def test_numpy_layouts_are_read(self, step):
+        assert _pcg64_halves(self.readout(step, step), [1, self.UINTEGER]) == step
+
+    @pytest.mark.parametrize("words, cache", [
+        ("lo-hi, hi-lo", [1, UINTEGER]),
+        ("hi-lo, lo-hi", [1, UINTEGER]),
+        ("inc first", [1, UINTEGER]),
+        ("lo-hi", [0, UINTEGER]),
+        ("hi-lo", [1, 0]),
+        ("lo-hi", [UINTEGER, 1]),
+    ])
+    def test_any_other_readout_raises(self, words, cache):
+        readout = {"lo-hi": self.readout(1, 1), "hi-lo": self.readout(-1, -1),
+                   "lo-hi, hi-lo": self.readout(1, -1), "hi-lo, lo-hi": self.readout(-1, 1),
+                   "inc first": self.readout(1, 1)[2:] + self.readout(1, 1)[:2]}[words]
+        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)}: unrecognised PCG64"):
+            _pcg64_halves(readout, cache)
+
+    def test_every_probe_word_differs(self):
+        state, inc = self.readout(1, 1)[:2], self.readout(1, 1)[2:]
+        assert len({*state, *inc}) == 4 and self.UINTEGER not in (0, 1)
 
 
 def block_draw(dist, n, master, rows):
