@@ -6,22 +6,10 @@ zero-width degenerate interval counts as a hit only on exact containment).
 Replicate r of an experiment uses the derived seed (seed, r) and a sweep
 derives each grid point's seed from (seed, n), so every point is a
 deterministic function of its own seed, whatever ran before it, and fresh
-samples are drawn at every n.
-
-``_coverage`` runs the points of one call, a lone experiment or a sweep's grid,
-after it checks the arguments, takes the normal quantile and the exact entropy,
-and makes the scratch its blocks share (a ``distributions._Workspace``).
-``_replicate_estimates`` runs the replicates of a point, and those of
-``oracles.mc_variance_oracle``, in blocks of max(1, _BLOCK // n), so memory
-does not grow with reps.  The points' replicate states come from one stream
-(``distributions._sweep_states``), seeded in vectorised passes that run across
-consecutive grid points.  The family's ``draw_rows`` (Zeta's tests a whole
-block at once) turns a block of states into an (R, n) matrix whose row r is
-exactly the sample ``draw`` takes from state r; ``_descending_counts`` tallies
-it, and one call of ``h_sigma_sq``, a segment a sample, gives every
-replicate's (H_hat, sigma_hat^2).  A segment's bits do not depend on where it
-sits, so they are those of the one-sample estimate: neither the CSV nor the
-oracle's variance depends on the blocking.
+samples are drawn at every n.  ``_coverage`` runs the points of one call and
+``_replicate_estimates`` their replicates, in blocks, from the states of
+``distributions._sweep_states``, through the family's ``draw_rows``,
+``_descending_counts`` and ``distributions.h_sigma_sq``.
 """
 
 from __future__ import annotations
@@ -108,7 +96,9 @@ def _replicate_estimates(dist: AnalyticDistribution, m: int, n: int, reps: int,
                          work: _Workspace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each block's (H_hat_m, sigma_hat_m^2) arrays for the next reps PCG64
     states of states (a _sweep_states stream): one kernel call on all the
-    block's proportions, a segment per replicate."""
+    block's proportions, a segment per replicate.  A segment's bits do not
+    depend on where it sits, so each estimate has the bits of its sample
+    estimated alone, whatever the blocking."""
     rows = max(1, _BLOCK // n)
     for start in range(0, reps, rows):
         block = [next(states) for _ in range(min(rows, reps - start))]
@@ -122,8 +112,10 @@ def _coverage(dist: AnalyticDistribution, m: int, points: Iterable[tuple[int, in
               alpha: float) -> tuple[float, tuple[CoveragePoint, ...]]:
     """(exact H_m, the CoveragePoint of each validated (n, seed) point): the
     arguments checked, the quantile and H_m taken, and the workspace made, once;
-    the points' replicate states come from one stream of seeding passes."""
+    the points' replicate states come from one _sweep_states stream."""
     reps = _count(reps, "replicate count reps", 1)
+    if reps >= 2**64:  # derive_seed keys replicate r by r mod 2^64
+        raise ValueError(f"replicate count reps must be below 2**64, got {reps}")
     m = _check_order(m)
     z = _two_sided_z(alpha)
     truth = gse_analytic(dist, m)

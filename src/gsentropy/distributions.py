@@ -1,18 +1,13 @@
 """Discrete source distributions over the positive integers.
 
-Four families share the base class ``AnalyticDistribution``: Zeta (heavy
-tailed, infinite support), Geometric (light tailed, infinite support),
-UniformFinite, and CustomFinite (an explicit probability vector).  Each
-family class owns its pmf, seeded draws, exact H_m (with the number of
-series terms it sums) and sigma_m^2, and JSON config; the module functions
-validate, then delegate.  The shifted log-weight pass behind H_m and
-sigma_m^2 of every explicit pmf, ``collision_log_weights``, takes one pmf,
-or many laid end to end as segments of one array, and gives a segment the
-same bits either way.  Everything here is pure: a distribution object is
-an immutable value, and sampling is a deterministic function of
-(distribution, n, seed); the batched seeding beside ``derive_seed``
-reproduces, for many replicates at once, the streams that ``draw`` seeds one
-at a time.
+Four families share the base class ``AnalyticDistribution``: Zeta, Geometric,
+UniformFinite and CustomFinite (an explicit probability vector).  Each owns
+its pmf, seeded draws, exact H_m and sigma_m^2, and JSON config; the module
+functions validate, then delegate.  A distribution is an immutable value, and
+sampling is a deterministic function of (distribution, n, seed).  Also here:
+the segment kernel ``collision_log_weights``, and the coverage engine's
+seeding (``_sweep_states``), scratch (``_Workspace``) and block draws
+(``draw_rows``).
 """
 
 from __future__ import annotations
@@ -48,12 +43,9 @@ _PROBE = (0x0123456789ABCDEF_FEDCBA9876543210, 0x1111222233334444_55556666777788
 
 
 class NonConvergenceError(ArithmeticError):
-    """A required series cannot be evaluated to tolerance.
-
-    Raised instead of silently returning a large or truncated number, both
-    for genuinely divergent series and for series whose certified truncation
-    point exceeds the term budget.
-    """
+    """A required series cannot be evaluated to tolerance: raised instead of
+    silently returning a large or truncated number, both for divergent series
+    and for series whose certified truncation point exceeds the term budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +148,8 @@ def collision_log_weights(p: np.ndarray, m: int | np.ndarray,
     (default: p is one segment), and H_m and ln sum p^m hold one value each.
     m is one order, or an array of one order per element of p.
 
-    Shifting w = m ln p by its segment maximum means nothing underflows, and
+    Shifting w = m ln p by its segment maximum keeps orders up to at least
+    m = 10 and probabilities down to 1e-300 from underflowing, and
     H_m = ln W - sum q w keeps uniform inputs exactly at ln K.  Every sum and
     max is a reduceat over the segment alone, so a segment's values have the
     same bits wherever it sits in p, and no BLAS call sets their order."""
@@ -273,9 +266,8 @@ def _pcg64_halves(words: list[int], cache: list[int]) -> int:
 
 class _Workspace:
     """Scratch that every block of one replicate loop shares: a Generator and
-    grow-only float64 memory, which a block carves into contiguous matrices
-    (Zeta's: its rows' first batches of uniforms, and copies of the u and v
-    its accept test reads).
+    grow-only float64 memory, which a block carves into contiguous matrices,
+    so that no block faults fresh pages in again.
 
     A state goes straight into numpy's C struct at bit_generator.ctypes.state,
     pcg64_state {pcg64_random_t *pcg_state; int has_uint32; uint32_t uinteger}:
@@ -319,10 +311,8 @@ class _Workspace:
 class AnalyticDistribution:
     """Base of the families.  Each implements, for validated arguments,
     pmf_array(int64 ks), draw(n, rng), h_m(m) -> (H_m, series terms),
-    sigma_sq(m) and config().  Finite laws override finite_pmf.
-    draw_rows, a block of seeded draws, stacks draw unless the family has a
-    faster way to the same rows.
-    """
+    sigma_sq(m) and config().  Finite laws override finite_pmf, and a family
+    with a faster way to draw_rows' rows overrides it."""
 
     shannon_clt = True  # whether the plain Shannon plug-in is asymptotically normal
     zero_sigma = False  # whether sigma_m^2 is exactly 0 at every m: the law is uniform on its support
@@ -401,42 +391,35 @@ class Zeta(AnalyticDistribution):
         return ks.astype(np.float64) ** (-self.s) / riemann_zeta(self.s)
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Rejection sampler with a Zipf-type envelope.
+        """Rejection sampler with a Zipf-type envelope: the first n candidates
+        ``_zeta_accept`` keeps, in the stream order of ``_fill``'s batches.
 
         Inverse-CDF tables are infeasible here: the tail P(X > k) ~ c k^{1-s}
-        decays too slowly to truncate at machine precision.
-
-        Each batch takes uniforms for 2 * (values still needed) candidates,
-        at least 64, all its u then all its v from rng's stream.  The accept
-        test (``_zeta_accept``, shared with ``draw_rows``) runs in place on
-        consecutive chunks of the batch, each sized from the remaining need,
-        and stops as soon as n values are kept, so the output is the first n
-        acceptances in stream order.  The uniforms are streamed (``_fill``):
-        no array is batch-sized, and the values are those of drawing every
-        whole batch.  Where rng stands afterwards is unspecified, and a 32-bit
-        half-word it held may be dropped.  The skips use ``advance``, so a
-        draw that needs one (any batch larger than a chunk, as at n > 4096)
-        needs a PCG64 generator, as ``draw`` and the coverage engine build;
-        any other raises TypeError there.  Candidates
-        above 2^62 are dropped (inf and nan fail the comparisons too): the
-        sampled law is truncated there, losing a tail mass of about
+        decays too slowly to truncate at machine precision.  Candidates above
+        2^62 are dropped (inf and nan fail the comparisons too): the sampled
+        law is truncated there, losing a tail mass of about
         2^(62(1-s)) / ((s-1) zeta(s)), which matters only for s near 1.
+        Where rng stands afterwards is unspecified, and a 32-bit half-word it
+        held may be dropped.  A batch larger than one chunk (as at n > 4096)
+        is streamed with ``advance``, so it needs a PCG64 generator, as
+        ``draw`` and the coverage engine build; any other raises TypeError.
         """
         out = np.empty(n, dtype=np.int64)
         self._fill(out, 0, rng)
         return out
 
     def _fill(self, out: np.ndarray, filled: int, rng: np.random.Generator) -> None:
-        """Fill out[filled:] with the acceptances of rng's next batches,
-        streamed through two reused chunk-sized buffers.
+        """Fill out[filled:] with the acceptances of rng's next batches.
 
-        Each batch is read at two cursors a batch apart.  A fill takes the
-        rest of the batch if it fits the buffers, else one accept-test chunk:
-        rng draws its u, advances to its v and draws them; a later fill of
+        A batch is 2 * (values still needed) candidates, at least 64: all its
+        u, then all its v, from rng's stream, tested chunk by chunk
+        (``_accept_into``) until out is full.  It is streamed through two
+        reused chunk-sized buffers, read at two cursors a batch apart: a fill
+        takes the rest of the batch if it fits the buffers, else one chunk,
+        drawing its u, advancing to its v and drawing them; a later fill of
         the batch first steps back to its u by advancing the period 2^128
-        less the batch.  A batch that fits the buffers whole takes one fill
-        and no advance.  The values are those of drawing whole batches; where
-        rng ends is not.
+        less the batch.  The values are those of drawing and testing whole
+        batches; where rng ends is not.
         """
         u, v = np.empty(_ZETA_CHUNK), np.empty(_ZETA_CHUNK)
         bg = rng.bit_generator
@@ -478,27 +461,19 @@ class Zeta(AnalyticDistribution):
     def draw_rows(self, n: int, states: list[np.ndarray], work: _Workspace) -> np.ndarray:
         """The rows of ``draw``, with one accept test for the whole block.
 
-        Each row's first batch (2n candidates, at least 64) is drawn from
-        work.rng, re-set to the row's state, into its row of one (R, 2 batch)
-        matrix uv, u then v, as ``draw`` draws it.  The first chunk ``draw``
-        would test of every row, its u and its v, is copied into two
-        contiguous (R, width) matrices, x and w, and the accept test runs once
-        on them: on the strided column slices of uv it took nearly twice as
-        long, and x's candidates are gathered through a view, not a copy.
-        Each element's result depends on its own u and v alone, so the copy
-        moves no bit.  A row with n acceptances in its chunk keeps its first
-        n.  A row left short (often near s = 1, where candidates above 2^62
-        are dropped) goes on as ``draw`` goes on: through the rest of its
-        batch, read from uv, then through the later batches of its own stream
-        (re-set to its state and advanced past the first batch), which
-        ``_fill`` draws into its reused chunk-sized buffers.  Rows whose batch
-        is larger than one chunk (few to a block) are drawn one by one, each
-        streamed by ``draw``: for them, picking rows out of the block cost
-        more than the per-call overhead it saved.  uv, x and w are views of
-        work's memory, which every block of a coverage call shares: a fresh
-        matrix a block went back to the kernel when freed, and the next block
-        faulted it in again.  Each is written whole before it is read, so no
-        value comes from an earlier block.
+        Each row's first batch (2n candidates, at least 64) is drawn, u then
+        v, from work.rng re-set to the row's state, into its row of an
+        (R, 2 batch) matrix uv.  The first chunk ``draw`` would test of every
+        row, its u and its v, is copied into contiguous (R, width) matrices x
+        and w, and the accept test runs once on them (on uv's strided slices
+        it took nearly twice as long); each result reads only its own u and v,
+        so the copy moves no bit.  A row with n acceptances there keeps its
+        first n.  A row left short (often near s = 1) goes on as ``draw``
+        does: through the rest of its batch in uv, then through its own
+        stream, re-set and advanced past the first batch, by ``_fill``.  Rows
+        whose batch exceeds one chunk are drawn one by one by ``draw``: picking
+        them out of a block cost more than it saved.  uv, x and w are views of
+        work's memory, each written whole before it is read.
         """
         batch = max(2 * n, 64)
         if batch > _ZETA_CHUNK:
@@ -738,12 +713,9 @@ def truncation_index(dist: AnalyticDistribution, m: int) -> int:
 
 
 def derive_seed(master: int, *path: int) -> int:
-    """Counter-based split of a master seed.
-
-    Deterministic function of (master, path); used to give replicates and
-    grid points independent streams whose values do not depend on execution
-    order.
-    """
+    """Counter-based split of a master seed: a deterministic function of
+    (master, path) that gives replicates and grid points independent streams
+    whose values do not depend on execution order."""
     ss = np.random.SeedSequence(entropy=operator.index(master) & _MASK64,
                                 spawn_key=tuple(int(p) & _MASK64 for p in path))
     return int(ss.generate_state(1, np.uint64)[0])
@@ -858,17 +830,14 @@ def _pcg64_seed(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> l
 
 def _pcg64_states(seeds: np.ndarray) -> Iterator[np.ndarray]:
     """PCG64(SeedSequence(d))'s state for each d of a uint64 array, in turn, as
-    a _Workspace.reset row of uint64 words, [[state lo, state hi], [inc lo,
-    inc hi]], from one vectorised pass of the seeding step on uint64 halves."""
+    a _Workspace.reset row, [[state lo, state hi], [inc lo, inc hi]]."""
     hi, lo, inc_hi, inc_lo = _pcg64_seed(*_generate_state(_entropy_pool(*_uint32_words(seeds)), 8))
     return iter(np.stack((lo, hi, inc_lo, inc_hi), axis=1).reshape(-1, 2, 2))
 
 
-# Replicates whose seeds and PCG64 states are derived in one pass, across the
-# grid points of a sweep.  Seeding has its own block: a block of samples at
-# large n is a single row, and a pass costs a fixed 0.2 ms or so, whatever its
-# size.  The cap bounds the states held at once (32 bytes each), whatever
-# the grid or reps.
+# States in one _sweep_states pass, apart from the sample blocks (one row each
+# at large n): a pass costs a fixed 0.2 ms or so whatever its size, and the
+# cap bounds the states held at once (32 bytes each) whatever the grid or reps.
 _SEED_BLOCK = 4096
 
 
@@ -876,35 +845,19 @@ def _sweep_states(masters: Iterable[int], count: int) -> Iterator[np.ndarray]:
     """For each master in turn, and r = 0, 1, ..., count - 1 within it, the
     PCG64 state (a _pcg64_states row) that draw(.., derive_seed(master, r)) seeds.
 
-    One pass derives _SEED_BLOCK states (the last pass fewer): consecutive
-    masters share a pass, and a master's replicates may span passes.  A pass
-    is derived when it is full or the masters run out, so masters are drawn
-    from the iterable only as the passes reach them."""
-    pools, paths, room = [], [], _SEED_BLOCK
-    for master in masters:
-        pool, start = _master_pool(master), 0
-        while start < count:
-            stop = min(count, start + room)
-            pools.append(pool)
-            paths.append(np.arange(start, stop, dtype=np.uint64))
-            room -= stop - start
-            start = stop
-            if not room:
-                yield from _pass_states(pools, paths)
-                pools, paths, room = [], [], _SEED_BLOCK
-    if paths:
-        yield from _pass_states(pools, paths)
-
-
-def _pass_states(pools: list[np.ndarray], paths: list[np.ndarray]) -> Iterator[np.ndarray]:
-    """The PCG64 states of replicates paths[i] of the master of pools[i], for each i in turn."""
-    pool = np.repeat(np.hstack(pools), [path.size for path in paths], axis=1)
-    return _pcg64_states(_derive_seeds(pool, np.concatenate(paths)))
+    One pass derives the states of a _SEED_BLOCK slice of the flat (master,
+    r) index (the last slice fewer), so consecutive masters share a pass and
+    a master's replicates may span passes.  The index is uint64, so every r
+    of a count below 2^64 is exact."""
+    pools = np.hstack([_master_pool(master) for master in masters])
+    total = pools.shape[1] * count
+    for start in range(0, total, _SEED_BLOCK):
+        point, path = np.divmod(np.arange(start, min(start + _SEED_BLOCK, total), dtype=np.uint64), count)
+        yield from _pcg64_states(_derive_seeds(pools.take(point, axis=1), path))
 
 
 def _replicate_states(master: int, count: int) -> Iterator[np.ndarray]:
-    """For r = 0, 1, ..., count - 1 in turn, the PCG64 state (a _pcg64_states
-    row) that draw(.., derive_seed(master, r)) seeds."""
+    """The _sweep_states of one master."""
     return _sweep_states((master,), count)
 
 

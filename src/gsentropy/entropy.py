@@ -3,13 +3,9 @@
 Conditioning an iid m-tuple on the event that all m draws collide induces
 the distribution q_k = p_k^m / sum_i p_i^m.  Its Shannon entropy (the
 order-m generalized entropy) is finite for every distribution once m >= 2,
-which is the whole point: plain Shannon entropy is not.
-
-Explicit pmfs go through the shared log-weight pass in ``distributions``,
-whose exponent shift keeps orders up to at least m = 10 and probabilities
-down to 1e-300 from underflowing and keeps uniform inputs exactly at ln K.
-Analytic distributions supply their own H_m: the functions here validate the
-order, then delegate to the family.
+which is the whole point: plain Shannon entropy is not.  Explicit pmfs go
+through ``distributions.collision_log_weights``, and analytic distributions
+supply their own H_m: the functions here validate the order, then delegate.
 """
 
 from __future__ import annotations
@@ -55,11 +51,7 @@ def cdotc(pmf, m: int) -> CdotcPmf:
 
 
 def gse(pmf, m: int) -> float:
-    """Order-m generalized entropy -sum q_k ln q_k of a finite pmf.
-
-    Uses the identity H = ln W - sum q_k w_k with shifted weights w, which
-    keeps uniform inputs exactly at ln K and never underflows.
-    """
+    """Order-m generalized entropy -sum q_k ln q_k of a finite pmf."""
     return as_pmf(pmf).h_m(_check_order(m))[0]
 
 

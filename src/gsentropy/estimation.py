@@ -9,18 +9,12 @@ method with the multinomial covariance:
 
 Equivalently sigma_m^2 = sum_k (m^2 / p_k) (q_k ln q_k + q_k H_m)^2: the
 m^2/p_k factor belongs outside the square in the per-term weight, not
-inside it.  The inside-the-square variant (sigma_sq_literal) is kept purely
-as a diagnostic; it fails the classical m=1 cross-check
-
-    sigma_1^2 = sum p_k ln^2 p_k - H^2
-
-while the form above reduces to it exactly.  A sample enters only through
-its counts, summed in descending-count order (tied counts carry equal terms),
-so which category carries which count never changes a bit of the result.
-
-H_m and sigma_m^2 of an explicit or empirical pmf come from the shared
-log-weight pass in ``distributions``; an analytic distribution supplies its
-own exact sigma_m^2.  Interval quantiles are the stdlib's ``NormalDist``.
+inside it, where the diagnostic ``sigma_sq_literal`` puts it.  A sample enters
+only through its counts, summed in descending-count order (tied counts carry
+equal terms), so which category carries which count never changes a bit of
+the result.  H_m and sigma_m^2 of a pmf come from ``distributions.h_sigma_sq``,
+an analytic law's exact sigma_m^2 from its family, and quantiles from the
+stdlib's ``NormalDist``.
 """
 
 from __future__ import annotations
@@ -108,8 +102,9 @@ def sigma_sq_literal(pmf, m: int) -> float:
     """Diagnostic only: the per-term weight m^2/p_k moved inside the square.
 
     Disagrees with the delta-method variance on every non-uniform pmf and
-    diverges from the classical formula at m = 1; kept so the discrepancy
-    can be demonstrated, never used for inference.
+    fails the classical m = 1 cross-check sigma_1^2 = sum p_k ln^2 p_k - H^2,
+    which the delta-method form meets exactly; kept so the discrepancy can be
+    demonstrated, never used for inference.
     """
     pmf = as_pmf(pmf)
     m = _check_order(m)

@@ -562,6 +562,14 @@ class TestCoverage:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_reps_of_2_to_the_64_is_usage_error(self, capsys):
+        # derive_seed keys replicate r by r mod 2^64: a larger count would
+        # repeat streams, and it once started a run that never ended
+        code, out, err = run(capsys, "coverage", "--dist", '{"kind":"zeta","s":1.5}',
+                             "--grid", "10:20:10", "--reps", str(2**64))
+        assert code == 2 and out == ""
+        assert err == f"error: replicate count reps must be below 2**64, got {2**64}\n"
+
     def test_memory_error_without_a_message_is_named(self, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError

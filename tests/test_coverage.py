@@ -234,13 +234,16 @@ class TestSharedWorkspace:
         assert [(h.tobytes(), s.tobytes()) for h, s in reused] == \
             [(h.tobytes(), s.tobytes()) for h, s in fresh]
 
-    @pytest.mark.parametrize("dist, n", [(d, n) for d, n, _ in POINTS],
-                             ids=["-".join(map(str, [*d.config().values(), n])) for d, n, _ in POINTS])
-    def test_every_sweep_point_is_the_lone_experiment(self, dist, n):
+    @pytest.mark.parametrize("dist, grid, reps",
+                             [(d, [n // 2, n], 400) for d, n, _ in POINTS] + [(Zeta(1.5), [10, 20, 30], 1500)],
+                             ids=["-".join(map(str, [*d.config().values(), n])) for d, n, _ in POINTS]
+                             + ["zeta-1.5-10-20-30-across-passes"])
+    def test_every_sweep_point_is_the_lone_experiment(self, dist, grid, reps):
         # the point at n // 2 leaves a Zeta block at least as large as the one
-        # at n needs, so the point at n runs in what it left
-        result = coverage_sweep(dist, 2, [n // 2, n], reps=400, alpha=0.05, seed=29)
-        assert list(result.points) == [coverage_experiment(dist, 2, p.n, 400, 0.05, p.seed)
+        # at n needs, so the point at n runs in what it left.  At 1,500 reps
+        # the first seeding pass of 4,096 states ends at replicate 1,096 of n = 30
+        result = coverage_sweep(dist, 2, grid, reps=reps, alpha=0.05, seed=29)
+        assert list(result.points) == [coverage_experiment(dist, 2, p.n, reps, 0.05, p.seed)
                                        for p in result.points]
 
     def test_every_zeta_block_of_a_sweep_is_drawn_into_one_workspace(self, monkeypatch):
@@ -365,6 +368,7 @@ class TestOneSetUpPerCall:
 
     @pytest.mark.parametrize("reps, alpha, message", [
         (0, 0.05, "replicate count reps must be an integer >= 1, got 0"),
+        (2**64, 0.05, "replicate count reps must be below 2**64, got 18446744073709551616"),
         (10, 1.5, "alpha must lie in (0, 1), got 1.5"),
     ])
     def test_bad_reps_or_alpha_are_refused_before_the_exact_entropy(self, monkeypatch, reps, alpha, message):

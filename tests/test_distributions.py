@@ -646,6 +646,12 @@ class TestBatchedSeeding:
                 expected = np.random.PCG64(np.random.SeedSequence(derive_seed(master, r))).state["state"]
                 assert expected == pcg64_state(states[r])
 
+    @pytest.mark.parametrize("states", [lambda: _replicate_states(1, 2**64 - 1), lambda: _sweep_states([1, 2], 2**63)],
+                             ids=["one-point", "two-points"])
+    def test_counts_below_2_to_the_64_seed_their_first_replicate(self, states):
+        # the flat (master, r) index is uint64: an int64 index overflows at these counts
+        assert next(states()).tolist() == next(_replicate_states(1, 1)).tolist()
+
 
 class TestStateLayoutProbe:
     # A workspace writes each row's state straight into PCG64's C struct,

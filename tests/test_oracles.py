@@ -340,6 +340,7 @@ class TestMcVarianceOracle:
         (100, True, "reps must be an integer"),
         (100, 0, "reps must be an integer >= 1"),
         (100, 99, "at least 100 replicates"),
+        (100, 2**64, r"reps must be below 2\*\*64"),
         (0, 150, "n must be an integer >= 1"),
         (2.5, 150, "n must be an integer"),
         ("100", 150, "n must be an integer"),
