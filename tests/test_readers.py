@@ -9,16 +9,26 @@ whitespace-only lines, labels with Unicode whitespace that strips but does
 not end a line, duplicate labels, odd counts and quoted fields, invalid
 UTF-8, and filler that carries a line (and a CRLF pair) across the 8 KiB and
 64 KiB marks.  The runs are derandomized, so every run tries the same files.
+The counts-CSV examples also put each exit from ``read_counts_csv``'s block
+pass after a first block of plain rows it has already counted.
 """
 
 import csv
 import io
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from contextlib import suppress
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsentropy import read_counts_csv, read_raw_labels
+from gsentropy.cli import main
 
 from _reference import read_counts_csv_rows, read_raw_labels_lines
 
@@ -127,6 +137,12 @@ def test_read_raw_labels_matches_line_by_line(tmp_path_factory, data):
     _agree(tmp_path_factory.mktemp("raw"), data, read_raw_labels, read_raw_labels_lines)
 
 
+# A header and more than 64 KiB of plain rows, each label new: the block pass
+# counts a whole first block of them before it meets what follows
+_PLAIN = b"category,count\n" + "".join(f"r{i},{i % 5 + 1}\n" for i in range(9000)).encode()
+_PAST_LIMIT = csv.field_size_limit() + 1
+
+
 @DIFF
 @given(_files(_csv_body))
 @example(b'category,count\n"a,b",2\n"c\r\nd",3\n  a,b ,1\n')
@@ -135,6 +151,28 @@ def test_read_raw_labels_matches_line_by_line(tmp_path_factory, data):
 @example(b"category,count\n\n \na,1,2\n")
 @example(BOM.encode() + b"category,count\na,1\n\xff,2\n")
 @example(b"category,count\na,1\n\xe2\x82")
+@example(b"category,count\na,0\nb,1\na,2\nb,0\n")  # zero counts and labels that repeat
+@example(b"category,count\na,0\nb,1\n")  # a zero count among distinct labels
+@example("category,count\n a ,1\na\u3000,2\n".encode())  # labels that strip alike
+@example(_PLAIN + b"r0,5\n")  # a label met again in a later block
+@example(b"count,category\n" + _PLAIN[15:])  # an unusable header over plain rows
+@example(b"category" + b" " * _PAST_LIMIT + b",count\nz,1\n")  # a header field past the limit
+@example(_PLAIN + b'"a,b",2\n')  # the block pass's exits, each past a first block of
+@example(_PLAIN + b"a,1\r\nb,2\n")  # plain rows: a quoted field, a CRLF line,
+@example(_PLAIN + b"a\rb,1\n")  # a CR inside a line,
+@example(_PLAIN + b"a\0b,1\n")  # a NUL,
+@example(_PLAIN + b"\nb,2\n")  # a blank line,
+@example(_PLAIN + b"a,1,2\n")  # three columns,
+@example(_PLAIN + b"5\n6,7,8\n")  # one column balanced by three,
+@example(_PLAIN + b"a, 7\n")  # a space-padded count,
+@example(_PLAIN + b"a,\n")  # an empty count,
+@example(_PLAIN + b"a,1_000\n")  # a count int() takes but the row loop does not,
+@example(_PLAIN + b"a," + b"1" * 20 + b"\n")  # a count of 20 digits,
+@example(_PLAIN + b"x" * _PAST_LIMIT + b",1\n")  # a label past csv.field_size_limit(),
+@example(_PLAIN + b"a,1")  # a last line without a line end,
+@example(BOM.encode() + _PLAIN + b'"a",1\n')  # a byte-order mark before a late quote,
+@example(_PLAIN + b"a," + b"9" * 5000 + b"\n\xff\n")  # a bad byte in the 8 KiB of a long count,
+@example(_PLAIN + b"a,1_000\n" + b"z,1\n" * 3000 + b"\xff\n")  # and in a later 8 KiB of the block
 def test_read_counts_csv_matches_row_by_row(tmp_path_factory, data):
     _agree(tmp_path_factory.mktemp("csv"), data, read_counts_csv, read_counts_csv_rows)
 
@@ -152,3 +190,80 @@ def test_raw_memory_grows_with_labels_not_lines(tmp_path):
         tracemalloc.stop()
     assert counts.counts.tolist() == [50_000] * 4
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("count, outcome", [
+    ("9" * 5000, "count of 5000 digits does not fit in int64"),
+    ("-" + "1" * 20, "count of 20 digits does not fit in int64"),
+    ("0" * 5000 + "7", 7),
+    (" +" + "0" * 5000 + "7 ", 7),
+])
+def test_count_past_19_digits_is_named_by_its_row(tmp_path, count, outcome):
+    # int() refuses a field of more than sys.get_int_max_str_digits() digits,
+    # zero padding included; no count past 19 significant digits fits in int64
+    path = tmp_path / "counts.csv"
+    path.write_text(f"category,count\na,1\nb,{count}\n", encoding="utf-8")
+    for reader in (read_counts_csv, read_counts_csv_rows):
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError) as exc:
+                reader(path)
+            assert str(exc.value) == f"{path}:3: {outcome}"
+        else:
+            counts, labels = reader(path)
+            assert dict(zip(labels, counts.counts.tolist())) == {"a": 1, "b": outcome}
+
+
+def test_gse_estimate_names_the_row_of_a_long_count(tmp_path, capsys):
+    path = tmp_path / "counts.csv"
+    path.write_text("category,count\na,1\nb," + "9" * 5000 + "\n", encoding="utf-8")
+    assert main(["estimate", "--data", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:3: count of 5000 digits does not fit in int64\n"
+
+
+def test_counts_csv_memory_grows_with_labels_not_rows(tmp_path):
+    # 2e5 rows over 4 labels, 2 MB of text; reading it whole and splitting
+    # it holds every row's fields at once, a traced peak of tens of MiB
+    path = tmp_path / "counts.csv"
+    path.write_text("category,count\n" + "".join(f"label-{i % 4},1\n" for i in range(200_000)),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        counts, _ = read_counts_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.counts.tolist() == [50_000] * 4
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("data", [_PLAIN, _PLAIN + b'"a,b",2\n'], ids=["plain", "late-quote"])
+def test_counts_csv_from_a_pipe_reads_as_from_a_file(tmp_path, data):
+    # a pipe cannot seek, so the rows go straight to the row loop
+    regular, fifo = tmp_path / "counts.csv", tmp_path / "counts.fifo"
+    regular.write_bytes(data)
+    os.mkfifo(fifo)
+
+    def write():
+        with suppress(BrokenPipeError), open(fifo, "wb") as out:
+            out.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        assert _outcome(read_counts_csv, fifo) == _outcome(read_counts_csv, regular)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+def test_gse_estimate_reads_rows_piped_to_dev_stdin(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(_PLAIN)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "gsentropy", "estimate", "--format", "json", "--data"]
+    piped = subprocess.run([*argv, "/dev/stdin"], input=_PLAIN, capture_output=True, env=env, timeout=120)
+    direct = subprocess.run([*argv, str(path)], capture_output=True, env=env, timeout=120)
+    assert piped.returncode == direct.returncode == 0, piped.stderr
+    assert piped.stdout == direct.stdout
