@@ -20,15 +20,17 @@ stdlib's ``NormalDist``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from statistics import NormalDist
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -172,8 +174,8 @@ COUNTS_HEADER = ("category", "count")
 _SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
 # Characters a raw-label block holds: the 8 KiB a text-mode file decodes at a time
 _RAW_BLOCK = 8192
-# A line not `label,digits`: searched for, as a match of every line keeps a frame per line
-_ODD_LINE = re.compile(r'\n(?![^,\n"\r\0]*,[0-9]{1,19}(?:\n|\Z))')
+# A line not `label,digits` ending LF or CRLF (searched for: a full match keeps a frame a line)
+_ODD_LINE = re.compile(r'\n(?![^,\n"\r\0]*,[0-9]{1,19}\r?(?:\n|\Z))')
 
 
 @contextmanager
@@ -196,76 +198,75 @@ def _encode_labels(label_counts: Mapping[str, int]) -> tuple[SampleCounts, tuple
     return counts, tuple(label_counts)
 
 
-def _plain_counts(handle) -> dict[str, int] | None:
-    """read_counts_csv's block pass, or None with the file rewound."""
-    label_counts, tail, limit = {}, "\n", csv.field_size_limit()
+def _plain_counts(handle) -> tuple[dict[str, int], int, Iterable[str]]:
+    """read_counts_csv's block pass: (plain rows' counts, lines taken, lines left); none taken, it rewinds."""
+    label_counts, taken, text, limit = {}, 1, "\n", csv.field_size_limit()
     with suppress(UnicodeDecodeError):
         header = handle.readline()
-        plain = len(header) <= limit and tuple(h.strip().lower() for h in header.split(",")) == COUNTS_HEADER
-        for block in iter(partial(handle.read, 65536), "") if plain else ():
-            end = (text := tail + block).rfind("\n")  # text starts with a line end
-            if not (plain := len(text) <= limit and not _ODD_LINE.search(text, 0, end)):
-                break
-            tail, fields = text[end:], text[1:end].replace("\n", ",").split(",")
-            labels, counts = list(map(str.strip, fields[::2])), list(map(int, fields[1::2]))
-            new = dict(zip(labels, counts))
-            if len(new) == len(labels) and 0 not in counts and label_counts.keys().isdisjoint(new):
-                label_counts.update(new)
-            else:  # a label repeats or a count is 0: sum row by row
-                for label, count in zip(labels, counts):
-                    if count:
-                        label_counts[label] = label_counts.get(label, 0) + count
-        if plain and tail == "\n":
-            return label_counts
+        if len(header) <= limit and tuple(h.strip().lower() for h in header.split(",")) == COUNTS_HEADER:
+            while (block := handle.read(65536)) or text != "\n":
+                end = (text := text + block).rfind("\n") if block else len(text)  # text starts with a line end
+                if len(text) > limit or _ODD_LINE.search(text, 0, end):
+                    # the rest of the block and its last line, split as the file splits lines
+                    return label_counts, taken, chain(io.StringIO(text[1:] + handle.readline(), newline=""), handle)
+                fields = text[1:end].replace("\n", ",").split(",")
+                labels, counts = list(map(str.strip, fields[::2])), list(map(int, fields[1::2]))
+                new = dict(zip(labels, counts))
+                if len(new) == len(counts) and 0 not in counts and label_counts.keys().isdisjoint(new):
+                    label_counts.update(new)
+                else:  # a label repeats or a count is 0: sum row by row
+                    for label, count in zip(labels, counts):
+                        if count:
+                            label_counts[label] = label_counts.get(label, 0) + count
+                taken, text = taken + len(counts), text[end:] or "\n"  # the file's end ends its last line
+            return label_counts, taken, ()
     handle.seek(0)
-    return None
+    return {}, 0, handle
 
 
 def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ...]]:
     """Read a `category,count` CSV; labels are numbered 1..K as they are read.
 
-    A count is an optional sign and ASCII digits, at most 19 significant, with
-    surrounding whitespace.  Returns the counts plus the labels, labels[k - 1]
-    that of category k.  Duplicate labels are aggregated; zero-count rows are dropped.
+    A count is an optional sign and ASCII digits, at most 19 significant, with surrounding whitespace.
+    Returns the counts and labels, labels[k - 1] that of category k; duplicate labels add, zero rows drop.
 
-    A seekable file is read first in 64 KiB blocks cut at their last newline.  A block whose
-    every line is `label,digits` (one comma, 1 to 19 ASCII digits, no quote, CR or NUL, no
-    field past ``csv.field_size_limit()``) is taken as columns.  Anything else (such a block,
-    an unusable header or last line, a bad byte) rewinds the file for ``csv.reader``'s row
-    loop, which alone raises every error.  Memory grows with the distinct labels, not the rows.
+    A seekable file is read in 64 KiB blocks cut at a newline; one whose lines are all `label,digits`
+    ending LF or CRLF (1 to 19 ASCII digits, no quote or NUL, within ``csv.field_size_limit()``) is
+    taken as columns.  ``csv.reader``'s row loop reads on from the first other block, or from the top
+    after a bad header or byte, and alone raises errors.  Memory grows with the labels, not the rows.
     """
-    label_counts: dict[str, int] = {}
-    get = label_counts.get
     with _utf8_text(path, newline="") as handle:
-        if handle.seekable() and (counted := _plain_counts(handle)) is not None:
-            return _encode_labels(counted)
-        reader = csv.reader(handle)
+        label_counts, taken, lines = _plain_counts(handle) if handle.seekable() else ({}, 0, handle)
+        get = label_counts.get
+        reader = csv.reader(lines)
         try:
-            header = next(reader, None)
-            if header is None or tuple(h.strip().lower() for h in header) != COUNTS_HEADER:
-                raise ValueError(f"expected header 'category,count' in {path}")
-            for row_number, row in enumerate(reader, start=2):
+            if not taken:
+                header = next(reader, None)
+                if header is None or tuple(h.strip().lower() for h in header) != COUNTS_HEADER:
+                    raise ValueError(f"expected header 'category,count' in {path}")
+            for row_number, row in enumerate(reader, start=max(taken, 1) + 1):
                 if len(row) != 2:
                     if not row or (len(row) == 1 and not row[0].strip()):
                         continue
                     raise ValueError(f"{path}:{row_number}: expected two columns, got {len(row)}")
                 label, field = row[0].strip(), row[1]
-                # int() alone would also take "1_000" and non-ASCII digits;
-                # plain ASCII digits, the common case, skip the pattern
+                # int() alone would also take "1_000" and non-ASCII digits; plain ASCII ones skip the pattern
                 plain = field.isascii() and field.isdigit()
                 if not plain and not _SIGNED_DIGITS.fullmatch(field.strip()):
                     raise ValueError(f"{path}:{row_number}: count {field!r} is not an integer")
-                # a long field is read by its significant digits, as int() may refuse it
-                # (sys.get_int_max_str_digits()); past 19 of them no count fits in int64
-                if len(field) > 19 and len(digits := field.strip().lstrip("+-").lstrip("0")) > 19:
-                    raise ValueError(f"{path}:{row_number}: count of {len(digits)} digits does not fit in int64")
-                count = int(field) if len(field) <= 19 else int(digits or "0") * (-1 if "-" in field else 1)
+                if len(field) > 19:  # read by its significant digits, as int() may refuse it
+                    digits = field.strip().lstrip("+-").lstrip("0")
+                    if "-" in field and digits or len(digits) > 19:  # past 19 digits no count fits in int64
+                        raise ValueError(f"{path}:{row_number}: negative count -{digits}" if "-" in field else
+                                         f"{path}:{row_number}: count of {len(digits)} digits does not fit in int64")
+                    field = digits or "0"
+                count = int(field)
                 if not plain and count < 0:
                     raise ValueError(f"{path}:{row_number}: negative count {count}")
                 if count:
                     label_counts[label] = get(label, 0) + count
         except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+            raise ValueError(f"{path}:{reader.line_num + taken}: {exc}") from exc
     return _encode_labels(label_counts)
 
 

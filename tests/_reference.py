@@ -400,7 +400,7 @@ def read_counts_csv_rows(path):
     """The counts-CSV reader as one Counter update per row.
 
     Like fd_gradient_loop it builds the library's SampleCounts; the blank-row
-    test, the pattern, the digit count and the negative check run on every
+    test, the pattern, the negative check and the digit count run on every
     row, in the order of the error messages.
     """
     import csv
@@ -422,16 +422,16 @@ def read_counts_csv_rows(path):
                 field = row[1]
                 if not re.fullmatch(r"[+-]?[0-9]+", field.strip()):
                     raise ValueError(f"{path}:{row_number}: count {field!r} is not an integer")
-                # past 19 significant digits no count fits in int64; int() is
-                # never asked to read such a field, nor one padded with zeros
+                # a negative count is refused first; past 19 significant digits no
+                # count fits in int64, and int() is never asked to read such a
+                # field, nor one padded with zeros
                 digits = field.strip().lstrip("+-").lstrip("0")
+                if "-" in field and digits:
+                    raise ValueError(f"{path}:{row_number}: negative count -{digits}")
                 if len(digits) > 19:
                     raise ValueError(f"{path}:{row_number}: count of {len(digits)} digits "
                                      "does not fit in int64")
-                count = -int(digits or "0") if "-" in field else int(digits or "0")
-                if count < 0:
-                    raise ValueError(f"{path}:{row_number}: negative count {count}")
-                label_counts[row[0].strip()] += count
+                label_counts[row[0].strip()] += int(digits or "0")
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError:

@@ -23,12 +23,14 @@ import tracemalloc
 from contextlib import suppress
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gsentropy import read_counts_csv, read_raw_labels
+from gsentropy import SampleCounts, read_counts_csv, read_raw_labels, write_counts_csv
 from gsentropy.cli import main
+from gsentropy.estimation import _plain_counts
 
 from _reference import read_counts_csv_rows, read_raw_labels_lines
 
@@ -169,10 +171,15 @@ _PAST_LIMIT = csv.field_size_limit() + 1
 @example(_PLAIN + b"a,1_000\n")  # a count int() takes but the row loop does not,
 @example(_PLAIN + b"a," + b"1" * 20 + b"\n")  # a count of 20 digits,
 @example(_PLAIN + b"x" * _PAST_LIMIT + b",1\n")  # a label past csv.field_size_limit(),
-@example(_PLAIN + b"a,1")  # a last line without a line end,
+@example(_PLAIN + b"a, 1")  # a last line without a line end that is not plain,
 @example(BOM.encode() + _PLAIN + b'"a",1\n')  # a byte-order mark before a late quote,
 @example(_PLAIN + b"a," + b"9" * 5000 + b"\n\xff\n")  # a bad byte in the 8 KiB of a long count,
 @example(_PLAIN + b"a,1_000\n" + b"z,1\n" * 3000 + b"\xff\n")  # and in a later 8 KiB of the block
+@example(_PLAIN + b'"a\nb",2\n' + b"x" * _PAST_LIMIT + b",1\n")  # a csv error after rows and lines part,
+@example(_PLAIN.replace(b"\n", b"\r\n"))  # CRLF rows, as write_counts_csv writes them, which
+@example(_PLAIN + b"a,1")  # the block pass takes, as it does a last line without a line end,
+@example(_PLAIN + b"a,1\r")  # one ending in a lone CR,
+@example(_PLAIN + b"a,-" + b"1" * 20 + b"\n")  # and leaves a negative count of 20 digits to the loop
 def test_read_counts_csv_matches_row_by_row(tmp_path_factory, data):
     _agree(tmp_path_factory.mktemp("csv"), data, read_counts_csv, read_counts_csv_rows)
 
@@ -194,7 +201,9 @@ def test_raw_memory_grows_with_labels_not_lines(tmp_path):
 
 @pytest.mark.parametrize("count, outcome", [
     ("9" * 5000, "count of 5000 digits does not fit in int64"),
-    ("-" + "1" * 20, "count of 20 digits does not fit in int64"),
+    ("-" + "1" * 20, "negative count -" + "1" * 20),
+    ("-" + "0" * 5000 + "9" * 5000, "negative count -" + "9" * 5000),
+    ("-" + "0" * 30 + "5", "negative count -5"),
     ("0" * 5000 + "7", 7),
     (" +" + "0" * 5000 + "7 ", 7),
 ])
@@ -211,6 +220,16 @@ def test_count_past_19_digits_is_named_by_its_row(tmp_path, count, outcome):
         else:
             counts, labels = reader(path)
             assert dict(zip(labels, counts.counts.tolist())) == {"a": 1, "b": outcome}
+
+
+def test_written_counts_take_the_block_pass(tmp_path):
+    # write_counts_csv ends its rows with CRLF; the block pass must take them
+    # whole, so the library's own files do not fall back to the row loop
+    path = tmp_path / "counts.csv"
+    write_counts_csv(SampleCounts(np.arange(1, 9001), np.arange(9000) % 5 + 1), path,
+                     [f"r{i}" for i in range(9000)])
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        assert _plain_counts(handle) == ({f"r{i}": i % 5 + 1 for i in range(9000)}, 9001, ())
 
 
 def test_gse_estimate_names_the_row_of_a_long_count(tmp_path, capsys):
@@ -237,9 +256,10 @@ def test_counts_csv_memory_grows_with_labels_not_rows(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("data", [_PLAIN, _PLAIN + b'"a,b",2\n'], ids=["plain", "late-quote"])
+@pytest.mark.parametrize("data", [_PLAIN, _PLAIN + b'"a,b",2\n', b"count,category\n" + _PLAIN[15:]],
+                         ids=["plain", "late-quote", "bad-header"])
 def test_counts_csv_from_a_pipe_reads_as_from_a_file(tmp_path, data):
-    # a pipe cannot seek, so the rows go straight to the row loop
+    # a pipe cannot seek back after a bad header or byte, so its rows go straight to the row loop
     regular, fifo = tmp_path / "counts.csv", tmp_path / "counts.fifo"
     regular.write_bytes(data)
     os.mkfifo(fifo)
@@ -251,7 +271,9 @@ def test_counts_csv_from_a_pipe_reads_as_from_a_file(tmp_path, data):
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     try:
-        assert _outcome(read_counts_csv, fifo) == _outcome(read_counts_csv, regular)
+        piped, read = (repr(_outcome(read_counts_csv, path)).replace(str(path), "<path>")
+                       for path in (fifo, regular))
+        assert piped == read
     finally:
         writer.join(timeout=30)
     assert not writer.is_alive()
