@@ -19,14 +19,15 @@ stdlib's ``NormalDist``.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
+import os
 import re
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from pathlib import Path
 from statistics import NormalDist
@@ -38,6 +39,7 @@ from .distributions import (
     AnalyticDistribution,
     CustomFinite,
     SampleCounts,
+    _INT64_MAX,
     _check_order,
     _literal_sigma_sq,
     h_sigma_sq,
@@ -172,23 +174,47 @@ def confidence_interval(est: GseEstimate, alpha: float) -> ConfidenceInterval:
 
 COUNTS_HEADER = ("category", "count")
 _SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
-# Characters a raw-label block holds: the 8 KiB a text-mode file decodes at a time
-_RAW_BLOCK = 8192
 # A line not `label,digits` ending LF or CRLF (searched for: a full match keeps a frame a line)
 _ODD_LINE = re.compile(r'\n(?![^,\n"\r\0]*,[0-9]{1,19}\r?(?:\n|\Z))')
+# What the readers' block passes read at a time: bytes of raw labels, characters of a counts CSV
+_BLOCK = 65536
+# _KEEP[n] keeps the first n bytes of a little-endian 8-byte word
+_KEEP = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+class _Counted(io.FileIO):
+    """A binary file read from its start that counts the bytes read, so a pipe can tell() too."""
+
+    _at = 0
+
+    def readinto(self, buffer):
+        got = super().readinto(buffer)
+        self._at += got or 0
+        return got
+
+    def tell(self):
+        return self._at
+
+
+def _not_utf8(path, read: int, exc: UnicodeDecodeError) -> ValueError:
+    """The error for exc, read bytes into the file: exc.object, the decoder's last
+    input with any held-over bytes, ends there."""
+    return ValueError(f"{path}: byte {read - len(exc.object) + exc.start} is not UTF-8 ({exc.reason})")
 
 
 @contextmanager
 def _utf8_text(path, newline=None):
-    """The file as UTF-8 text less a leading byte-order mark.  A bad byte raises
-    ValueError with its file offset: exc.object, the decoder's last input with
-    any held-over bytes, ends where the binary buffer stands."""
-    with open(path, newline=newline, encoding="utf-8-sig") as handle:
+    """The file as UTF-8 text less a leading byte-order mark; a bad byte raises
+    ValueError with its file offset."""
+    raw = io.FileIO(path)
+    if not raw.seekable():  # a pipe cannot tell() where it stands, so its reads are counted
+        with raw:  # only here: text-mode reads check a FileIO subclass for closed more slowly, line by line
+            raw = _Counted(os.dup(raw.fileno()))
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline=newline) as handle:
         try:
             yield handle
         except UnicodeDecodeError as exc:
-            offset = handle.buffer.tell() - len(exc.object) + exc.start
-            raise ValueError(f"{path}: byte {offset} is not UTF-8 ({exc.reason})") from exc
+            raise _not_utf8(path, handle.buffer.tell(), exc) from exc
 
 
 def _encode_labels(label_counts: Mapping[str, int]) -> tuple[SampleCounts, tuple[str, ...]]:
@@ -199,18 +225,20 @@ def _encode_labels(label_counts: Mapping[str, int]) -> tuple[SampleCounts, tuple
 
 
 def _plain_counts(handle) -> tuple[dict[str, int], int, Iterable[str]]:
-    """read_counts_csv's block pass: (plain rows' counts, lines taken, lines left); none taken, it rewinds."""
-    label_counts, taken, text, limit = {}, 1, "\n", csv.field_size_limit()
+    """read_counts_csv's block pass: (plain rows' counts, lines taken, lines left); none taken, it
+    rewinds.  A block that would take the counts' total past int64 is left to the row loop."""
+    label_counts, taken, total, text, limit = {}, 1, 0, "\n", csv.field_size_limit()
     with suppress(UnicodeDecodeError):
         header = handle.readline()
         if len(header) <= limit and tuple(h.strip().lower() for h in header.split(",")) == COUNTS_HEADER:
-            while (block := handle.read(65536)) or text != "\n":
+            while (block := handle.read(_BLOCK)) or text != "\n":
                 end = (text := text + block).rfind("\n") if block else len(text)  # text starts with a line end
                 if len(text) > limit or _ODD_LINE.search(text, 0, end):
-                    # the rest of the block and its last line, split as the file splits lines
-                    return label_counts, taken, chain(io.StringIO(text[1:] + handle.readline(), newline=""), handle)
+                    break
                 fields = text[1:end].replace("\n", ",").split(",")
                 labels, counts = list(map(str.strip, fields[::2])), list(map(int, fields[1::2]))
+                if (block_total := sum(counts)) > _INT64_MAX - total:
+                    break
                 new = dict(zip(labels, counts))
                 if len(new) == len(counts) and 0 not in counts and label_counts.keys().isdisjoint(new):
                     label_counts.update(new)
@@ -218,8 +246,12 @@ def _plain_counts(handle) -> tuple[dict[str, int], int, Iterable[str]]:
                     for label, count in zip(labels, counts):
                         if count:
                             label_counts[label] = label_counts.get(label, 0) + count
-                taken, text = taken + len(counts), text[end:] or "\n"  # the file's end ends its last line
-            return label_counts, taken, ()
+                taken, total = taken + len(counts), total + block_total
+                text = text[end:] or "\n"  # the file's end ends its last line
+            else:
+                return label_counts, taken, ()
+            # the rest of the block and its last line, split as the file splits lines
+            return label_counts, taken, chain(io.StringIO(text[1:] + handle.readline(), newline=""), handle)
     handle.seek(0)
     return {}, 0, handle
 
@@ -237,7 +269,7 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
     """
     with _utf8_text(path, newline="") as handle:
         label_counts, taken, lines = _plain_counts(handle) if handle.seekable() else ({}, 0, handle)
-        get = label_counts.get
+        get, total = label_counts.get, sum(label_counts.values()) if lines else 0  # rows left go on from it
         reader = csv.reader(lines)
         try:
             if not taken:
@@ -264,30 +296,110 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
                 if not plain and count < 0:
                     raise ValueError(f"{path}:{row_number}: negative count {count}")
                 if count:
+                    total += count
+                    if total > _INT64_MAX:  # a label's total, or the file's, past int64
+                        raise ValueError(f"{path}:{row_number}: count {count} does not fit in int64"
+                                         if count > _INT64_MAX else
+                                         f"{path}:{row_number}: counts total {total}, which does not fit in int64")
                     label_counts[label] = get(label, 0) + count
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num + taken}: {exc}") from exc
     return _encode_labels(label_counts)
 
 
+def _tally_plain(block: bytes, keyed: list, text_counts: Counter) -> bool:
+    """Count the lines of block if it is plain (every byte "\\n" or 0x21-0x7E), else nothing."""
+    codes = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(codes == 10)
+    # uint8 arithmetic wraps, so the difference is below 0x5E for 0x21-0x7E only
+    if np.count_nonzero(codes - np.uint8(0x21) < 0x5E) + ends.size != len(block):
+        return False
+    if not ends.size or ends[-1] < len(block) - 1:  # a last line with no line end
+        ends = np.append(ends, len(block))
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    lengths = ends - starts
+    long = lengths > 8
+    if 4 * np.count_nonzero(long) > ends.size:  # mostly long lines: count them all as text
+        text_counts.update(block.decode().split("\n"))
+        return True
+    # each line's first 8 bytes as one word; no NUL in a plain line, so zeros pad it unambiguously
+    words = np.ndarray(len(block), "<u8", block + bytes(8), strides=(1,)).take(starts)
+    words &= _KEEP.take(lengths, mode="clip")
+    if long.any():
+        text_counts.update(block[a:b].decode() for a, b in zip(starts[long].tolist(), ends[long].tolist()))
+        words = words[~long]
+    keyed.append(np.unique(words, return_counts=True))
+    return True
+
+
+def _merge_keyed(keyed: list) -> tuple[np.ndarray, np.ndarray]:
+    """One (distinct keys, their totals) pair from several."""
+    unique, inverse = np.unique(np.concatenate([keys for keys, _ in keyed]), return_inverse=True)
+    totals = np.zeros(unique.size, dtype=np.int64)
+    np.add.at(totals, inverse, np.concatenate([counts for _, counts in keyed]))
+    return unique, totals
+
+
+def _count_text(path, handle, data: bytes, read: int, text_counts: Counter) -> None:
+    """Count the lines of data, read bytes into the file, and of the rest of handle, as a
+    text-mode file reads them."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
+    tail = ""
+    try:
+        while data:
+            read += len(data)
+            lines = (tail + decoder.decode(data)).split("\n")
+            tail = lines.pop()  # the unfinished last line
+            text_counts.update(lines)
+            data = handle.read(io.DEFAULT_BUFFER_SIZE)  # the 8 KiB a text-mode file decodes at a time
+        text_counts.update((tail + decoder.decode(b"", final=True)).split("\n"))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, read, exc) from exc
+
+
 def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ...]]:
     """Read one label per line (blank lines are skipped); returns what ``read_counts_csv`` does.
 
-    Lines end at "\\n", "\\r\\n" or "\\r" only; a label's surrounding
-    Unicode whitespace is stripped.  The file is counted a block at a time, so
-    memory grows with the distinct labels, not the lines.
+    Lines end at "\\n", "\\r\\n" or "\\r" only; a label's surrounding Unicode
+    whitespace is stripped, and a leading byte-order mark skipped.
+
+    The file is read in 64 KiB blocks of bytes cut at their last "\\n".  A block
+    is plain when its bytes, CRLF pairs taken as "\\n", are all "\\n" or
+    0x21-0x7E, so that no line needs stripping or decoding.  A plain block's
+    lines of up to 8 bytes are tallied in numpy as 8-byte keys; its longer
+    lines, or all of its lines where most are longer, go to a Counter.  From the
+    first other block on, the rest of the file is decoded as UTF-8 with
+    universal newlines and counted in the Counter line by line.  The labels are
+    numbered in that order too: those tallied as keys by their keys, then the
+    Counter's.  Memory grows with the distinct labels, not the lines.
     """
-    label_counts: Counter = Counter()
-    tail = ""
-    with _utf8_text(path) as handle:
-        for block in iter(partial(handle.read, _RAW_BLOCK), ""):
-            lines = (tail + block).split("\n")
-            tail = lines.pop()  # the unfinished last line
-            label_counts.update(lines)
-    label_counts[tail] += 1
+    keyed, text_counts = [(np.empty(0, np.uint64), np.empty(0, np.int64))], Counter()
+    with open(path, "rb") as handle:
+        chunk = handle.read(_BLOCK)
+        # bytes before data: a byte-order mark, or a file that is all of one cut short, as utf-8-sig drops them
+        read = len(chunk[:3]) if codecs.BOM_UTF8.startswith(chunk[:3]) else 0
+        data = chunk[read:]
+        while data:
+            last = len(chunk) < _BLOCK
+            end = len(data) if last else data.rfind(b"\n") + 1
+            # a CRLF pair ends a line as LF does; a lone CR is not plain
+            if not end or not _tally_plain(data[:end].replace(b"\r\n", b"\n"), keyed, text_counts):
+                break
+            # merged as they accumulate, the keys held stay within a few times the distinct labels
+            if sum(keys.size for keys, _ in keyed) > 2 * keyed[0][0].size + _BLOCK:
+                keyed = [_merge_keyed(keyed)]
+            read += end
+            chunk = b"" if last else handle.read(_BLOCK)
+            data = data[end:] + chunk
+        _count_text(path, handle, data, read, text_counts)
+    keys, totals = _merge_keyed(keyed)
+    labels = keys.astype("<u8", copy=False).view("S8").astype(str).tolist()  # each key's bytes less its padding
+    label_counts = Counter(dict(zip(labels, totals.tolist())))
     # strip each distinct label once rather than every line
-    for label in [label for label in label_counts if label != label.strip()]:
-        label_counts[label.strip()] += label_counts.pop(label)
+    for label in [label for label in text_counts if label != label.strip()]:
+        text_counts[label.strip()] += text_counts.pop(label)
+    label_counts.update(text_counts)
     del label_counts[""]
     return _encode_labels(label_counts)
 

@@ -400,14 +400,14 @@ def read_counts_csv_rows(path):
     """The counts-CSV reader as one Counter update per row.
 
     Like fd_gradient_loop it builds the library's SampleCounts; the blank-row
-    test, the pattern, the negative check and the digit count run on every
-    row, in the order of the error messages.
+    test, the pattern, the negative check, the digit count and the int64
+    checks run on every row, in the order of the error messages.
     """
     import csv
     import re
     from collections import Counter
 
-    label_counts = Counter()
+    label_counts, total = Counter(), 0
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -431,7 +431,16 @@ def read_counts_csv_rows(path):
                 if len(digits) > 19:
                     raise ValueError(f"{path}:{row_number}: count of {len(digits)} digits "
                                      "does not fit in int64")
-                label_counts[row[0].strip()] += int(digits or "0")
+                # a count past int64 is refused by the row, and so is the row at
+                # which the file's total (so any label's) passes int64
+                count = int(digits or "0")
+                total += count
+                if count > 2**63 - 1:
+                    raise ValueError(f"{path}:{row_number}: count {count} does not fit in int64")
+                if total > 2**63 - 1:
+                    raise ValueError(f"{path}:{row_number}: counts total {total}, "
+                                     "which does not fit in int64")
+                label_counts[row[0].strip()] += count
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError:

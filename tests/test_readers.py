@@ -124,6 +124,13 @@ def _agree(tmp_path, data, reader, reference):
     assert _outcome(reader, path) == _outcome(reference, path)
 
 
+# More than 64 KiB of plain lines, each label new and of at most 8 bytes: a
+# first block the numpy pass takes before it meets what follows; and blocks
+# of labels of 9 bytes or more
+_RAW = "".join(f"p{i}\n" for i in range(12000)).encode()
+_LONG = "".join(f"label-{i % 3000:04d}\n" for i in range(8000)).encode()
+
+
 @DIFF
 @given(_files(_raw_body))
 @example(b"a\r\nb\r" + b"\nc")
@@ -135,6 +142,22 @@ def _agree(tmp_path, data, reader, reference):
 @example(b"a\n\xe2\x82")  # a character cut short at the end of the file
 @example(b" \x85a\xe2\x80\xa8\n\xe2\x80\xa8a\n \n\t\n")
 @example(b"")
+@example(b"\xef\xbb")  # a byte-order mark cut short by the end of the file
+@example(_RAW + b"a\r\nb\n")  # after a first block of plain lines: a CRLF line,
+@example(_RAW + b"a\rb\n")  # a lone CR,
+@example(_RAW + b"a\0b\n")  # a NUL,
+@example(_RAW + b"a\x7fb\n")  # a DEL,
+@example(_RAW + b" a\n\tb\t\n")  # labels padded with a space and a tab,
+@example(_RAW + b"a\x1c\n")  # whitespace that is ASCII
+@example(_RAW + "a\x85\n\u3000b\n".encode())  # and whitespace that is not,
+@example(_RAW + b"a\n\xff\n")  # a bad byte in a later block,
+@example(_RAW + b"abcdefgh\nabcdefghi\nabcdefgh\n")  # labels of 8 and 9 bytes,
+@example(_RAW + b"p0\n")  # a label met again in a later block,
+@example(BOM.encode() + _RAW)  # a byte-order mark before plain lines,
+@example(_RAW + b"a")  # a plain last line with no line end,
+@example(_RAW + b"a\r")  # one ending in a lone CR,
+@example(_RAW.replace(b"\n", b"\r\n"))  # CRLF lines, which are plain too,
+@example(_RAW + b"\n" + _LONG + b"p0\n \n")  # blocks of mostly long lines, then more
 def test_read_raw_labels_matches_line_by_line(tmp_path_factory, data):
     _agree(tmp_path_factory.mktemp("raw"), data, read_raw_labels, read_raw_labels_lines)
 
@@ -206,17 +229,26 @@ def test_raw_memory_grows_with_labels_not_lines(tmp_path):
     ("-" + "0" * 30 + "5", "negative count -5"),
     ("0" * 5000 + "7", 7),
     (" +" + "0" * 5000 + "7 ", 7),
+    (str(2**63), f"count {2**63} does not fit in int64"),
+    ("0" * 30 + str(2**63 + 5), f"count {2**63 + 5} does not fit in int64"),
+    (str(2**63 - 1), f"counts total {2**63}, which does not fit in int64"),
+    (str(2**63 - 2), 2**63 - 2),
+    (f"{2**62}\nb,{2**62}", f"counts total {2**63 + 1}, which does not fit in int64"),
+    (f"{2**62}\n" + "".join(f"r{i},1\n" for i in range(9000)) + f"b,{2**62}",
+     f"counts total {2**63 + 9001}, which does not fit in int64"),
 ])
 def test_count_past_19_digits_is_named_by_its_row(tmp_path, count, outcome):
     # int() refuses a field of more than sys.get_int_max_str_digits() digits,
-    # zero padding included; no count past 19 significant digits fits in int64
+    # zero padding included; no count past 19 significant digits fits in int64,
+    # nor one from 2^63 on, and the row at which the total passes int64 (here
+    # label b's own, after more than a block of rows) is named too
     path = tmp_path / "counts.csv"
     path.write_text(f"category,count\na,1\nb,{count}\n", encoding="utf-8")
     for reader in (read_counts_csv, read_counts_csv_rows):
         if isinstance(outcome, str):
             with pytest.raises(ValueError) as exc:
                 reader(path)
-            assert str(exc.value) == f"{path}:3: {outcome}"
+            assert str(exc.value) == f"{path}:{3 + count.count(chr(10))}: {outcome}"
         else:
             counts, labels = reader(path)
             assert dict(zip(labels, counts.counts.tolist())) == {"a": 1, "b": outcome}
@@ -255,12 +287,9 @@ def test_counts_csv_memory_grows_with_labels_not_rows(tmp_path):
     assert peak < 2 * 2**20
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("data", [_PLAIN, _PLAIN + b'"a,b",2\n', b"count,category\n" + _PLAIN[15:]],
-                         ids=["plain", "late-quote", "bad-header"])
-def test_counts_csv_from_a_pipe_reads_as_from_a_file(tmp_path, data):
-    # a pipe cannot seek back after a bad header or byte, so its rows go straight to the row loop
-    regular, fifo = tmp_path / "counts.csv", tmp_path / "counts.fifo"
+def _agree_through_a_pipe(tmp_path, data, reader):
+    """reader's outcome on data written to a named pipe, as on a regular file."""
+    regular, fifo = tmp_path / "input", tmp_path / "input.fifo"
     regular.write_bytes(data)
     os.mkfifo(fifo)
 
@@ -271,12 +300,32 @@ def test_counts_csv_from_a_pipe_reads_as_from_a_file(tmp_path, data):
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     try:
-        piped, read = (repr(_outcome(read_counts_csv, path)).replace(str(path), "<path>")
-                       for path in (fifo, regular))
+        piped, read = (repr(_outcome(reader, path)).replace(str(path), "<path>") for path in (fifo, regular))
         assert piped == read
     finally:
         writer.join(timeout=30)
     assert not writer.is_alive()
+
+
+_PIPES = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+
+
+@_PIPES
+@pytest.mark.parametrize("data", [_PLAIN, _PLAIN + b'"a,b",2\n', b"count,category\n" + _PLAIN[15:],
+                                  _PLAIN + b"a,1\n\xff,2\n"],
+                         ids=["plain", "late-quote", "bad-header", "bad-byte"])
+def test_counts_csv_from_a_pipe_reads_as_from_a_file(tmp_path, data):
+    # a pipe cannot seek back after a bad header or byte, so its rows go straight
+    # to the row loop; a bad byte is named by its offset all the same
+    _agree_through_a_pipe(tmp_path, data, read_counts_csv)
+
+
+@_PIPES
+@pytest.mark.parametrize("data", [_RAW, _RAW.replace(b"\n", b"\r\n"), _RAW + "\u00e9\n".encode(),
+                                  _RAW + b"a\n\xff\n", b"a\n\xff\n"],
+                         ids=["plain", "crlf", "late-non-ascii", "late-bad-byte", "bad-byte"])
+def test_raw_labels_from_a_pipe_read_as_from_a_file(tmp_path, data):
+    _agree_through_a_pipe(tmp_path, data, read_raw_labels)
 
 
 def test_gse_estimate_reads_rows_piped_to_dev_stdin(tmp_path):
@@ -289,3 +338,15 @@ def test_gse_estimate_reads_rows_piped_to_dev_stdin(tmp_path):
     direct = subprocess.run([*argv, str(path)], capture_output=True, env=env, timeout=120)
     assert piped.returncode == direct.returncode == 0, piped.stderr
     assert piped.stdout == direct.stdout
+
+
+@pytest.mark.parametrize("flags, data, offset", [([], b"category,count\na,1\n\xff\n", 19),
+                                                 (["--raw"], b"a\n\xff\n", 2)], ids=["counts", "raw"])
+def test_gse_estimate_names_a_bad_byte_piped_to_dev_stdin(flags, data, offset):
+    # a pipe cannot tell() where it stands; the readers count the bytes they read
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "gsentropy", "estimate", *flags, "--data", "/dev/stdin"]
+    piped = subprocess.run(argv, input=data, capture_output=True, env=env, timeout=120)
+    assert piped.returncode == 2
+    assert piped.stderr == f"error: /dev/stdin: byte {offset} is not UTF-8 (invalid start byte)\n".encode()
