@@ -320,7 +320,7 @@ def _tally_plain(block: bytes, keyed: list, text_counts: Counter) -> bool:
     starts[0], starts[1:] = 0, ends[:-1] + 1
     lengths = ends - starts
     long = lengths > 8
-    if 4 * np.count_nonzero(long) > ends.size:  # mostly long lines: count them all as text
+    if 4 * np.count_nonzero(long) > ends.size:  # many long lines: split them all, cheaper than slicing each
         text_counts.update(block.decode().split("\n"))
         return True
     # each line's first 8 bytes as one word; no NUL in a plain line, so zeros pad it unambiguously
@@ -368,7 +368,7 @@ def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
     is plain when its bytes, CRLF pairs taken as "\\n", are all "\\n" or
     0x21-0x7E, so that no line needs stripping or decoding.  A plain block's
     lines of up to 8 bytes are tallied in numpy as 8-byte keys; its longer
-    lines, or all of its lines where most are longer, go to a Counter.  From the
+    lines, or all of them where over a quarter are longer, go to a Counter.  From the
     first other block on, the rest of the file is decoded as UTF-8 with
     universal newlines and counted in the Counter line by line.  The labels are
     numbered in that order too: those tallied as keys by their keys, then the
