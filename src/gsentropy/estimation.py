@@ -308,7 +308,8 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
 
 
 def _tally_plain(block: bytes, keyed: list, text_counts: Counter) -> bool:
-    """Count the lines of block if it is plain (every byte "\\n" or 0x21-0x7E), else nothing."""
+    """Count the lines of block if it is plain (every byte "\\n" or 0x21-0x7E, at most a quarter
+    of its lines longer than 8 bytes), else nothing."""
     codes = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(codes == 10)
     # uint8 arithmetic wraps, so the difference is below 0x5E for 0x21-0x7E only
@@ -320,9 +321,8 @@ def _tally_plain(block: bytes, keyed: list, text_counts: Counter) -> bool:
     starts[0], starts[1:] = 0, ends[:-1] + 1
     lengths = ends - starts
     long = lengths > 8
-    if 4 * np.count_nonzero(long) > ends.size:  # many long lines: split them all, cheaper than slicing each
-        text_counts.update(block.decode().split("\n"))
-        return True
+    if 4 * np.count_nonzero(long) > ends.size:  # many long lines, each a slice: the text loop is cheaper
+        return False
     # each line's first 8 bytes as one word; no NUL in a plain line, so zeros pad it unambiguously
     words = np.ndarray(len(block), "<u8", block + bytes(8), strides=(1,)).take(starts)
     words &= _KEEP.take(lengths, mode="clip")
@@ -366,13 +366,13 @@ def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
 
     The file is read in 64 KiB blocks of bytes cut at their last "\\n".  A block
     is plain when its bytes, CRLF pairs taken as "\\n", are all "\\n" or
-    0x21-0x7E, so that no line needs stripping or decoding.  A plain block's
-    lines of up to 8 bytes are tallied in numpy as 8-byte keys; its longer
-    lines, or all of them where over a quarter are longer, go to a Counter.  From the
-    first other block on, the rest of the file is decoded as UTF-8 with
-    universal newlines and counted in the Counter line by line.  The labels are
-    numbered in that order too: those tallied as keys by their keys, then the
-    Counter's.  Memory grows with the distinct labels, not the lines.
+    0x21-0x7E, so that no line needs stripping or decoding, and at most a
+    quarter of its lines are longer than 8 bytes.  A plain block's lines of up
+    to 8 bytes are tallied in numpy as 8-byte keys, its longer ones in a
+    Counter.  From the first other block on, the rest of the file is decoded as
+    UTF-8 with universal newlines and counted in the Counter line by line.  The
+    labels are numbered in that order too: those tallied as keys by their keys,
+    then the Counter's.  Memory grows with the distinct labels, not the lines.
     """
     keyed, text_counts = [(np.empty(0, np.uint64), np.empty(0, np.int64))], Counter()
     with open(path, "rb") as handle:
