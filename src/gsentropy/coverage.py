@@ -26,6 +26,7 @@ from .distributions import (
     AnalyticDistribution,
     _Workspace,
     _check_order,
+    _check_reps,
     _count,
     _sweep_states,
     derive_seed,
@@ -113,9 +114,7 @@ def _coverage(dist: AnalyticDistribution, m: int, points: Iterable[tuple[int, in
     """(exact H_m, the CoveragePoint of each validated (n, seed) point): the
     arguments checked, the quantile and H_m taken, and the workspace made, once;
     the points' replicate states come from one _sweep_states stream."""
-    reps = _count(reps, "replicate count reps", 1)
-    if reps >= 2**64:  # derive_seed keys replicate r by r mod 2^64
-        raise ValueError(f"replicate count reps must be below 2**64, got {reps}")
+    reps = _check_reps(reps)
     m = _check_order(m)
     z = _two_sided_z(alpha)
     truth = gse_analytic(dist, m)

@@ -109,6 +109,13 @@ def _count(value, what: str, least: int) -> int:
     return int(value)
 
 
+def _check_reps(reps: int) -> int:
+    reps = _count(reps, "replicate count reps", 1)
+    if reps >= 2**64:  # derive_seed keys replicate r by r mod 2^64
+        raise ValueError(f"replicate count reps must be below 2**64, got {reps}")
+    return reps
+
+
 def _check_order(m: int) -> int:
     # m enters float arithmetic, which would round an order past 2^53
     m = _count(m, "collision order m", 1)

@@ -23,10 +23,8 @@ import codecs
 import csv
 import io
 import math
-import os
 import re
 from collections import Counter
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -176,45 +174,48 @@ COUNTS_HEADER = ("category", "count")
 _SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
 # A line not `label,digits` ending LF or CRLF (searched for: a full match keeps a frame a line)
 _ODD_LINE = re.compile(r'\n(?![^,\n"\r\0]*,[0-9]{1,19}\r?(?:\n|\Z))')
-# What the readers' block passes read at a time: bytes of raw labels, characters of a counts CSV
-_BLOCK = 65536
+# The bytes the readers' block passes read at a time, and a text-mode file decodes at a time
+_BLOCK, _PIECE = 65536, 8192
 # _KEEP[n] keeps the first n bytes of a little-endian 8-byte word
 _KEEP = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
-class _Counted(io.FileIO):
-    """A binary file read from its start that counts the bytes read, so a pipe can tell() too."""
+def _blocks(handle, take) -> tuple[int, bytes]:
+    """Offer the binary file handle to take in 64 KiB blocks, less a leading byte-order mark (only
+    a whole one), each cut after its last "\\n" (the last at the file's end), until take refuses one.
 
-    _at = 0
-
-    def readinto(self, buffer):
-        got = super().readinto(buffer)
-        self._at += got or 0
-        return got
-
-    def tell(self):
-        return self._at
-
-
-def _not_utf8(path, read: int, exc: UnicodeDecodeError) -> ValueError:
-    """The error for exc, read bytes into the file: exc.object, the decoder's last
-    input with any held-over bytes, ends there."""
-    return ValueError(f"{path}: byte {read - len(exc.object) + exc.start} is not UTF-8 ({exc.reason})")
+    Returns (the bytes into the file where the rest starts, the rest read so far)."""
+    chunk = handle.read(_BLOCK)
+    read = 3 if chunk.startswith(codecs.BOM_UTF8) else 0
+    data = chunk[read:]
+    while data:
+        last = len(chunk) < _BLOCK
+        end = len(data) if last else data.rfind(b"\n") + 1
+        if not end or not take(data[:end]):
+            break
+        read += end
+        chunk = b"" if last else handle.read(_BLOCK)
+        data = data[end:] + chunk
+    return read, data
 
 
-@contextmanager
-def _utf8_text(path, newline=None):
-    """The file as UTF-8 text less a leading byte-order mark; a bad byte raises
-    ValueError with its file offset."""
-    raw = io.FileIO(path)
-    if not raw.seekable():  # a pipe cannot tell() where it stands, so its reads are counted
-        with raw:  # only here: text-mode reads check a FileIO subclass for closed more slowly, line by line
-            raw = _Counted(os.dup(raw.fileno()))
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline=newline) as handle:
-        try:
-            yield handle
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, handle.buffer.tell(), exc) from exc
+def _decoded(path, handle, read: int, data: bytes, translate: bool):
+    """Yield data, read bytes into the file, and the rest of handle as UTF-8 text with universal
+    newlines (translated to "\\n" if translate), decoded up to each multiple of 8 KiB of the file
+    as a text-mode file decodes it; a bad byte raises ValueError with its offset."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate)
+    cut = -read % _PIECE  # data ends where handle stands, at a multiple of 64 KiB or the file's end
+    pieces = chain([data[:cut]], (data[at:at + _PIECE] for at in range(cut, len(data), _PIECE)),
+                   iter(lambda: handle.read(_PIECE), b""))
+    try:
+        for piece in pieces:
+            read += len(piece)
+            yield decoder.decode(piece)
+        yield decoder.decode(b"", final=True)
+    except UnicodeDecodeError as exc:
+        # exc.object, the decoder's last input with any held-over bytes, ends read bytes in
+        at = read - len(exc.object) + exc.start
+        raise ValueError(f"{path}: byte {at} is not UTF-8 ({exc.reason})") from exc
 
 
 def _encode_labels(label_counts: Mapping[str, int]) -> tuple[SampleCounts, tuple[str, ...]]:
@@ -224,36 +225,16 @@ def _encode_labels(label_counts: Mapping[str, int]) -> tuple[SampleCounts, tuple
     return counts, tuple(label_counts)
 
 
-def _plain_counts(handle) -> tuple[dict[str, int], int, Iterable[str]]:
-    """read_counts_csv's block pass: (plain rows' counts, lines taken, lines left); none taken, it
-    rewinds.  A block that would take the counts' total past int64 is left to the row loop."""
-    label_counts, taken, total, text, limit = {}, 1, 0, "\n", csv.field_size_limit()
-    with suppress(UnicodeDecodeError):
-        header = handle.readline()
-        if len(header) <= limit and tuple(h.strip().lower() for h in header.split(",")) == COUNTS_HEADER:
-            while (block := handle.read(_BLOCK)) or text != "\n":
-                end = (text := text + block).rfind("\n") if block else len(text)  # text starts with a line end
-                if len(text) > limit or _ODD_LINE.search(text, 0, end):
-                    break
-                fields = text[1:end].replace("\n", ",").split(",")
-                labels, counts = list(map(str.strip, fields[::2])), list(map(int, fields[1::2]))
-                if (block_total := sum(counts)) > _INT64_MAX - total:
-                    break
-                new = dict(zip(labels, counts))
-                if len(new) == len(counts) and 0 not in counts and label_counts.keys().isdisjoint(new):
-                    label_counts.update(new)
-                else:  # a label repeats or a count is 0: sum row by row
-                    for label, count in zip(labels, counts):
-                        if count:
-                            label_counts[label] = label_counts.get(label, 0) + count
-                taken, total = taken + len(counts), total + block_total
-                text = text[end:] or "\n"  # the file's end ends its last line
-            else:
-                return label_counts, taken, ()
-            # the rest of the block and its last line, split as the file splits lines
-            return label_counts, taken, chain(io.StringIO(text[1:] + handle.readline(), newline=""), handle)
-    handle.seek(0)
-    return {}, 0, handle
+def _csv_lines(pieces: Iterable[str]) -> Iterable[list[str]]:
+    """The lines of decoded text, a list per piece, split as a text-mode file with newline=""
+    splits them; only a line a piece leaves unfinished waits for the next (the decoder holds a
+    last "\\r" back until it sees what follows)."""
+    tail = ""
+    for text in pieces:
+        lines = io.StringIO(tail + text, newline="").readlines()
+        tail = lines.pop() if lines and lines[-1][-1] not in "\r\n" else ""
+        yield lines
+    yield [tail] if tail else []
 
 
 def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ...]]:
@@ -262,15 +243,47 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
     A count is an optional sign and ASCII digits, at most 19 significant, with surrounding whitespace.
     Returns the counts and labels, labels[k - 1] that of category k; duplicate labels add, zero rows drop.
 
-    A seekable file is read in 64 KiB blocks cut at a newline; one whose lines are all `label,digits`
-    ending LF or CRLF (1 to 19 ASCII digits, no quote or NUL, within ``csv.field_size_limit()``) is
-    taken as columns.  ``csv.reader``'s row loop reads on from the first other block, or from the top
-    after a bad header or byte, and alone raises errors.  Memory grows with the labels, not the rows.
+    The file is read in 64 KiB blocks of bytes cut at their last "\\n"; one whose lines are all
+    `label,digits` ending LF or CRLF (1 to 19 ASCII digits, no quote or NUL, within
+    ``csv.field_size_limit()``), after the header in the first, is taken as columns.  ``csv.reader``'s
+    row loop reads on from the first other block, and alone raises errors.  Memory grows with the
+    labels, not the rows.
     """
-    with _utf8_text(path, newline="") as handle:
-        label_counts, taken, lines = _plain_counts(handle) if handle.seekable() else ({}, 0, handle)
-        get, total = label_counts.get, sum(label_counts.values()) if lines else 0  # rows left go on from it
-        reader = csv.reader(lines)
+    label_counts, taken, total, limit = {}, 0, 0, csv.field_size_limit()
+
+    def take(block: bytes) -> bool:
+        """Count block's rows if they are all plain and keep the counts' total within int64."""
+        nonlocal taken, total
+        try:
+            text = "\n" + block.decode()  # text starts with a line end
+        except UnicodeDecodeError:
+            return False
+        start, end = 0, len(text) - text.endswith("\n")  # the file's end ends its last line
+        if not taken:  # the header, which the row loop reads if this block is refused
+            header = text[1:end].partition("\n")[0]
+            start = len(header) + 1
+            # a lone "\r" ends a text-mode line too: the header may hold one only at its end
+            if "\r" in header[:-1] or tuple(h.strip().lower() for h in header.split(",")) != COUNTS_HEADER:
+                return False
+        if len(text) > limit or _ODD_LINE.search(text, start, end):
+            return False
+        fields = text[start + 1:end].replace("\n", ",").split(",")
+        labels, counts = list(map(str.strip, fields[::2])), list(map(int, fields[1::2]))
+        if (block_total := sum(counts)) > _INT64_MAX - total:
+            return False
+        new = dict(zip(labels, counts))
+        if len(new) == len(counts) and 0 not in counts and label_counts.keys().isdisjoint(new):
+            label_counts.update(new)
+        else:  # a label repeats or a count is 0: sum row by row
+            for label, count in zip(labels, counts):
+                if count:
+                    label_counts[label] = label_counts.get(label, 0) + count
+        taken, total = max(taken, 1) + len(counts), total + block_total
+        return True
+
+    with open(path, "rb") as handle:
+        lines = _csv_lines(_decoded(path, handle, *_blocks(handle, take), translate=False))
+        get, reader = label_counts.get, csv.reader(chain.from_iterable(lines))
         try:
             if not taken:
                 header = next(reader, None)
@@ -341,23 +354,6 @@ def _merge_keyed(keyed: list) -> tuple[np.ndarray, np.ndarray]:
     return unique, totals
 
 
-def _count_text(path, handle, data: bytes, read: int, text_counts: Counter) -> None:
-    """Count the lines of data, read bytes into the file, and of the rest of handle, as a
-    text-mode file reads them."""
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
-    tail = ""
-    try:
-        while data:
-            read += len(data)
-            lines = (tail + decoder.decode(data)).split("\n")
-            tail = lines.pop()  # the unfinished last line
-            text_counts.update(lines)
-            data = handle.read(io.DEFAULT_BUFFER_SIZE)  # the 8 KiB a text-mode file decodes at a time
-        text_counts.update((tail + decoder.decode(b"", final=True)).split("\n"))
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, read, exc) from exc
-
-
 def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ...]]:
     """Read one label per line (blank lines are skipped); returns what ``read_counts_csv`` does.
 
@@ -375,24 +371,23 @@ def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
     then the Counter's.  Memory grows with the distinct labels, not the lines.
     """
     keyed, text_counts = [(np.empty(0, np.uint64), np.empty(0, np.int64))], Counter()
+
+    def take(block: bytes) -> bool:
+        # a CRLF pair ends a line as LF does; a lone CR is not plain
+        if not _tally_plain(block.replace(b"\r\n", b"\n"), keyed, text_counts):
+            return False
+        # merged as they accumulate, the keys held stay within a few times the distinct labels
+        if sum(keys.size for keys, _ in keyed) > 2 * keyed[0][0].size + _BLOCK:
+            keyed[:] = [_merge_keyed(keyed)]
+        return True
+
     with open(path, "rb") as handle:
-        chunk = handle.read(_BLOCK)
-        # bytes before data: a byte-order mark, or a file that is all of one cut short, as utf-8-sig drops them
-        read = len(chunk[:3]) if codecs.BOM_UTF8.startswith(chunk[:3]) else 0
-        data = chunk[read:]
-        while data:
-            last = len(chunk) < _BLOCK
-            end = len(data) if last else data.rfind(b"\n") + 1
-            # a CRLF pair ends a line as LF does; a lone CR is not plain
-            if not end or not _tally_plain(data[:end].replace(b"\r\n", b"\n"), keyed, text_counts):
-                break
-            # merged as they accumulate, the keys held stay within a few times the distinct labels
-            if sum(keys.size for keys, _ in keyed) > 2 * keyed[0][0].size + _BLOCK:
-                keyed = [_merge_keyed(keyed)]
-            read += end
-            chunk = b"" if last else handle.read(_BLOCK)
-            data = data[end:] + chunk
-        _count_text(path, handle, data, read, text_counts)
+        tail = ""
+        for text in _decoded(path, handle, *_blocks(handle, take), translate=True):
+            lines = (tail + text).split("\n")
+            tail = lines.pop()  # the unfinished last line
+            text_counts.update(lines)
+    text_counts[tail] += 1
     keys, totals = _merge_keyed(keyed)
     labels = keys.astype("<u8", copy=False).view("S8").astype(str).tolist()  # each key's bytes less its padding
     label_counts = Counter(dict(zip(labels, totals.tolist())))

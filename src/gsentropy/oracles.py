@@ -28,6 +28,7 @@ from .distributions import (
     CustomFinite,
     _Workspace,
     _check_order,
+    _check_reps,
     _count,
     _literal_sigma_sq,
     _replicate_states,
@@ -169,9 +170,7 @@ def mc_variance_oracle(dist: AnalyticDistribution, m: int, n: int, reps: int, se
     Replicate r draws with the derived seed (seed, r), in the coverage engine's blocks.
     """
     n = _count(n, "sample size n", 1)
-    reps = _count(reps, "replicate count reps", 1)
-    if reps >= 2**64:  # derive_seed keys replicate r by r mod 2^64
-        raise ValueError(f"replicate count reps must be below 2**64, got {reps}")
+    reps = _check_reps(reps)
     if reps < 100:
         raise ValueError("need at least 100 replicates for a meaningful variance")
     h_true = gse_analytic(dist, m)

@@ -396,6 +396,13 @@ def _decode_error(path):
     raise AssertionError(f"{path} decodes as a whole")
 
 
+def _less_bom(lines):
+    """The lines, the first less a leading byte-order mark (only a whole one,
+    so a mark cut short is not UTF-8)."""
+    for number, line in enumerate(lines):
+        yield line.removeprefix("\ufeff") if number == 0 else line
+
+
 def read_counts_csv_rows(path):
     """The counts-CSV reader as one Counter update per row.
 
@@ -408,8 +415,8 @@ def read_counts_csv_rows(path):
     from collections import Counter
 
     label_counts, total = Counter(), 0
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(_less_bom(handle))
         try:
             header = next(reader, None)
             if header is None or tuple(h.strip().lower() for h in header) != ("category", "count"):
@@ -455,8 +462,8 @@ def read_raw_labels_lines(path):
     from collections import Counter
 
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            label_counts = Counter(line.strip() for line in handle)
+        with open(path, encoding="utf-8") as handle:
+            label_counts = Counter(line.strip() for line in _less_bom(handle))
     except UnicodeDecodeError:
         raise _decode_error(path) from None
     del label_counts[""]

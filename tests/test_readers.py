@@ -20,7 +20,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from contextlib import suppress
+from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +28,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gsentropy import SampleCounts, read_counts_csv, read_raw_labels, write_counts_csv
+from gsentropy import SampleCounts, estimation, read_counts_csv, read_raw_labels, write_counts_csv
 from gsentropy.cli import main
-from gsentropy.estimation import _plain_counts
 
 from _reference import read_counts_csv_rows, read_raw_labels_lines
 
@@ -166,6 +165,8 @@ def test_read_raw_labels_matches_line_by_line(tmp_path_factory, data):
 # counts a whole first block of them before it meets what follows
 _PLAIN = b"category,count\n" + "".join(f"r{i},{i % 5 + 1}\n" for i in range(9000)).encode()
 _PAST_LIMIT = csv.field_size_limit() + 1
+# After them a row of three columns that ends at the 72 KiB mark, the end of one 8 KiB decode
+_ODD_AT_72K = _PLAIN + b"y" * (73728 - len(_PLAIN) - 9) + b",1\na,1,2\n"
 
 
 @DIFF
@@ -176,6 +177,7 @@ _PAST_LIMIT = csv.field_size_limit() + 1
 @example(b"category,count\n\n \na,1,2\n")
 @example(BOM.encode() + b"category,count\na,1\n\xff,2\n")
 @example(b"category,count\na,1\n\xe2\x82")
+@example(b"\xef\xbb")  # a byte-order mark cut short by the end of the file
 @example(b"category,count\na,0\nb,1\na,2\nb,0\n")  # zero counts and labels that repeat
 @example(b"category,count\na,0\nb,1\n")  # a zero count among distinct labels
 @example("category,count\n a ,1\na\u3000,2\n".encode())  # labels that strip alike
@@ -198,6 +200,9 @@ _PAST_LIMIT = csv.field_size_limit() + 1
 @example(BOM.encode() + _PLAIN + b'"a",1\n')  # a byte-order mark before a late quote,
 @example(_PLAIN + b"a," + b"9" * 5000 + b"\n\xff\n")  # a bad byte in the 8 KiB of a long count,
 @example(_PLAIN + b"a,1_000\n" + b"z,1\n" * 3000 + b"\xff\n")  # and in a later 8 KiB of the block
+@example(_PLAIN + b"a,1,2\n\xff\n")  # a bad byte in the 8 KiB that ends a row of three columns,
+@example(_ODD_AT_72K + b"\xff\n")  # and in the 8 KiB after it, whose row is refused first
+@example(_ODD_AT_72K[:-1] + b"\r\xff\n")  # unless a last "\r" might still begin a CRLF pair
 @example(_PLAIN + b'"a\nb",2\n' + b"x" * _PAST_LIMIT + b",1\n")  # a csv error after rows and lines part,
 @example(_PLAIN.replace(b"\n", b"\r\n"))  # CRLF rows, as write_counts_csv writes them, which
 @example(_PLAIN + b"a,1")  # the block pass takes, as it does a last line without a line end,
@@ -254,14 +259,26 @@ def test_count_past_19_digits_is_named_by_its_row(tmp_path, count, outcome):
             assert dict(zip(labels, counts.counts.tolist())) == {"a": 1, "b": outcome}
 
 
-def test_written_counts_take_the_block_pass(tmp_path):
+def test_written_counts_take_the_block_pass(tmp_path, monkeypatch):
     # write_counts_csv ends its rows with CRLF; the block pass must take them
-    # whole, so the library's own files do not fall back to the row loop
+    # whole, from a file and from a pipe, so the library's own files do not
+    # fall back to the row loop
     path = tmp_path / "counts.csv"
     write_counts_csv(SampleCounts(np.arange(1, 9001), np.arange(9000) % 5 + 1), path,
                      [f"r{i}" for i in range(9000)])
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        assert _plain_counts(handle) == ({f"r{i}": i % 5 + 1 for i in range(9000)}, 9001, ())
+    left, passes = [], estimation._blocks
+
+    def blocks(handle, take):
+        left.append(passes(handle, take))
+        return left[-1]
+
+    monkeypatch.setattr(estimation, "_blocks", blocks)
+    sources = [nullcontext(path)] + ([_piped(tmp_path, path.read_bytes())] if hasattr(os, "mkfifo") else [])
+    for source in sources:
+        with source as data:
+            counts, labels = read_counts_csv(data)
+        assert left.pop() == (path.stat().st_size, b"")  # the rest the row loop reads: none
+        assert dict(zip(labels, counts.counts.tolist())) == {f"r{i}": i % 5 + 1 for i in range(9000)}
 
 
 def test_gse_estimate_names_the_row_of_a_long_count(tmp_path, capsys):
@@ -287,10 +304,10 @@ def test_counts_csv_memory_grows_with_labels_not_rows(tmp_path):
     assert peak < 2 * 2**20
 
 
-def _agree_through_a_pipe(tmp_path, data, reader):
-    """reader's outcome on data written to a named pipe, as on a regular file."""
-    regular, fifo = tmp_path / "input", tmp_path / "input.fifo"
-    regular.write_bytes(data)
+@contextmanager
+def _piped(tmp_path, data):
+    """A named pipe in tmp_path that a thread writes data to while the with block runs."""
+    fifo = tmp_path / "input.fifo"
     os.mkfifo(fifo)
 
     def write():
@@ -300,11 +317,19 @@ def _agree_through_a_pipe(tmp_path, data, reader):
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     try:
-        piped, read = (repr(_outcome(reader, path)).replace(str(path), "<path>") for path in (fifo, regular))
-        assert piped == read
+        yield fifo
     finally:
         writer.join(timeout=30)
     assert not writer.is_alive()
+
+
+def _agree_through_a_pipe(tmp_path, data, reader):
+    """reader's outcome on data written to a named pipe, as on a regular file."""
+    regular = tmp_path / "input"
+    regular.write_bytes(data)
+    with _piped(tmp_path, data) as fifo:
+        piped, read = (repr(_outcome(reader, path)).replace(str(path), "<path>") for path in (fifo, regular))
+    assert piped == read
 
 
 _PIPES = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -312,11 +337,15 @@ _PIPES = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes
 
 @_PIPES
 @pytest.mark.parametrize("data", [_PLAIN, _PLAIN + b'"a,b",2\n', b"count,category\n" + _PLAIN[15:],
-                                  _PLAIN + b"a,1\n\xff,2\n"],
-                         ids=["plain", "late-quote", "bad-header", "bad-byte"])
+                                  _PLAIN + b"a,1\n\xff,2\n", _PLAIN + b"a,1,2\n\xff\n",
+                                  _PLAIN + b"x" * _PAST_LIMIT + b",1\n\xff\n"],
+                         ids=["plain", "late-quote", "bad-header", "bad-byte", "row-error-and-bad-byte",
+                              "csv-error-and-bad-byte"])
 def test_counts_csv_from_a_pipe_reads_as_from_a_file(tmp_path, data):
-    # a pipe cannot seek back after a bad header or byte, so its rows go straight
-    # to the row loop; a bad byte is named by its offset all the same
+    # a pipe takes the block pass and is decoded 8 KiB of the file at a time,
+    # as a file is: past a first plain block, a bad byte in the 8 KiB that ends
+    # a row with three columns, or a field past csv.field_size_limit(), is
+    # named before that row's error, and by its offset all the same
     _agree_through_a_pipe(tmp_path, data, read_counts_csv)
 
 
