@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -218,11 +219,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_verification(corpus_seed=args.corpus_seed,
                               corpus_size=args.corpus_size,
                               m_values=_parse_m_range(args.m_range))
+    args.status = EXIT_OK if report.passed else EXIT_VERIFY_FAILED  # also if stdout is closed
     print(f"corpus: {report.corpus_size} pmfs, seed {report.corpus_seed}, "
           f"orders {list(report.m_values)}")
     for check in report.checks:
         print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    return args.status
 
 
 @functools.cache
@@ -273,14 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.status = EXIT_OK  # a command may set its status before it writes
     try:
-        return args.func(args)
+        args.status = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+    except BrokenPipeError:  # the reader of stdout has gone, which is no error of the command's
+        # the interpreter flushes stdout again at exit: there it writes to nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGENT
     except (ValueError, OSError, MemoryError) as exc:  # a MemoryError may carry no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
+    return args.status
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from statistics import NormalDist
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -172,12 +172,13 @@ def confidence_interval(est: GseEstimate, alpha: float) -> ConfidenceInterval:
 
 COUNTS_HEADER = ("category", "count")
 _SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
-# A line not `label,digits` ending LF or CRLF (searched for: a full match keeps a frame a line)
-_ODD_LINE = re.compile(r'\n(?![^,\n"\r\0]*,[0-9]{1,19}\r?(?:\n|\Z))')
 # The bytes the readers' block passes read at a time, and a text-mode file decodes at a time
 _BLOCK, _PIECE = 65536, 8192
 # _KEEP[n] keeps the first n bytes of a little-endian 8-byte word
 _KEEP = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+# _TENS[k] weighs a count's k-th digit from the last
+_TENS = 10 ** np.arange(19, dtype=np.uint64)
+_NO_KEYS = (np.empty(0, np.uint64), np.empty(0, np.int64))  # the keys merged before the first block
 
 
 def _blocks(handle, take) -> tuple[int, bytes]:
@@ -218,11 +219,48 @@ def _decoded(path, handle, read: int, data: bytes, translate: bool):
         raise ValueError(f"{path}: byte {at} is not UTF-8 ({exc.reason})") from exc
 
 
-def _encode_labels(label_counts: Mapping[str, int]) -> tuple[SampleCounts, tuple[str, ...]]:
-    if not label_counts:
+def _merge_keyed(keyed: list) -> tuple[np.ndarray, np.ndarray]:
+    """Merge keyed's (keys, counts) pairs into one of distinct keys and their totals, and return it."""
+    unique, inverse = np.unique(np.concatenate([keys for keys, _ in keyed]), return_inverse=True)
+    totals = np.zeros(unique.size, dtype=np.int64)
+    np.add.at(totals, inverse, np.concatenate([counts for _, counts in keyed]))
+    keyed[:] = [(unique, totals)]
+    return unique, totals
+
+
+def _add_keyed(keyed: list, block: bytes, starts: np.ndarray, lengths: np.ndarray, counts=None) -> None:
+    """Add to keyed the labels of up to 8 bytes 0x21-0x7E at starts in block, each packed into one
+    little-endian word, its key, with their counts (1 each if None); keyed's first pair holds the
+    keys merged so far."""
+    # no NUL in such a label, so zeros pad it unambiguously
+    keys = np.ndarray(len(block), "<u8", block + bytes(8), strides=(1,)).take(starts)
+    keys &= _KEEP.take(lengths, mode="clip")
+    keyed.append(np.unique(keys, return_counts=True) if counts is None else (keys, counts))
+    # merged as they accumulate, the keys held stay within a few times the distinct labels
+    if sum(held.size for held, _ in keyed) > 2 * keyed[0][0].size + _BLOCK // 8:
+        _merge_keyed(keyed)
+
+
+def _labelled(keys: np.ndarray, totals: np.ndarray,
+              label_counts: dict[str, int]) -> tuple[SampleCounts, tuple[str, ...]]:
+    """The labels of the distinct keys, numbered 1.. in key order, with their totals, then those of
+    label_counts the keys lack, in its order; a label in both adds its count to its key's total."""
+    # each key's bytes less its padding, then "\n", decoded at once: such a label holds no NUL or "\n"
+    text = np.full((keys.size, 9), 10, np.uint8)
+    text[:, :8] = keys.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    labels = text[text != 0].tobytes().decode().split("\n")
+    labels.pop()
+    # a label counted as text too adds to its key's total: the one key each short label could be is
+    # found by its word and checked against the key's own label
+    short = [label for label in label_counts if len(label) <= 8 and label.isascii()] if labels else []
+    words = np.array([int.from_bytes(label.encode(), "little") for label in short], np.uint64)
+    for label, at in zip(short, np.searchsorted(keys, words).clip(max=keys.size - 1).tolist()):
+        if labels[at] == label:
+            totals[at] += label_counts.pop(label)
+    if not labels and not label_counts:
         raise ValueError("no observations: all counts are zero or the file is empty")
-    counts = SampleCounts(np.arange(1, len(label_counts) + 1), list(label_counts.values()))
-    return counts, tuple(label_counts)
+    counts = np.concatenate([totals, np.fromiter(label_counts.values(), np.int64, len(label_counts))])
+    return SampleCounts(np.arange(1, counts.size + 1), counts), (*labels, *label_counts)
 
 
 def _csv_lines(pieces: Iterable[str]) -> Iterable[list[str]]:
@@ -238,52 +276,92 @@ def _csv_lines(pieces: Iterable[str]) -> Iterable[list[str]]:
 
 
 def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ...]]:
-    """Read a `category,count` CSV; labels are numbered 1..K as they are read.
+    """Read a `category,count` CSV; returns the counts and labels, labels[k - 1] that of category k.
 
     A count is an optional sign and ASCII digits, at most 19 significant, with surrounding whitespace.
-    Returns the counts and labels, labels[k - 1] that of category k; duplicate labels add, zero rows drop.
+    Labels are stripped of surrounding whitespace; duplicate labels add, zero rows drop.
 
-    The file is read in 64 KiB blocks of bytes cut at their last "\\n"; one whose lines are all
-    `label,digits` ending LF or CRLF (1 to 19 ASCII digits, no quote or NUL, within
-    ``csv.field_size_limit()``), after the header in the first, is taken as columns.  ``csv.reader``'s
-    row loop reads on from the first other block, and alone raises errors.  Memory grows with the
-    labels, not the rows.
+    The file is read in 64 KiB blocks of bytes cut at their last "\\n".  A block is taken in numpy if,
+    after the header in the first, each line holds one comma, then 1 to 19 ASCII digits, and no quote,
+    NUL or "\\r" but one that ends it, within ``csv.field_size_limit()`` and an int64 total.  Its
+    labels are tallied as ``read_raw_labels`` tallies a plain block (as packed 8-byte keys, those
+    longer one by one) if all are bytes 0x21-0x7E and at most a quarter longer than 8 bytes, else
+    decoded and stripped.  ``csv.reader``'s row loop reads on from the first block not taken, and
+    alone raises errors.  Labels tallied as keys are numbered first, in key order, then the others in
+    the order first met.  Memory grows with the labels, not the rows.
     """
-    label_counts, taken, total, limit = {}, 0, 0, csv.field_size_limit()
+    label_counts, keyed, taken, total, limit = {}, [_NO_KEYS], 0, 0, csv.field_size_limit()
+    get = label_counts.get
 
     def take(block: bytes) -> bool:
         """Count block's rows if they are all plain and keep the counts' total within int64."""
         nonlocal taken, total
-        try:
-            text = "\n" + block.decode()  # text starts with a line end
-        except UnicodeDecodeError:
-            return False
-        start, end = 0, len(text) - text.endswith("\n")  # the file's end ends its last line
+        rows = block
         if not taken:  # the header, which the row loop reads if this block is refused
-            header = text[1:end].partition("\n")[0]
-            start = len(header) + 1
+            header, _, rows = block.partition(b"\n")
+            header = header.decode(errors="replace")  # a byte that is not UTF-8 fails the test below
             # a lone "\r" ends a text-mode line too: the header may hold one only at its end
             if "\r" in header[:-1] or tuple(h.strip().lower() for h in header.split(",")) != COUNTS_HEADER:
                 return False
-        if len(text) > limit or _ODD_LINE.search(text, start, end):
+        if b"\r" in rows:  # a CRLF pair ends a line as LF does, and a last "\r" the file's last line
+            rows = rows.replace(b"\r\n", b"\n").removesuffix(b"\r")
+        if len(block) >= limit or b'"' in rows or b"\0" in rows or b"\r" in rows:
             return False
-        fields = text[start + 1:end].replace("\n", ",").split(",")
-        labels, counts = list(map(str.strip, fields[::2])), list(map(int, fields[1::2]))
-        if (block_total := sum(counts)) > _INT64_MAX - total:
+        codes = np.frombuffer(rows, np.uint8)
+        ends, commas = np.flatnonzero(codes == 10), np.flatnonzero(codes == 44)
+        # uint8 arithmetic wraps, so the difference is below 0x5E for 0x21-0x7E only
+        plain = np.count_nonzero(codes - np.uint8(0x21) < 0x5E) + ends.size == len(rows)
+        if rows and not rows.endswith(b"\n"):  # the file's end ends its last line
+            ends = np.append(ends, len(rows))
+        if ends.size != commas.size:
             return False
+        if not ends.size:  # the header alone, or a last "\r"
+            taken = max(taken, 1)
+            return True
+        widths = ends - commas - 1
+        width = int(widths.max())
+        # one comma to a line, then 1 to 19 bytes
+        if widths.min() < 1 or width > 19 or np.any(commas[1:] < ends[:-1]):
+            return False
+        # each count's digits, the last first: place + 1 bytes before its line's end
+        padded, counts = np.frombuffer(bytes(19) + rows, np.uint8), np.zeros(ends.size, np.uint64)
+        for place in range(width):
+            digits = padded.take(ends + (18 - place)) - np.uint8(48)
+            digits *= widths > place
+            if (digits > 9).any():
+                return False
+            counts += digits * _TENS[place]
+        # the total within int64 (and so each count), a sum that might wrap taken in Python ints
+        block_total = int(counts.sum()) if counts.max() <= _INT64_MAX // counts.size else sum(counts.tolist())
+        if block_total > _INT64_MAX - total:
+            return False
+        starts = np.append(0, ends[:-1] + 1)
+        lengths = commas - starts
+        long = lengths > 8
+        if plain and 4 * np.count_nonzero(long) <= ends.size:  # short labels as keys, long ones as text
+            short = ~long & (counts != 0)
+            _add_keyed(keyed, rows, starts[short], lengths[short], counts[short].astype(np.int64))
+            labels = [rows[a:b].decode() for a, b in zip(starts[long].tolist(), commas[long].tolist())]
+            counts = counts[long]
+        else:  # spaces to strip, bytes to decode, or many long labels, each a slice: split the text
+            try:
+                labels = list(map(str.strip, rows.decode().replace("\n", ",").split(",")[:2 * ends.size:2]))
+            except UnicodeDecodeError:
+                return False
+        counts = counts.tolist()
         new = dict(zip(labels, counts))
         if len(new) == len(counts) and 0 not in counts and label_counts.keys().isdisjoint(new):
             label_counts.update(new)
         else:  # a label repeats or a count is 0: sum row by row
             for label, count in zip(labels, counts):
                 if count:
-                    label_counts[label] = label_counts.get(label, 0) + count
-        taken, total = max(taken, 1) + len(counts), total + block_total
+                    label_counts[label] = get(label, 0) + count
+        taken, total = max(taken, 1) + ends.size, total + block_total
         return True
 
     with open(path, "rb") as handle:
         lines = _csv_lines(_decoded(path, handle, *_blocks(handle, take), translate=False))
-        get, reader = label_counts.get, csv.reader(chain.from_iterable(lines))
+        reader = csv.reader(chain.from_iterable(lines))
         try:
             if not taken:
                 header = next(reader, None)
@@ -317,7 +395,7 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
                     label_counts[label] = get(label, 0) + count
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num + taken}: {exc}") from exc
-    return _encode_labels(label_counts)
+    return _labelled(*_merge_keyed(keyed), label_counts)
 
 
 def _tally_plain(block: bytes, keyed: list, text_counts: Counter) -> bool:
@@ -330,28 +408,16 @@ def _tally_plain(block: bytes, keyed: list, text_counts: Counter) -> bool:
         return False
     if not ends.size or ends[-1] < len(block) - 1:  # a last line with no line end
         ends = np.append(ends, len(block))
-    starts = np.empty_like(ends)
-    starts[0], starts[1:] = 0, ends[:-1] + 1
+    starts = np.append(0, ends[:-1] + 1)
     lengths = ends - starts
     long = lengths > 8
     if 4 * np.count_nonzero(long) > ends.size:  # many long lines, each a slice: the text loop is cheaper
         return False
-    # each line's first 8 bytes as one word; no NUL in a plain line, so zeros pad it unambiguously
-    words = np.ndarray(len(block), "<u8", block + bytes(8), strides=(1,)).take(starts)
-    words &= _KEEP.take(lengths, mode="clip")
     if long.any():
         text_counts.update(block[a:b].decode() for a, b in zip(starts[long].tolist(), ends[long].tolist()))
-        words = words[~long]
-    keyed.append(np.unique(words, return_counts=True))
+        starts, lengths = starts[~long], lengths[~long]
+    _add_keyed(keyed, block, starts, lengths)
     return True
-
-
-def _merge_keyed(keyed: list) -> tuple[np.ndarray, np.ndarray]:
-    """One (distinct keys, their totals) pair from several."""
-    unique, inverse = np.unique(np.concatenate([keys for keys, _ in keyed]), return_inverse=True)
-    totals = np.zeros(unique.size, dtype=np.int64)
-    np.add.at(totals, inverse, np.concatenate([counts for _, counts in keyed]))
-    return unique, totals
 
 
 def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ...]]:
@@ -364,22 +430,18 @@ def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
     is plain when its bytes, CRLF pairs taken as "\\n", are all "\\n" or
     0x21-0x7E, so that no line needs stripping or decoding, and at most a
     quarter of its lines are longer than 8 bytes.  A plain block's lines of up
-    to 8 bytes are tallied in numpy as 8-byte keys, its longer ones in a
+    to 8 bytes are tallied in numpy as packed 8-byte keys, its longer ones in a
     Counter.  From the first other block on, the rest of the file is decoded as
     UTF-8 with universal newlines and counted in the Counter line by line.  The
-    labels are numbered in that order too: those tallied as keys by their keys,
-    then the Counter's.  Memory grows with the distinct labels, not the lines.
+    labels are numbered those tallied as keys first, in key order, then the
+    others in the order first met.  Memory grows with the distinct labels, not
+    the lines.
     """
-    keyed, text_counts = [(np.empty(0, np.uint64), np.empty(0, np.int64))], Counter()
+    keyed, text_counts = [_NO_KEYS], Counter()
 
     def take(block: bytes) -> bool:
         # a CRLF pair ends a line as LF does; a lone CR is not plain
-        if not _tally_plain(block.replace(b"\r\n", b"\n"), keyed, text_counts):
-            return False
-        # merged as they accumulate, the keys held stay within a few times the distinct labels
-        if sum(keys.size for keys, _ in keyed) > 2 * keyed[0][0].size + _BLOCK:
-            keyed[:] = [_merge_keyed(keyed)]
-        return True
+        return _tally_plain(block.replace(b"\r\n", b"\n") if b"\r" in block else block, keyed, text_counts)
 
     with open(path, "rb") as handle:
         tail = ""
@@ -388,15 +450,13 @@ def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
             tail = lines.pop()  # the unfinished last line
             text_counts.update(lines)
     text_counts[tail] += 1
-    keys, totals = _merge_keyed(keyed)
-    labels = keys.astype("<u8", copy=False).view("S8").astype(str).tolist()  # each key's bytes less its padding
-    label_counts = Counter(dict(zip(labels, totals.tolist())))
     # strip each distinct label once rather than every line
     for label in [label for label in text_counts if label != label.strip()]:
         text_counts[label.strip()] += text_counts.pop(label)
-    label_counts.update(text_counts)
-    del label_counts[""]
-    return _encode_labels(label_counts)
+    del text_counts[""]
+    keys, totals = _merge_keyed(keyed)
+    blank = int(keys.size > 0 and keys[0] == 0)  # the key of a blank line
+    return _labelled(keys[blank:], totals[blank:], text_counts)
 
 
 def write_counts_csv(counts: SampleCounts, path: Union[str, Path],

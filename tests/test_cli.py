@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -693,6 +697,36 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "[FAIL] forced" in out
+
+
+_FAILED_VERIFY = """
+from gsentropy import cli
+from gsentropy.oracles import CheckResult, VerificationReport
+cli.run_verification = lambda **kwargs: VerificationReport(0, 0, (2,), (CheckResult("forced", False, "x"),))
+raise SystemExit(cli.main(["verify"]))
+"""
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["-m", "gsentropy", "compute", "--dist", '{"kind":"zeta","s":1.5}'], 0),
+    (["-m", "gsentropy", "coverage", "--dist", '{"kind":"zeta","s":1.5}', "--grid", "10:50:20",
+      "--reps", "200"], 0),
+    (["-c", _FAILED_VERIFY], 1),
+], ids=["compute", "coverage-csv-on-stdout", "failed-verify"])
+def test_a_closed_stdout_is_not_an_error(argv, status):
+    # a reader that stops reading, as `gse compute ... | head -0` does, is not
+    # a usage error (exit 2); the command keeps its own status and reports no
+    # error, also none from the interpreter's flush of stdout at exit
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == status, done.stderr
+    assert not any(word in done.stderr for word in (b"error:", b"Error", b"Traceback"))
 
 
 def test_one_parser_per_process_answers_as_a_fresh_one(capsys, monkeypatch, tmp_path):

@@ -167,6 +167,8 @@ _PLAIN = b"category,count\n" + "".join(f"r{i},{i % 5 + 1}\n" for i in range(9000
 _PAST_LIMIT = csv.field_size_limit() + 1
 # After them a row of three columns that ends at the 72 KiB mark, the end of one 8 KiB decode
 _ODD_AT_72K = _PLAIN + b"y" * (73728 - len(_PLAIN) - 9) + b",1\na,1,2\n"
+# More than 64 KiB of rows whose labels are longer than 8 bytes, some of them with count 0
+_LONG_ROWS = "".join(f"label-{i % 3000:04d},{i % 4}\n" for i in range(8000)).encode()
 
 
 @DIFF
@@ -208,6 +210,14 @@ _ODD_AT_72K = _PLAIN + b"y" * (73728 - len(_PLAIN) - 9) + b",1\na,1,2\n"
 @example(_PLAIN + b"a,1")  # the block pass takes, as it does a last line without a line end,
 @example(_PLAIN + b"a,1\r")  # one ending in a lone CR,
 @example(_PLAIN + b"a,-" + b"1" * 20 + b"\n")  # and leaves a negative count of 20 digits to the loop
+@example(_PLAIN + b"abcdefgh,1\nabcdefghi,2\nabcdefgh,3\n")  # labels of 8 and 9 bytes,
+@example(_PLAIN + _LONG_ROWS + b"r0,1\n")  # blocks of mostly long labels, then a short one,
+@example(_PLAIN + _LONG_ROWS.replace(b"\n", b"\r\n"))  # and as CRLF rows,
+@example(_PLAIN + b" r0 ,1\n")  # a label keyed in one block met again padded in another,
+@example(_PLAIN + b"a,007\nb,0\nc,9223372036854775807\n")  # counts after a nonzero total,
+@example(_PLAIN + b"a,9999999999999999999\n")  # a count of 19 digits past int64,
+@example(_PLAIN + b"a,1\r\nb,2\r\n")  # CRLF rows after LF ones,
+@example(_PLAIN + b" a ,1\r")  # and a padded last row ending in a lone CR
 def test_read_counts_csv_matches_row_by_row(tmp_path_factory, data):
     _agree(tmp_path_factory.mktemp("csv"), data, read_counts_csv, read_counts_csv_rows)
 
@@ -279,6 +289,35 @@ def test_written_counts_take_the_block_pass(tmp_path, monkeypatch):
             counts, labels = read_counts_csv(data)
         assert left.pop() == (path.stat().st_size, b"")  # the rest the row loop reads: none
         assert dict(zip(labels, counts.counts.tolist())) == {f"r{i}": i % 5 + 1 for i in range(9000)}
+
+
+@pytest.mark.parametrize("shape", ["lf", "written", "raw-crlf"])
+def test_short_plain_labels_take_the_key_route(tmp_path, monkeypatch, shape):
+    # the benchmark's rows (`c<i>,<count>` ending LF), write_counts_csv's
+    # (ending CRLF) and CRLF raw labels have labels of at most 8 bytes
+    # 0x21-0x7E: every label must be tallied as a packed key, none as text,
+    # and the keys number the labels
+    path, counts = tmp_path / "data", np.arange(20000) * 37 % 1000 + 1  # counts of 1 to 4 digits
+    expected = {f"c{i}": count for i, count in enumerate(counts.tolist())}
+    if shape == "lf":
+        path.write_text("category,count\n" + "".join(f"{label},{count}\n" for label, count in expected.items()),
+                        encoding="utf-8")
+    elif shape == "written":
+        write_counts_csv(SampleCounts(np.arange(1, 20001), counts), path, list(expected))
+    else:
+        expected = {f"c{i}": 2 for i in range(10000)}
+        path.write_bytes(b"".join(f"c{i % 10000}\r\n".encode() for i in range(20000)))
+    keyed, add_keyed = [], estimation._add_keyed
+
+    def tally(held, block, starts, lengths, counts=None):
+        keyed.append(starts.size)
+        add_keyed(held, block, starts, lengths, counts)
+
+    monkeypatch.setattr(estimation, "_add_keyed", tally)
+    got, labels = (read_raw_labels if shape == "raw-crlf" else read_counts_csv)(path)
+    assert sum(keyed) == 20000
+    assert dict(zip(labels, got.counts.tolist())) == expected
+    assert list(labels) == sorted(labels, key=lambda label: int.from_bytes(label.encode(), "little"))
 
 
 def test_gse_estimate_names_the_row_of_a_long_count(tmp_path, capsys):
