@@ -229,9 +229,8 @@ def _merge_keyed(keyed: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _add_keyed(keyed: list, block: bytes, starts: np.ndarray, lengths: np.ndarray, counts=None) -> None:
-    """Add to keyed the labels of up to 8 bytes 0x21-0x7E at starts in block, each packed into one
-    little-endian word, its key, with their counts (1 each if None); keyed's first pair holds the
-    keys merged so far."""
+    """Add to keyed, whose first pair holds the keys merged so far, the labels of up to 8 bytes 0x21-0x7E
+    at starts in block, each packed into one little-endian word, with their counts (1 each if None)."""
     # no NUL in such a label, so zeros pad it unambiguously
     keys = np.ndarray(len(block), "<u8", block + bytes(8), strides=(1,)).take(starts)
     keys &= _KEEP.take(lengths, mode="clip")
@@ -241,8 +240,7 @@ def _add_keyed(keyed: list, block: bytes, starts: np.ndarray, lengths: np.ndarra
         _merge_keyed(keyed)
 
 
-def _labelled(keys: np.ndarray, totals: np.ndarray,
-              label_counts: dict[str, int]) -> tuple[SampleCounts, tuple[str, ...]]:
+def _labelled(keys: np.ndarray, totals: np.ndarray, label_counts: dict) -> tuple[SampleCounts, tuple[str, ...]]:
     """The labels of the distinct keys, numbered 1.. in key order, with their totals, then those of
     label_counts the keys lack, in its order; a label in both adds its count to its key's total."""
     # each key's bytes less its padding, then "\n", decoded at once: such a label holds no NUL or "\n"
@@ -291,7 +289,6 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
     the order first met.  Memory grows with the labels, not the rows.
     """
     label_counts, keyed, taken, total, limit = {}, [_NO_KEYS], 0, 0, csv.field_size_limit()
-    get = label_counts.get
 
     def take(block: bytes) -> bool:
         """Count block's rows if they are all plain and keep the counts' total within int64."""
@@ -355,13 +352,13 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
         else:  # a label repeats or a count is 0: sum row by row
             for label, count in zip(labels, counts):
                 if count:
-                    label_counts[label] = get(label, 0) + count
+                    label_counts[label] = label_counts.get(label, 0) + count
         taken, total = max(taken, 1) + ends.size, total + block_total
         return True
 
     with open(path, "rb") as handle:
         lines = _csv_lines(_decoded(path, handle, *_blocks(handle, take), translate=False))
-        reader = csv.reader(chain.from_iterable(lines))
+        get, reader = label_counts.get, csv.reader(chain.from_iterable(lines))
         try:
             if not taken:
                 header = next(reader, None)
