@@ -191,14 +191,14 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     dist = _load_distribution(args.dist)
     grid = _parse_grid(args.grid) if args.grid else default_grid()
     result = coverage_sweep(dist, args.m, grid, args.reps, args.alpha, args.seed)
+    if args.svg:  # the files first, so that a closed stdout cuts none of them short
+        write_coverage_svg(result, args.svg)
     if args.out:
         write_coverage_csv(result, args.out)
         summary_stream = sys.stdout
     else:
         sys.stdout.write(coverage_csv(result.points))
         summary_stream = sys.stderr
-    if args.svg:
-        write_coverage_svg(result, args.svg)
 
     covs = [p.coverage for p in result.points]
     stable = stable_from(result)
@@ -272,6 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_closed() -> bool:
+    """Whether stdout is a pipe or socket whose reader has gone."""
+    import select  # only a broken pipe asks
+
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no file under stdout, as when it is captured
+        return False
+    poll = select.poll()
+    poll.register(fd, select.POLLOUT)
+    return any(events & (select.POLLERR | select.POLLHUP) for _, events in poll.poll(0))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -279,15 +292,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.status = args.func(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
-    except BrokenPipeError:  # the reader of stdout has gone, which is no error of the command's
-        # the interpreter flushes stdout again at exit: there it writes to nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGENT
     except (ValueError, OSError, MemoryError) as exc:  # a MemoryError may carry no message
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_USAGE
+        # a reader of stdout that has gone is no error of the command's, unlike
+        # a broken pipe the command opened itself (such as an --out FIFO)
+        if not (isinstance(exc, BrokenPipeError) and _stdout_closed()):
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return EXIT_USAGE
+        # the interpreter flushes stdout again at exit: there it writes to nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return args.status
 
 

@@ -282,11 +282,11 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
     The file is read in 64 KiB blocks of bytes cut at their last "\\n".  A block is taken in numpy if,
     after the header in the first, each line holds one comma, then 1 to 19 ASCII digits, and no quote,
     NUL or "\\r" but one that ends it, within ``csv.field_size_limit()`` and an int64 total.  Its
-    labels are tallied as ``read_raw_labels`` tallies a plain block (as packed 8-byte keys, those
-    longer one by one) if all are bytes 0x21-0x7E and at most a quarter longer than 8 bytes, else
-    decoded and stripped.  ``csv.reader``'s row loop reads on from the first block not taken, and
-    alone raises errors.  Labels tallied as keys are numbered first, in key order, then the others in
-    the order first met.  Memory grows with the labels, not the rows.
+    labels are tallied as packed 8-byte keys, as ``read_raw_labels`` tallies a plain block, if all
+    are bytes 0x21-0x7E and none is longer than 8 bytes, else decoded and stripped.  ``csv.reader``'s
+    row loop reads on from the first block not taken, and alone raises errors.  Labels tallied as keys
+    are numbered first, in key order, then the others in the order first met.  Memory grows with the
+    labels, not the rows.
     """
     label_counts, keyed, taken, total, limit = {}, [_NO_KEYS], 0, 0, csv.field_size_limit()
 
@@ -334,25 +334,22 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
             return False
         starts = np.append(0, ends[:-1] + 1)
         lengths = commas - starts
-        long = lengths > 8
-        if plain and 4 * np.count_nonzero(long) <= ends.size:  # short labels as keys, long ones as text
-            short = ~long & (counts != 0)
-            _add_keyed(keyed, rows, starts[short], lengths[short], counts[short].astype(np.int64))
-            labels = [rows[a:b].decode() for a, b in zip(starts[long].tolist(), commas[long].tolist())]
-            counts = counts[long]
-        else:  # spaces to strip, bytes to decode, or many long labels, each a slice: split the text
+        if plain and lengths.max() <= 8:  # each label one packed key
+            kept = counts != 0
+            _add_keyed(keyed, rows, starts[kept], lengths[kept], counts[kept].astype(np.int64))
+        else:  # spaces to strip, bytes to decode or labels past 8 bytes: split the text
             try:
                 labels = list(map(str.strip, rows.decode().replace("\n", ",").split(",")[:2 * ends.size:2]))
             except UnicodeDecodeError:
                 return False
-        counts = counts.tolist()
-        new = dict(zip(labels, counts))
-        if len(new) == len(counts) and 0 not in counts and label_counts.keys().isdisjoint(new):
-            label_counts.update(new)
-        else:  # a label repeats or a count is 0: sum row by row
-            for label, count in zip(labels, counts):
-                if count:
-                    label_counts[label] = label_counts.get(label, 0) + count
+            counts = counts.tolist()
+            new = dict(zip(labels, counts))
+            if len(new) == len(counts) and 0 not in counts and label_counts.keys().isdisjoint(new):
+                label_counts.update(new)
+            else:  # a label repeats or a count is 0: sum row by row
+                for label, count in zip(labels, counts):
+                    if count:
+                        label_counts[label] = label_counts.get(label, 0) + count
         taken, total = max(taken, 1) + ends.size, total + block_total
         return True
 

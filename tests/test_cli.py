@@ -705,28 +705,54 @@ from gsentropy.oracles import CheckResult, VerificationReport
 cli.run_verification = lambda **kwargs: VerificationReport(0, 0, (2,), (CheckResult("forced", False, "x"),))
 raise SystemExit(cli.main(["verify"]))
 """
+# --out written into a pipe whose reader has gone, with stdout still read
+_OUT_TO_A_CLOSED_PIPE = """
+import os, sys
+from gsentropy import cli
+read, write = os.pipe()
+os.close(read)
+cli.write_coverage_csv = lambda result, path: os.write(write, b"n,coverage\\n")
+raise SystemExit(cli.main(sys.argv[1:]))
+"""
+_COVERAGE = ["coverage", "--dist", '{"kind":"zeta","s":1.5}', "--grid", "10:50:20", "--reps", "200"]
+
+
+def _run_gse(argv, stdout):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("argv, status", [
     (["-m", "gsentropy", "compute", "--dist", '{"kind":"zeta","s":1.5}'], 0),
-    (["-m", "gsentropy", "coverage", "--dist", '{"kind":"zeta","s":1.5}', "--grid", "10:50:20",
-      "--reps", "200"], 0),
+    (["-m", "gsentropy", *_COVERAGE], 0),
+    (["-m", "gsentropy", *_COVERAGE, "--svg", "{tmp}/plot.svg"], 0),
     (["-c", _FAILED_VERIFY], 1),
-], ids=["compute", "coverage-csv-on-stdout", "failed-verify"])
-def test_a_closed_stdout_is_not_an_error(argv, status):
+], ids=["compute", "coverage-csv-on-stdout", "coverage-with-svg", "failed-verify"])
+def test_a_closed_stdout_is_not_an_error(tmp_path, argv, status):
     # a reader that stops reading, as `gse compute ... | head -0` does, is not
     # a usage error (exit 2); the command keeps its own status and reports no
-    # error, also none from the interpreter's flush of stdout at exit
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    # error, also none from the interpreter's flush of stdout at exit, and the
+    # files it writes are whole
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     read, write = os.pipe()
     os.close(read)
     try:
-        done = subprocess.run([sys.executable, *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        done = _run_gse(argv, write)
     finally:
         os.close(write)
     assert done.returncode == status, done.stderr
     assert not any(word in done.stderr for word in (b"error:", b"Error", b"Traceback"))
+    if "--svg" in argv:
+        assert (tmp_path / "plot.svg").read_text(encoding="utf-8").rstrip().endswith("</svg>")
+
+
+def test_a_broken_pipe_other_than_stdout_is_an_error(tmp_path):
+    # the command's own output cut short is an input error, though stdout is open
+    done = _run_gse(["-c", _OUT_TO_A_CLOSED_PIPE, *_COVERAGE, "--out", str(tmp_path / "c.csv")], subprocess.PIPE)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(b"error: [Errno 32]"), done.stderr
+    assert b"Traceback" not in done.stderr
 
 
 def test_one_parser_per_process_answers_as_a_fresh_one(capsys, monkeypatch, tmp_path):
