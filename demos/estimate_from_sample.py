@@ -43,7 +43,7 @@ counts = sample(dist, 5_000, seed=99)
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "counts.csv"
     write_counts_csv(counts, path)
-    again, _ = read_counts_csv(path)
+    again, _ = read_counts_csv(path, labels=False)
     est_a = gse_estimate(counts, 2)
     est_b = gse_estimate(again, 2)
     print(f"  wrote {counts.counts.size} categories to {path.name}; "

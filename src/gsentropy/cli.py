@@ -152,7 +152,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     m = _check_order(args.m)
     _check_alpha(args.alpha)
     reader = read_raw_labels if args.raw else read_counts_csv
-    counts, _ = reader(args.data)
+    counts, _ = reader(args.data, labels=False)
     est = gse_estimate(counts, m)
     ci = confidence_interval(est, args.alpha)
 

@@ -26,7 +26,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from statistics import NormalDist
 from typing import Iterable, Sequence, Union
@@ -240,25 +240,30 @@ def _add_keyed(keyed: list, block: bytes, starts: np.ndarray, lengths: np.ndarra
         _merge_keyed(keyed)
 
 
-def _labelled(keys: np.ndarray, totals: np.ndarray, label_counts: dict) -> tuple[SampleCounts, tuple[str, ...]]:
-    """The labels of the distinct keys, numbered 1.. in key order, with their totals, then those of
-    label_counts the keys lack, in its order; a label in both adds its count to its key's total."""
+def _counted(keys: np.ndarray, totals: np.ndarray, label_counts: dict) -> SampleCounts:
+    """The totals of the distinct keys, numbered 1.. in key order, then the counts of label_counts the
+    keys lack, in its order; a label in both adds its count to its key's total and leaves label_counts."""
+    # the one key each short text label could be is found and checked by its packed word; a key's
+    # label holds no NUL, and a NUL would pack as its padding does, so a label with one is no key's
+    if keys.size:
+        short = [label for label in label_counts if len(label) <= 8 and label.isascii() and "\0" not in label]
+        words = np.array([int.from_bytes(label.encode(), "little") for label in short], np.uint64)
+        at = np.searchsorted(keys, words).clip(max=keys.size - 1)
+        found = keys[at] == words
+        for label, key in zip(compress(short, found), at[found].tolist()):
+            totals[key] += label_counts.pop(label)
+    if not keys.size and not label_counts:
+        raise ValueError("no observations: all counts are zero or the file is empty")
+    counts = np.concatenate([totals, np.fromiter(label_counts.values(), np.int64, len(label_counts))])
+    return SampleCounts(np.arange(1, counts.size + 1), counts)
+
+
+def _key_labels(keys: np.ndarray) -> list[str]:
+    """The labels the packed keys stand for, in the keys' order; built only for a caller that wants labels."""
     # each key's bytes less its padding, then "\n", decoded at once: such a label holds no NUL or "\n"
     text = np.full((keys.size, 9), 10, np.uint8)
     text[:, :8] = keys.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    labels = text[text != 0].tobytes().decode().split("\n")
-    labels.pop()
-    # a label counted as text too adds to its key's total: the one key each short label could be is
-    # found by its word and checked against the key's own label
-    short = [label for label in label_counts if len(label) <= 8 and label.isascii()] if labels else []
-    words = np.array([int.from_bytes(label.encode(), "little") for label in short], np.uint64)
-    for label, at in zip(short, np.searchsorted(keys, words).clip(max=keys.size - 1).tolist()):
-        if labels[at] == label:
-            totals[at] += label_counts.pop(label)
-    if not labels and not label_counts:
-        raise ValueError("no observations: all counts are zero or the file is empty")
-    counts = np.concatenate([totals, np.fromiter(label_counts.values(), np.int64, len(label_counts))])
-    return SampleCounts(np.arange(1, counts.size + 1), counts), (*labels, *label_counts)
+    return text[text != 0].tobytes().decode().split("\n")[:-1]
 
 
 def _csv_lines(pieces: Iterable[str]) -> Iterable[list[str]]:
@@ -273,8 +278,9 @@ def _csv_lines(pieces: Iterable[str]) -> Iterable[list[str]]:
     yield [tail] if tail else []
 
 
-def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ...]]:
-    """Read a `category,count` CSV; returns the counts and labels, labels[k - 1] that of category k.
+def read_counts_csv(path: Union[str, Path], *, labels: bool = True) -> tuple[SampleCounts, tuple[str, ...] | None]:
+    """Read a `category,count` CSV; returns the counts and labels, labels[k - 1] that of category k,
+    or None in place of the labels if labels is False, which builds no label string for a key.
 
     A count is an optional sign and ASCII digits, at most 19 significant, with surrounding whitespace.
     Labels are stripped of surrounding whitespace; duplicate labels add, zero rows drop.
@@ -389,7 +395,9 @@ def read_counts_csv(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
                     label_counts[label] = get(label, 0) + count
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num + taken}: {exc}") from exc
-    return _labelled(*_merge_keyed(keyed), label_counts)
+    keys, totals = _merge_keyed(keyed)
+    counts = _counted(keys, totals, label_counts)  # first: it takes from label_counts those a key holds
+    return counts, (*_key_labels(keys), *label_counts) if labels else None
 
 
 def _tally_plain(block: bytes, keyed: list, text_counts: Counter) -> bool:
@@ -414,8 +422,9 @@ def _tally_plain(block: bytes, keyed: list, text_counts: Counter) -> bool:
     return True
 
 
-def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ...]]:
-    """Read one label per line (blank lines are skipped); returns what ``read_counts_csv`` does.
+def read_raw_labels(path: Union[str, Path], *, labels: bool = True) -> tuple[SampleCounts, tuple[str, ...] | None]:
+    """Read one label per line (blank lines are skipped); returns what ``read_counts_csv`` does,
+    labels (or None if labels is False) included.
 
     Lines end at "\\n", "\\r\\n" or "\\r" only; a label's surrounding Unicode
     whitespace is stripped, and a leading byte-order mark skipped.
@@ -450,7 +459,8 @@ def read_raw_labels(path: Union[str, Path]) -> tuple[SampleCounts, tuple[str, ..
     del text_counts[""]
     keys, totals = _merge_keyed(keyed)
     blank = int(keys.size > 0 and keys[0] == 0)  # the key of a blank line
-    return _labelled(keys[blank:], totals[blank:], text_counts)
+    counts = _counted(keys[blank:], totals[blank:], text_counts)
+    return counts, (*_key_labels(keys[blank:]), *text_counts) if labels else None
 
 
 def write_counts_csv(counts: SampleCounts, path: Union[str, Path],

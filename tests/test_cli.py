@@ -392,6 +392,23 @@ class TestEstimate:
         assert code == 0
         assert json.loads(out)["n"] == 4
 
+    @pytest.mark.parametrize("raw", [True, False])
+    def test_no_label_string_is_built(self, capsys, monkeypatch, tmp_path, raw):
+        # the estimate reads counts only: with the key decoder gone the labels,
+        # tallied as packed keys, still give the same output
+        path = tmp_path / "data"
+        path.write_text("".join(f"c{i % 7}\n" for i in range(50)) if raw else
+                        "category,count\n" + "".join(f"c{i},{i % 4 + 1}\n" for i in range(50)), encoding="utf-8")
+        argv = ["estimate", "--data", str(path), *(["--raw"] if raw else [])]
+        expected = [run(capsys, *argv, *form) for form in ([], ["--format", "json"])]
+
+        def decode(keys):
+            raise AssertionError("a label string was built")
+
+        monkeypatch.setattr(estimation, "_key_labels", decode)
+        assert [run(capsys, *argv, *form) for form in ([], ["--format", "json"])] == expected
+        assert [code for code, _, _ in expected] == [0, 0]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "estimate", "--data", "/does/not/exist.csv")
         assert code == 2

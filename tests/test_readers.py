@@ -108,19 +108,34 @@ def _csv_body(draw, ends):
     return out.getvalue()
 
 
-def _outcome(reader, path):
+def _read(reader, path, **options):
+    """reader's categories, counts and labels for path, or its ValueError's type and message."""
     try:
-        counts, labels = reader(path)
+        counts, labels = reader(path, **options)
     except ValueError as exc:
         return type(exc), str(exc)
+    return counts.categories.tolist(), counts.counts.tolist(), labels
+
+
+def _outcome(read):
+    if len(read) == 2:  # an error
+        return read
+    categories, counts, labels = read
     # the numbering is the reader's own; categories 1..K and the pairing are not
-    return counts.categories.tolist(), len(labels), counts.n, dict(zip(labels, counts.counts.tolist()))
+    return categories, len(labels), sum(counts), dict(zip(labels, counts))
+
+
+def _unlabelled(read):
+    """What the read gives with labels=False: the same counts, numbered alike, and None, or the same error."""
+    return read if len(read) == 2 else (*read[:2], None)
 
 
 def _agree(tmp_path, data, reader, reference):
     path = tmp_path / "input"
     path.write_bytes(data)
-    assert _outcome(reader, path) == _outcome(reference, path)
+    read = _read(reader, path)
+    assert _outcome(read) == _outcome(_read(reference, path))
+    assert _read(reader, path, labels=False) == _unlabelled(read)
 
 
 # More than 64 KiB of plain lines, each label new and of at most 8 bytes: a
@@ -320,6 +335,30 @@ def test_short_plain_labels_take_the_key_route(tmp_path, monkeypatch, shape):
     assert list(labels) == sorted(labels, key=lambda label: int.from_bytes(label.encode(), "little"))
 
 
+@pytest.mark.parametrize("shape", ["raw", "csv"])
+@pytest.mark.parametrize("labelled", [True, False])
+def test_a_label_holding_nul_is_not_its_prefix(tmp_path, shape, labelled):
+    # a key's padding is zero bytes, so "a\0" packs to the word of the key "a"
+    # (and "k1\0" to that of "k1"); the NUL refuses its block, the label is
+    # counted as text, and it must stay a category of its own
+    path = tmp_path / "data"
+    if shape == "raw":
+        path.write_bytes(b"a\n" * 40000 + b"a\x00\nb\n")
+        expected = {"a": 40000, "a\0": 1, "b": 1}
+    else:
+        path.write_bytes(b"category,count\n" + "".join(f"k{i},1\n" for i in range(12000)).encode() + b'"k1\x00",5\n')
+        expected = {**{f"k{i}": 1 for i in range(12000)}, "k1\0": 5}
+    counts, labels = (read_raw_labels if shape == "raw" else read_counts_csv)(path, labels=labelled)
+    assert counts.categories.tolist() == list(range(1, len(expected) + 1))
+    assert counts.n == sum(expected.values())
+    if labelled:
+        assert dict(zip(labels, counts.counts.tolist())) == expected
+    else:
+        assert labels is None
+    if shape == "raw":
+        assert counts.counts.tolist() == [40000, 1, 1]
+
+
 def test_gse_estimate_names_the_row_of_a_long_count(tmp_path, capsys):
     path = tmp_path / "counts.csv"
     path.write_text("category,count\na,1\nb," + "9" * 5000 + "\n", encoding="utf-8")
@@ -359,16 +398,19 @@ def _piped(tmp_path, data):
         yield fifo
     finally:
         writer.join(timeout=30)
+        fifo.unlink()
     assert not writer.is_alive()
 
 
 def _agree_through_a_pipe(tmp_path, data, reader):
-    """reader's outcome on data written to a named pipe, as on a regular file."""
+    """reader's outcome on data written to a named pipe, as on a regular file, with labels and without."""
     regular = tmp_path / "input"
     regular.write_bytes(data)
-    with _piped(tmp_path, data) as fifo:
-        piped, read = (repr(_outcome(reader, path)).replace(str(path), "<path>") for path in (fifo, regular))
-    assert piped == read
+    read = _read(reader, regular)
+    for options, expected in (({}, read), ({"labels": False}, _unlabelled(read))):
+        with _piped(tmp_path, data) as fifo:
+            piped = _read(reader, fifo, **options)
+        assert repr(piped).replace(str(fifo), "<path>") == repr(expected).replace(str(regular), "<path>")
 
 
 _PIPES = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
