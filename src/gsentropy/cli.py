@@ -177,7 +177,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     print(f"observed support   : {est.support_observed}")
     print(f"H_hat_{est.m}            : {_fmt(est.h_hat)}")
     print(f"sigma_hat_{est.m}        : {_fmt(est.sigma_hat)}")
-    print(f"{ci.level * 100:.0f}% interval       : [{_fmt(ci.lower)}, {_fmt(ci.upper)}]")
+    print(f"{ci.level * 100:g}% interval       : [{_fmt(ci.lower)}, {_fmt(ci.upper)}]")
     if ci.degenerate:
         if est.support_observed == 1:
             print("warning: single observed category; the interval is degenerate.")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from pathlib import Path
 from statistics import NormalDist
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -201,18 +201,25 @@ def _blocks(handle, take) -> tuple[int, bytes]:
 
 
 def _decoded(path, handle, read: int, data: bytes, translate: bool):
-    """Yield data, read bytes into the file, and the rest of handle as UTF-8 text with universal
-    newlines (translated to "\\n" if translate), decoded up to each multiple of 8 KiB of the file
-    as a text-mode file decodes it; a bad byte raises ValueError with its offset."""
+    """Yield data, read bytes into the file, and the rest of handle as UTF-8 text with universal newlines
+    (translated to "\\n" if translate), decoded as a text-mode file decodes it, in runs of whole lines:
+    those ended by each multiple of 8 KiB of the file, then the last line; a bad byte raises ValueError
+    with its offset."""
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate)
     cut = -read % _PIECE  # data ends where handle stands, at a multiple of 64 KiB or the file's end
     pieces = chain([data[:cut]], (data[at:at + _PIECE] for at in range(cut, len(data), _PIECE)),
                    iter(lambda: handle.read(_PIECE), b""))
+    held = []  # the parts of an unfinished line, joined once when its end arrives
     try:
         for piece in pieces:
             read += len(piece)
-            yield decoder.decode(piece)
-        yield decoder.decode(b"", final=True)
+            text = decoder.decode(piece)
+            end = max(text.rfind("\n"), text.rfind("\r")) + 1  # the decoder holds a last "\r" back
+            if end:
+                yield "".join([*held, text[:end]])
+                held.clear()
+            held.append(text[end:])
+        yield "".join([*held, decoder.decode(b"", final=True)])
     except UnicodeDecodeError as exc:
         # exc.object, the decoder's last input with any held-over bytes, ends read bytes in
         at = read - len(exc.object) + exc.start
@@ -266,18 +273,6 @@ def _key_labels(keys: np.ndarray) -> list[str]:
     return text[text != 0].tobytes().decode().split("\n")[:-1]
 
 
-def _csv_lines(pieces: Iterable[str]) -> Iterable[list[str]]:
-    """The lines of decoded text, a list per piece, split as a text-mode file with newline=""
-    splits them; only a line a piece leaves unfinished waits for the next (the decoder holds a
-    last "\\r" back until it sees what follows)."""
-    tail = ""
-    for text in pieces:
-        lines = io.StringIO(tail + text, newline="").readlines()
-        tail = lines.pop() if lines and lines[-1][-1] not in "\r\n" else ""
-        yield lines
-    yield [tail] if tail else []
-
-
 def read_counts_csv(path: Union[str, Path], *, labels: bool = True) -> tuple[SampleCounts, tuple[str, ...] | None]:
     """Read a `category,count` CSV; returns the counts and labels, labels[k - 1] that of category k,
     or None in place of the labels if labels is False, which builds no label string for a key.
@@ -292,7 +287,7 @@ def read_counts_csv(path: Union[str, Path], *, labels: bool = True) -> tuple[Sam
     are bytes 0x21-0x7E and none is longer than 8 bytes, else decoded and stripped.  ``csv.reader``'s
     row loop reads on from the first block not taken, and alone raises errors.  Labels tallied as keys
     are numbered first, in key order, then the others in the order first met.  Memory grows with the
-    labels, not the rows.
+    labels and the longest line, not the rows.
     """
     label_counts, keyed, taken, total, limit = {}, [_NO_KEYS], 0, 0, csv.field_size_limit()
 
@@ -360,8 +355,9 @@ def read_counts_csv(path: Union[str, Path], *, labels: bool = True) -> tuple[Sam
         return True
 
     with open(path, "rb") as handle:
-        lines = _csv_lines(_decoded(path, handle, *_blocks(handle, take), translate=False))
-        get, reader = label_counts.get, csv.reader(chain.from_iterable(lines))
+        runs = _decoded(path, handle, *_blocks(handle, take), translate=False)
+        lines = chain.from_iterable(io.StringIO(run, newline="").readlines() for run in runs)
+        get, reader = label_counts.get, csv.reader(lines)
         try:
             if not taken:
                 header = next(reader, None)
@@ -429,16 +425,14 @@ def read_raw_labels(path: Union[str, Path], *, labels: bool = True) -> tuple[Sam
     Lines end at "\\n", "\\r\\n" or "\\r" only; a label's surrounding Unicode
     whitespace is stripped, and a leading byte-order mark skipped.
 
-    The file is read in 64 KiB blocks of bytes cut at their last "\\n".  A block
-    is plain when its bytes, CRLF pairs taken as "\\n", are all "\\n" or
-    0x21-0x7E, so that no line needs stripping or decoding, and at most a
-    quarter of its lines are longer than 8 bytes.  A plain block's lines of up
-    to 8 bytes are tallied in numpy as packed 8-byte keys, its longer ones in a
-    Counter.  From the first other block on, the rest of the file is decoded as
-    UTF-8 with universal newlines and counted in the Counter line by line.  The
-    labels are numbered those tallied as keys first, in key order, then the
-    others in the order first met.  Memory grows with the distinct labels, not
-    the lines.
+    The file is read in 64 KiB blocks of bytes cut at their last "\\n".  A block is plain when its
+    bytes, CRLF pairs taken as "\\n", are all "\\n" or 0x21-0x7E, so that no line needs stripping or
+    decoding, and at most a quarter of its lines are longer than 8 bytes.  A plain block's lines of up
+    to 8 bytes are tallied in numpy as packed 8-byte keys, its longer ones in a Counter.  From the first
+    other block on, the rest of the file is decoded as UTF-8 with universal newlines, in runs of whole
+    lines, and counted in the Counter.  The labels are numbered those tallied as keys first, in key
+    order, then the others in the order first met.  Memory grows with the distinct labels and the
+    longest line, not the lines.
     """
     keyed, text_counts = [_NO_KEYS], Counter()
 
@@ -447,12 +441,8 @@ def read_raw_labels(path: Union[str, Path], *, labels: bool = True) -> tuple[Sam
         return _tally_plain(block.replace(b"\r\n", b"\n") if b"\r" in block else block, keyed, text_counts)
 
     with open(path, "rb") as handle:
-        tail = ""
-        for text in _decoded(path, handle, *_blocks(handle, take), translate=True):
-            lines = (tail + text).split("\n")
-            tail = lines.pop()  # the unfinished last line
-            text_counts.update(lines)
-    text_counts[tail] += 1
+        for run in _decoded(path, handle, *_blocks(handle, take), translate=True):
+            text_counts.update(run.split("\n"))
     # strip each distinct label once rather than every line
     for label in [label for label in text_counts if label != label.strip()]:
         text_counts[label.strip()] += text_counts.pop(label)
@@ -466,12 +456,15 @@ def read_raw_labels(path: Union[str, Path], *, labels: bool = True) -> tuple[Sam
 def write_counts_csv(counts: SampleCounts, path: Union[str, Path],
                      labels: Sequence[str] | None = None) -> None:
     """Write `category,count` rows that re-ingest to the same estimates; category k as labels[k - 1]."""
-    # categories increase, so the first and the last bound them all
-    first, last = counts.categories[[0, -1]].tolist()
-    if labels is not None and not 1 <= first <= last <= len(labels):
-        raise ValueError(f"categories {first}..{last} must lie in 1..{len(labels)} to have labels")
+    names = counts.categories.tolist()
+    if labels is not None:
+        # categories increase, so the first and the last bound them all
+        if not 1 <= names[0] <= names[-1] <= len(labels):
+            raise ValueError(f"categories {names[0]}..{names[-1]} must lie in 1..{len(labels)} to have labels")
+        names = [labels[category - 1] for category in names]
+        # the readers strip labels, so two that strip alike would read back as one category
+        label, times = Counter(str(label).strip() for label in names).most_common(1)[0]
+        if times > 1:
+            raise ValueError(f"{times} labels strip to {label!r} and would read back as one category")
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(COUNTS_HEADER)
-        for category, count in zip(counts.categories.tolist(), counts.counts.tolist()):
-            writer.writerow([labels[category - 1] if labels is not None else category, count])
+        csv.writer(handle).writerows([COUNTS_HEADER, *zip(names, counts.counts.tolist())])

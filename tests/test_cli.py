@@ -346,6 +346,15 @@ class TestEstimate:
         assert json.loads(out)["interval"] == {"lower": ci.lower, "upper": ci.upper,
                                                "level": ci.level, "degenerate": ci.degenerate}
 
+    # the level is printed as it is, not rounded to a whole percent: 99.9% would
+    # read as 100% and 0.1% as 0%
+    @pytest.mark.parametrize("alpha, level", [(None, "95"), ("0.001", "99.9"), ("0.999", "0.1")])
+    def test_text_output_names_the_interval_level(self, capsys, counts_csv, alpha, level):
+        code, out, _ = run(capsys, "estimate", "--data", str(counts_csv), *(["--alpha", alpha] if alpha else []))
+        assert code == 0
+        ci = confidence_interval(gse_estimate(read_counts_csv(counts_csv)[0], 2), float(alpha or 0.05))
+        assert f"{level}% interval       : [{ci.lower:.6g}, {ci.upper:.6g}]\n" in out
+
     def test_quantile_is_taken_once(self, capsys, monkeypatch, counts_csv):
         calls = []
         quantile = estimation.normal_quantile

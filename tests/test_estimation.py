@@ -328,6 +328,22 @@ class TestCountsIO:
             write_counts_csv(SampleCounts(categories, [3, 4]), out, labels)
         assert not out.exists()
 
+    # the readers strip labels, so labels that strip alike come back as one
+    # category: counts (5, 3, 2) under [" a", "a", "b"] would read back as (8, 2)
+    @pytest.mark.parametrize("labels, merged", [([" a", "a", "b"], "a"), (["x", "\u3000x", "y"], "x"),
+                                                (["a", "a", "b"], "a")])
+    def test_labels_that_strip_alike_are_refused_before_writing(self, tmp_path, labels, merged):
+        out = tmp_path / "counts.csv"
+        with pytest.raises(ValueError, match=f"^2 labels strip to '{merged}' and would read back as one category$"):
+            write_counts_csv(SampleCounts([1, 2, 3], [5, 3, 2]), out, labels)
+        assert not out.exists()
+
+    def test_labels_of_absent_categories_may_strip_alike(self, tmp_path):
+        # only the labels written are read back: category 2's is not
+        out = tmp_path / "counts.csv"
+        write_counts_csv(SampleCounts([1, 3], [5, 2]), out, [" a", "a", "b"])
+        assert _pairs(*read_counts_csv(out)) == {"a": 5, "b": 2}
+
     @pytest.mark.parametrize("bom", ["", "\ufeff"])  # a UTF-8 byte-order mark is not data
     def test_duplicate_labels_aggregate_and_zeros_drop(self, tmp_path, bom):
         path = tmp_path / "counts.csv"

@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
@@ -138,6 +139,12 @@ def _agree(tmp_path, data, reader, reference):
     assert _read(reader, path, labels=False) == _unlabelled(read)
 
 
+def _spanning(before, line, end, after):
+    """before, then line led by x's to over 20,000 bytes, so that its end starts at the last
+    byte of an 8 KiB mark of the file, then after: a line that spans at least 3 decodes."""
+    return before + b"x" * (-len(before + line) % 8192 + 3 * 8192 - 1) + line + end + after
+
+
 # More than 64 KiB of plain lines, each label new and of at most 8 bytes: a
 # first block the numpy pass takes before it meets what follows; and blocks
 # of labels of 9 bytes or more
@@ -172,6 +179,11 @@ _LONG = "".join(f"label-{i % 3000:04d}\n" for i in range(8000)).encode()
 @example(_RAW + b"a\r")  # one ending in a lone CR,
 @example(_RAW.replace(b"\n", b"\r\n"))  # CRLF lines, which are plain too,
 @example(_RAW + b"\n" + _LONG + b"p0\n \n")  # blocks of mostly long lines, then more
+@example(_spanning(b" a\n", b"", b"\n", b"b"))  # after a padded label, which the block pass refuses, a
+@example(_spanning(b" a\n", b"", b"\r\n", b"b\n"))  # long line ending LF, CRLF across a mark,
+@example(_spanning(b" a\n", b"", b"\r", b"b\n"))  # or a lone CR at one,
+@example(_spanning(_RAW + b" a\n", b"", b"\r\n", b"b\n"))  # and so after a first plain block;
+@example(_spanning(b" a\n" + b"x" * 12000 + b"\xff", b"", b"\n", b"b\n"))  # a bad byte inside one
 def test_read_raw_labels_matches_line_by_line(tmp_path_factory, data):
     _agree(tmp_path_factory.mktemp("raw"), data, read_raw_labels, read_raw_labels_lines)
 
@@ -184,6 +196,8 @@ _PAST_LIMIT = csv.field_size_limit() + 1
 _ODD_AT_72K = _PLAIN + b"y" * (73728 - len(_PLAIN) - 9) + b",1\na,1,2\n"
 # More than 64 KiB of rows whose labels are longer than 8 bytes, some of them with count 0
 _LONG_ROWS = "".join(f"label-{i % 3000:04d},{i % 4}\n" for i in range(8000)).encode()
+# A header and a quoted row: the block pass refuses the first block
+_QUOTED = b'category,count\n"a",1\n'
 
 
 @DIFF
@@ -233,8 +247,34 @@ _LONG_ROWS = "".join(f"label-{i % 3000:04d},{i % 4}\n" for i in range(8000)).enc
 @example(_PLAIN + b"a,9999999999999999999\n")  # a count of 19 digits past int64,
 @example(_PLAIN + b"a,1\r\nb,2\r\n")  # CRLF rows after LF ones,
 @example(_PLAIN + b" a ,1\r")  # and a padded last row ending in a lone CR
+@example(_spanning(_QUOTED, b",2", b"\n", b"b,1"))  # after a quoted row, which the block pass refuses,
+@example(_spanning(_QUOTED, b",2", b"\r\n", b"b,1\n"))  # a long row ending LF, CRLF across a mark,
+@example(_spanning(_QUOTED, b",2", b"\r", b"b,1\n"))  # or a lone CR at one,
+@example(_spanning(_PLAIN + b'"a",1\n', b",2", b"\r\n", b"b,1\n"))  # and so after a first plain block;
+@example(_spanning(_QUOTED + b"x" * 12000 + b"\xff", b",2", b"\n", b"b,1\n"))  # a bad byte inside one,
+@example(_spanning(_QUOTED, b",2", b"\n", b"b,1\na,1,2\n"))  # and a row error after one, named by its row
 def test_read_counts_csv_matches_row_by_row(tmp_path_factory, data):
     _agree(tmp_path_factory.mktemp("csv"), data, read_counts_csv, read_counts_csv_rows)
+
+
+@pytest.mark.parametrize("reader, reference, data", [
+    (read_raw_labels, read_raw_labels_lines, b"x" * 2**23),
+    (read_counts_csv, read_counts_csv_rows, b"category,count\n" + b"x" * 2**23 + b",1\n"),
+], ids=["raw", "csv"])
+def test_a_line_of_8_mib_costs_its_length_once(tmp_path, reader, reference, data):
+    # the slow path joins a line's decoded parts once, when its end arrives;
+    # copying the unfinished line again at each 8 KiB decode took seconds
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    start = time.perf_counter()
+    read = _read(reader, path)
+    elapsed = time.perf_counter() - start
+    assert _outcome(read) == _outcome(_read(reference, path))
+    if reader is read_counts_csv:
+        assert read == (ValueError, f"{path}:2: field larger than field limit ({csv.field_size_limit()})")
+    else:
+        assert read[1] == [1]
+    assert elapsed < 1.0
 
 
 def test_raw_memory_grows_with_labels_not_lines(tmp_path):
