@@ -796,17 +796,10 @@ def _uint32_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (values & _MASK32).astype(np.uint32), (values >> 32).astype(np.uint32)
 
 
-def _master_pool(master: int) -> np.ndarray:
-    """The pool every derive_seed(master, r) starts from, as a (4, 1) uint32
-    column.  The master's words are padded to four before a spawn key, so
-    this part is the same for every r, and it is SeedSequence(master)'s own
-    pool: about 3 us, against 90 for _entropy_pool on a one-element array."""
-    return np.random.SeedSequence(operator.index(master) & _MASK64).pool[:, None]
-
-
 def _derive_seeds(pool: np.ndarray, path: np.ndarray) -> np.ndarray:
-    """derive_seed(master, r) for each r of a uint64 array, given the
-    _master_pool of master: one column for every r, or one column per r."""
+    """derive_seed(master, r) for each r of a uint64 array, given master's
+    pool, the _entropy_pool of its words that no r changes (a spawn key
+    follows four words), as one column for every r, or one column per r."""
     low, high = _uint32_words(path)
     pool = _mix_word(pool, low, 16)
     wide = high != 0  # a key of 2^32 or more is two entropy words
@@ -856,7 +849,8 @@ def _sweep_states(masters: Iterable[int], count: int) -> Iterator[np.ndarray]:
     r) index (the last slice fewer), so consecutive masters share a pass and
     a master's replicates may span passes.  The index is uint64, so every r
     of a count below 2^64 is exact."""
-    pools = np.hstack([_master_pool(master) for master in masters])
+    masters = np.array([operator.index(master) & _MASK64 for master in masters], np.uint64)
+    pools = np.array(_entropy_pool(*_uint32_words(masters)))  # one column per master, in one pass
     total = pools.shape[1] * count
     for start in range(0, total, _SEED_BLOCK):
         point, path = np.divmod(np.arange(start, min(start + _SEED_BLOCK, total), dtype=np.uint64), count)

@@ -183,7 +183,8 @@ _NO_KEYS = (np.empty(0, np.uint64), np.empty(0, np.int64))  # the keys merged be
 
 def _blocks(handle, take) -> tuple[int, bytes]:
     """Offer the binary file handle to take in 64 KiB blocks, less a leading byte-order mark (only
-    a whole one), each cut after its last "\\n" (the last at the file's end), until take refuses one.
+    a whole one), each cut after its last "\\n" (the last at the file's end), its CRLF pairs and lone
+    "\\r"s then folded into "\\n" as a text-mode read folds them, until take refuses one.
 
     Returns (the bytes into the file where the rest starts, the rest read so far)."""
     chunk = handle.read(_BLOCK)
@@ -192,7 +193,10 @@ def _blocks(handle, take) -> tuple[int, bytes]:
     while data:
         last = len(chunk) < _BLOCK
         end = len(data) if last else data.rfind(b"\n") + 1
-        if not end or not take(data[:end]):
+        block = data[:end]
+        if b"\r" in block:  # tested first: finding no "\r\n" in a block takes 100 times finding no "\r"
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not end or not take(block):
             break
         read += end
         chunk = b"" if last else handle.read(_BLOCK)
@@ -277,12 +281,13 @@ def read_counts_csv(path: Union[str, Path], *, labels: bool = True) -> tuple[Sam
     """Read a `category,count` CSV; returns the counts and labels, labels[k - 1] that of category k,
     or None in place of the labels if labels is False, which builds no label string for a key.
 
-    A count is an optional sign and ASCII digits, at most 19 significant, with surrounding whitespace.
-    Labels are stripped of surrounding whitespace; duplicate labels add, zero rows drop.
+    Rows end at "\\n", "\\r\\n" or "\\r".  A count is an optional sign and ASCII digits, at most 19
+    significant, with surrounding whitespace.  Labels are stripped of surrounding whitespace; duplicate
+    labels add, zero rows drop.
 
-    The file is read in 64 KiB blocks of bytes cut at their last "\\n".  A block is taken in numpy if,
-    after the header in the first, each line holds one comma, then 1 to 19 ASCII digits, and no quote,
-    NUL or "\\r" but one that ends it, within ``csv.field_size_limit()`` and an int64 total.  Its
+    The file is read in 64 KiB blocks of bytes cut at their last "\\n", line ends folded into "\\n".  A
+    block is taken in numpy if, after the header in the first, each line holds one comma, then 1 to 19
+    ASCII digits, and no quote or NUL, within ``csv.field_size_limit()`` and an int64 total.  Its
     labels are tallied as packed 8-byte keys, as ``read_raw_labels`` tallies a plain block, if all
     are bytes 0x21-0x7E and none is longer than 8 bytes, else decoded and stripped.  ``csv.reader``'s
     row loop reads on from the first block not taken, and alone raises errors.  Labels tallied as keys
@@ -298,12 +303,9 @@ def read_counts_csv(path: Union[str, Path], *, labels: bool = True) -> tuple[Sam
         if not taken:  # the header, which the row loop reads if this block is refused
             header, _, rows = block.partition(b"\n")
             header = header.decode(errors="replace")  # a byte that is not UTF-8 fails the test below
-            # a lone "\r" ends a text-mode line too: the header may hold one only at its end
-            if "\r" in header[:-1] or tuple(h.strip().lower() for h in header.split(",")) != COUNTS_HEADER:
+            if tuple(h.strip().lower() for h in header.split(",")) != COUNTS_HEADER:
                 return False
-        if b"\r" in rows:  # a CRLF pair ends a line as LF does, and a last "\r" the file's last line
-            rows = rows.replace(b"\r\n", b"\n").removesuffix(b"\r")
-        if len(block) >= limit or b'"' in rows or b"\0" in rows or b"\r" in rows:
+        if len(block) >= limit or b'"' in rows or b"\0" in rows:
             return False
         codes = np.frombuffer(rows, np.uint8)
         ends, commas = np.flatnonzero(codes == 10), np.flatnonzero(codes == 44)
@@ -313,7 +315,7 @@ def read_counts_csv(path: Union[str, Path], *, labels: bool = True) -> tuple[Sam
             ends = np.append(ends, len(rows))
         if ends.size != commas.size:
             return False
-        if not ends.size:  # the header alone, or a last "\r"
+        if not ends.size:  # the header alone
             taken = max(taken, 1)
             return True
         widths = ends - commas - 1
@@ -396,28 +398,6 @@ def read_counts_csv(path: Union[str, Path], *, labels: bool = True) -> tuple[Sam
     return counts, (*_key_labels(keys), *label_counts) if labels else None
 
 
-def _tally_plain(block: bytes, keyed: list, text_counts: Counter) -> bool:
-    """Count the lines of block if it is plain (every byte "\\n" or 0x21-0x7E, at most a quarter
-    of its lines longer than 8 bytes), else nothing."""
-    codes = np.frombuffer(block, np.uint8)
-    ends = np.flatnonzero(codes == 10)
-    # uint8 arithmetic wraps, so the difference is below 0x5E for 0x21-0x7E only
-    if np.count_nonzero(codes - np.uint8(0x21) < 0x5E) + ends.size != len(block):
-        return False
-    if not ends.size or ends[-1] < len(block) - 1:  # a last line with no line end
-        ends = np.append(ends, len(block))
-    starts = np.append(0, ends[:-1] + 1)
-    lengths = ends - starts
-    long = lengths > 8
-    if 4 * np.count_nonzero(long) > ends.size:  # many long lines, each a slice: the text loop is cheaper
-        return False
-    if long.any():
-        text_counts.update(block[a:b].decode() for a, b in zip(starts[long].tolist(), ends[long].tolist()))
-        starts, lengths = starts[~long], lengths[~long]
-    _add_keyed(keyed, block, starts, lengths)
-    return True
-
-
 def read_raw_labels(path: Union[str, Path], *, labels: bool = True) -> tuple[SampleCounts, tuple[str, ...] | None]:
     """Read one label per line (blank lines are skipped); returns what ``read_counts_csv`` does,
     labels (or None if labels is False) included.
@@ -426,7 +406,7 @@ def read_raw_labels(path: Union[str, Path], *, labels: bool = True) -> tuple[Sam
     whitespace is stripped, and a leading byte-order mark skipped.
 
     The file is read in 64 KiB blocks of bytes cut at their last "\\n".  A block is plain when its
-    bytes, CRLF pairs taken as "\\n", are all "\\n" or 0x21-0x7E, so that no line needs stripping or
+    bytes, line ends folded into "\\n", are all "\\n" or 0x21-0x7E, so that no line needs stripping or
     decoding, and at most a quarter of its lines are longer than 8 bytes.  A plain block's lines of up
     to 8 bytes are tallied in numpy as packed 8-byte keys, its longer ones in a Counter.  From the first
     other block on, the rest of the file is decoded as UTF-8 with universal newlines, in runs of whole
@@ -437,8 +417,25 @@ def read_raw_labels(path: Union[str, Path], *, labels: bool = True) -> tuple[Sam
     keyed, text_counts = [_NO_KEYS], Counter()
 
     def take(block: bytes) -> bool:
-        # a CRLF pair ends a line as LF does; a lone CR is not plain
-        return _tally_plain(block.replace(b"\r\n", b"\n") if b"\r" in block else block, keyed, text_counts)
+        """Count the lines of block if it is plain (every byte "\\n" or 0x21-0x7E, at most a quarter
+        of its lines longer than 8 bytes), else nothing."""
+        codes = np.frombuffer(block, np.uint8)
+        ends = np.flatnonzero(codes == 10)
+        # uint8 arithmetic wraps, so the difference is below 0x5E for 0x21-0x7E only
+        if np.count_nonzero(codes - np.uint8(0x21) < 0x5E) + ends.size != len(block):
+            return False
+        if not ends.size or ends[-1] < len(block) - 1:  # a last line with no line end
+            ends = np.append(ends, len(block))
+        starts = np.append(0, ends[:-1] + 1)
+        lengths = ends - starts
+        long = lengths > 8
+        if 4 * np.count_nonzero(long) > ends.size:  # many long lines, each a slice: the text loop is cheaper
+            return False
+        if long.any():
+            text_counts.update(block[a:b].decode() for a, b in zip(starts[long].tolist(), ends[long].tolist()))
+            starts, lengths = starts[~long], lengths[~long]
+        _add_keyed(keyed, block, starts, lengths)
+        return True
 
     with open(path, "rb") as handle:
         for run in _decoded(path, handle, *_blocks(handle, take), translate=True):
@@ -462,8 +459,8 @@ def write_counts_csv(counts: SampleCounts, path: Union[str, Path],
         if not 1 <= names[0] <= names[-1] <= len(labels):
             raise ValueError(f"categories {names[0]}..{names[-1]} must lie in 1..{len(labels)} to have labels")
         names = [labels[category - 1] for category in names]
-        # the readers strip labels, so two that strip alike would read back as one category
-        label, times = Counter(str(label).strip() for label in names).most_common(1)[0]
+        # the readers strip the fields written (None as ""), so two that strip alike would read back as one
+        label, times = Counter(("" if label is None else str(label)).strip() for label in names).most_common(1)[0]
         if times > 1:
             raise ValueError(f"{times} labels strip to {label!r} and would read back as one category")
     with open(path, "w", newline="", encoding="utf-8") as handle:

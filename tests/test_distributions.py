@@ -38,15 +38,18 @@ from gsentropy.distributions import (
     _SEED_BLOCK,
     _Workspace,
     _derive_seeds,
-    _master_pool,
+    _entropy_pool,
+    _literal_sigma_sq,
     _mul_hi,
     _pcg64_halves,
     _pcg64_seed,
     _pcg64_states,
     _replicate_states,
     _sweep_states,
+    _uint32_words,
     _zeta_accept,
     _zeta_chunk,
+    collision_log_weights,
     h_sigma_sq,
     power_log_series,
     series_terms_needed,
@@ -525,14 +528,14 @@ class TestSeedDerivation:
     ])
     def test_numpy_integer_masters(self, master, plain):
         assert derive_seed(master, 3) == derive_seed(plain, 3)
-        path = np.arange(4, dtype=np.uint64)
-        assert _derive_seeds(_master_pool(master), path).tolist() == _derive_seeds(_master_pool(plain), path).tolist()
+        states = [np.stack(list(_sweep_states([seed], 4))).tolist() for seed in (master, plain)]
+        assert states[0] == states[1]
 
     def test_non_integer_master_is_rejected(self):
         with pytest.raises(TypeError):
             derive_seed(2.5, 0)
         with pytest.raises(TypeError):
-            _master_pool(2.5)
+            next(_sweep_states([2.5], 1))
 
 
 # master seeds of zero, one and two 32-bit words, and beyond 64 bits or
@@ -578,7 +581,9 @@ class TestBatchedSeeding:
     @settings(derandomize=True)
     @given(master=MASTERS, path=INDICES)
     def test_matches_seed_sequence(self, master, path):
-        seeds = _derive_seeds(_master_pool(master), np.array(path, dtype=np.uint64))
+        pool = np.array(_entropy_pool(*_uint32_words(np.array([master & MASK64], dtype=np.uint64))))
+        assert pool[:, 0].tolist() == np.random.SeedSequence(master & MASK64).pool.tolist()
+        seeds = _derive_seeds(pool, np.array(path, dtype=np.uint64))
         assert seeds.tolist() == [derive_seed(master, r) for r in path]
         for seed, row in zip(seeds.tolist(), _pcg64_states(seeds)):
             assert np.random.PCG64(np.random.SeedSequence(seed)).state["state"] == pcg64_state(row)
@@ -759,11 +764,18 @@ class TestRowKernel:
         filler = np.linspace(0.3, 0.01, 8)
         for m in (1, 2, 3, 4):
             alone = np.array([np.concatenate(h_sigma_sq(p, m)) for p in pmfs])
+            # the other kernel entries: ln q and q per element, then H_m, ln sum p^m and the diagnostic per segment
+            others = [(*collision_log_weights(p, m), _literal_sigma_sq(p, m)) for p in pmfs]
             for lead in range(9):
                 block = np.concatenate([filler[:lead], *pmfs])
-                h, sigma_sq = h_sigma_sq(block, m, np.append([0], lead + starts) if lead else starts)
+                segments = np.append([0], lead + starts) if lead else starts
+                h, sigma_sq = h_sigma_sq(block, m, segments)
                 assert h[-40:].tobytes() == alone[:, 0].tobytes()
                 assert sigma_sq[-40:].tobytes() == alone[:, 1].tobytes()
+                together = (*collision_log_weights(block, m, segments), _literal_sigma_sq(block, m, segments))
+                for got, parts in zip(together, zip(*others)):
+                    expected = np.concatenate(parts)
+                    assert got[-expected.size:].tobytes() == expected.tobytes()
 
     def test_one_segment_is_the_default(self):
         p = np.array([0.5, 0.25, 0.125, 0.125])

@@ -338,6 +338,16 @@ class TestCountsIO:
             write_counts_csv(SampleCounts([1, 2, 3], [5, 3, 2]), out, labels)
         assert not out.exists()
 
+    def test_a_none_label_is_checked_as_the_empty_field_written(self, tmp_path):
+        # csv.writer writes None as an empty field, not as "None": [None, ""]
+        # would read back as one category, and [None, "None"] as two
+        out = tmp_path / "counts.csv"
+        with pytest.raises(ValueError, match="^2 labels strip to '' and would read back as one category$"):
+            write_counts_csv(SampleCounts([1, 2], [1, 2]), out, [None, ""])
+        assert not out.exists()
+        write_counts_csv(SampleCounts([1, 2], [1, 2]), out, [None, "None"])
+        assert _pairs(*read_counts_csv(out)) == {"": 1, "None": 2}
+
     def test_labels_of_absent_categories_may_strip_alike(self, tmp_path):
         # only the labels written are read back: category 2's is not
         out = tmp_path / "counts.csv"

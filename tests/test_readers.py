@@ -178,6 +178,8 @@ _LONG = "".join(f"label-{i % 3000:04d}\n" for i in range(8000)).encode()
 @example(_RAW + b"a")  # a plain last line with no line end,
 @example(_RAW + b"a\r")  # one ending in a lone CR,
 @example(_RAW.replace(b"\n", b"\r\n"))  # CRLF lines, which are plain too,
+@example(b"a\rb\n" + _RAW)  # a first plain block holding a lone CR,
+@example(_RAW.replace(b"\n", b"\r", 3000))  # or whose first 3000 lines end in one,
 @example(_RAW + b"\n" + _LONG + b"p0\n \n")  # blocks of mostly long lines, then more
 @example(_spanning(b" a\n", b"", b"\n", b"b"))  # after a padded label, which the block pass refuses, a
 @example(_spanning(b" a\n", b"", b"\r\n", b"b\n"))  # long line ending LF, CRLF across a mark,
@@ -247,6 +249,8 @@ _QUOTED = b'category,count\n"a",1\n'
 @example(_PLAIN + b"a,9999999999999999999\n")  # a count of 19 digits past int64,
 @example(_PLAIN + b"a,1\r\nb,2\r\n")  # CRLF rows after LF ones,
 @example(_PLAIN + b" a ,1\r")  # and a padded last row ending in a lone CR
+@example(_PLAIN.replace(b"\n", b"\r", 3000))  # a first plain block whose header and rows end in a lone CR,
+@example(_PLAIN[:15] + b"a\rb,1\n" + _PLAIN[15:])  # or one where a lone CR splits a row
 @example(_spanning(_QUOTED, b",2", b"\n", b"b,1"))  # after a quoted row, which the block pass refuses,
 @example(_spanning(_QUOTED, b",2", b"\r\n", b"b,1\n"))  # a long row ending LF, CRLF across a mark,
 @example(_spanning(_QUOTED, b",2", b"\r", b"b,1\n"))  # or a lone CR at one,
@@ -346,12 +350,17 @@ def test_written_counts_take_the_block_pass(tmp_path, monkeypatch):
         assert dict(zip(labels, counts.counts.tolist())) == {f"r{i}": i % 5 + 1 for i in range(9000)}
 
 
-@pytest.mark.parametrize("shape", ["lf", "written", "raw-crlf"])
+def _ending_cr_and_lf(lines):
+    """lines as bytes, ending in a lone CR and LF in turn: each block still holds an LF to cut it at."""
+    return "".join(line + "\r\n"[i % 2] for i, line in enumerate(lines)).encode()
+
+
+@pytest.mark.parametrize("shape", ["lf", "written", "raw-crlf", "lone-cr", "raw-lone-cr"])
 def test_short_plain_labels_take_the_key_route(tmp_path, monkeypatch, shape):
     # the benchmark's rows (`c<i>,<count>` ending LF), write_counts_csv's
-    # (ending CRLF) and CRLF raw labels have labels of at most 8 bytes
-    # 0x21-0x7E: every label must be tallied as a packed key, none as text,
-    # and the keys number the labels
+    # (ending CRLF), CRLF raw labels, and rows and raw labels ending in a lone
+    # CR and LF in turn have labels of at most 8 bytes 0x21-0x7E: every label
+    # must be tallied as a packed key, none as text, and the keys number the labels
     path, counts = tmp_path / "data", np.arange(20000) * 37 % 1000 + 1  # counts of 1 to 4 digits
     expected = {f"c{i}": count for i, count in enumerate(counts.tolist())}
     if shape == "lf":
@@ -359,9 +368,14 @@ def test_short_plain_labels_take_the_key_route(tmp_path, monkeypatch, shape):
                         encoding="utf-8")
     elif shape == "written":
         write_counts_csv(SampleCounts(np.arange(1, 20001), counts), path, list(expected))
+    elif shape == "lone-cr":
+        rows = [f"{label},{count}" for label, count in expected.items()]
+        path.write_bytes(_ending_cr_and_lf(["category,count", *rows]))
     else:
         expected = {f"c{i}": 2 for i in range(10000)}
-        path.write_bytes(b"".join(f"c{i % 10000}\r\n".encode() for i in range(20000)))
+        labels = [f"c{i % 10000}" for i in range(20000)]
+        path.write_bytes(_ending_cr_and_lf(labels) if shape == "raw-lone-cr" else
+                         b"".join(f"{label}\r\n".encode() for label in labels))
     keyed, add_keyed = [], estimation._add_keyed
 
     def tally(held, block, starts, lengths, counts=None):
@@ -369,7 +383,7 @@ def test_short_plain_labels_take_the_key_route(tmp_path, monkeypatch, shape):
         add_keyed(held, block, starts, lengths, counts)
 
     monkeypatch.setattr(estimation, "_add_keyed", tally)
-    got, labels = (read_raw_labels if shape == "raw-crlf" else read_counts_csv)(path)
+    got, labels = (read_raw_labels if shape.startswith("raw") else read_counts_csv)(path)
     assert sum(keyed) == 20000
     assert dict(zip(labels, got.counts.tolist())) == expected
     assert list(labels) == sorted(labels, key=lambda label: int.from_bytes(label.encode(), "little"))
